@@ -23,7 +23,8 @@ from .composites import (ENTANGLED, SEPARABLE, BipartiteState,
                          verify_entanglement_certificate)
 from .errors import (ConstructionError, NotRemotelyPreparableError,
                      NullConditioningError, SchemaError,
-                     UnboundedRegionError, UnsupportedModelError)
+                     UnboundedRegionError, UnsupportedModelError,
+                     VerificationError)
 from .exactlp import (FeasibilityResult, LinearSystem, OptimizationResult,
                       cone_member, convex_member, lp_feasible, lp_optimize,
                       refutes, satisfies, vertex_enumerate)

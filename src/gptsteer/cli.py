@@ -4,11 +4,12 @@ Every command emits a run report: schema tag, the command line it
 answered, a digest of the parsed inputs, the result payload, and the
 exit status it is about to return. Exit codes are strict: 0 the checked
 property holds, 1 it is refuted (a certificate rides along), 2 the
-input or usage was bad. Certificates and witnesses are re-verified
-right before emission, so a printed report never outruns its evidence.
-Verbosity comes from the GPTSTEER_LOG environment variable (a logging
-level name); output is canonical JSON unless --out text asks for a
-short human summary.
+input or usage was bad. The library audits every verdict's witness or
+certificate before returning it, and a failed audit raises
+VerificationError, also under ``python -O``; so a printed report never
+outruns its evidence. Verbosity comes from the GPTSTEER_LOG environment
+variable (a logging level name); output is canonical JSON unless --out
+text asks for a short human summary.
 """
 
 from __future__ import annotations
@@ -20,19 +21,14 @@ import os
 import sys
 
 from . import serialize as sz
-from .compatibility import (check_joint_measurability, jm_noise_threshold,
-                            verify_incompatibility_certificate)
+from .compatibility import check_joint_measurability, jm_noise_threshold
 from .composites import (conditional_state, is_separable, joint_probability,
-                         marginal, max_tensor_violation,
-                         verify_entanglement_certificate)
+                         marginal, max_tensor_violation)
 from .errors import SchemaError
-from .exactlp import refutes
 from .kernel import Effect, extremal_effects, is_valid_effect, zoo_by_name, zoo_names
 from .ratio import format_ratio, parse_ratio
 from .sampler import SamplerConfig
-from .steering import (check_lhs, lhs_linear_system, reconstruct_assemblage,
-                       theorem_verify)
-from .vecs import outer
+from .steering import check_lhs, theorem_verify
 
 log = logging.getLogger("gptsteer")
 
@@ -104,12 +100,6 @@ def _cmd_check_jm(args) -> int:
     log.info("deciding joint measurability of %d observables on %s",
              len(observables), space.label)
     result = check_joint_measurability(observables, space)
-    if result.jointly_measurable:
-        result.mother.validate()
-    else:
-        if not verify_incompatibility_certificate(observables, space,
-                                                  result.certificate):
-            raise AssertionError("incompatibility certificate failed the audit")
     args.digest = _digest({"observables": sz.observables_doc_to_json(space, observables)})
     status = EXIT_HOLDS if result.jointly_measurable else EXIT_REFUTED
     lines = [f"status: {result.status}"]
@@ -134,13 +124,6 @@ def _cmd_check_lhs(args) -> int:
     assemblage = sz.assemblage_doc_from_json(_read_json(args.asm_file),
                                              _space_from_flags(args))
     result = check_lhs(assemblage)
-    if result.unsteerable:
-        rebuilt = reconstruct_assemblage(result.model)
-        if rebuilt.elements != assemblage.elements:
-            raise AssertionError("local model failed the audit")
-    else:
-        if not refutes(lhs_linear_system(assemblage), result.certificate):
-            raise AssertionError("steering certificate failed the audit")
     args.digest = _digest({"assemblage": sz.assemblage_doc_to_json(assemblage)})
     status = EXIT_HOLDS if result.unsteerable else EXIT_REFUTED
     lines = [f"status: {result.status}"]
@@ -204,18 +187,6 @@ def _cmd_tensor(args) -> int:
                       f"value: {format_ratio(value)}"])
     if args.tensor_command == "check-sep":
         result = is_separable(state)
-        if result.decomposition is not None:
-            total = [[0 * c for c in row] for row in state.matrix]
-            for w, (sa, sb) in zip(result.decomposition.weights,
-                                   result.decomposition.pairs):
-                block = outer(sa.coords, sb.coords)
-                total = [[t + w * b for t, b in zip(trow, brow)]
-                         for trow, brow in zip(total, block)]
-            if tuple(tuple(row) for row in total) != state.matrix:
-                raise AssertionError("separable decomposition failed the audit")
-        else:
-            if not verify_entanglement_certificate(state, result.certificate):
-                raise AssertionError("entanglement certificate failed the audit")
         status = EXIT_HOLDS if result.decomposition is not None else EXIT_REFUTED
         return _emit(args, sz.separability_result_to_json(result), status,
                      [f"status: {result.status}"])

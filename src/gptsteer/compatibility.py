@@ -194,16 +194,26 @@ def jm_noise_threshold(observables: Sequence[Observable], space: StateSpace,
         noisy = [depolarize_observable(obs, level) for obs in observables]
         return check_joint_measurability(noisy, space).jointly_measurable
 
-    if compatible_at(ONE):
+    return _bisect_level(compatible_at, eps)
+
+
+def _bisect_level(holds_at, precision) -> tuple[Rational, Rational]:
+    """Bracket (lo, hi) of the depolarizing level where holds_at turns false.
+
+    holds_at is never asked about level 0, where it is taken to hold;
+    (1, 1) comes back when it holds at level 1. Otherwise it holds at lo
+    and fails at hi, with hi - lo <= precision.
+    """
+    if holds_at(ONE):
         return (ONE, ONE)
     lo, hi = ZERO, ONE
-    while hi - lo > eps:
+    while hi - lo > precision:
         mid = (lo + hi) / 2
-        if compatible_at(mid):
+        if holds_at(mid):
             lo = mid
         else:
             hi = mid
-        log.debug("jm_noise_threshold bracket [%s, %s]", lo, hi)
+        log.debug("noise threshold bracket [%s, %s]", lo, hi)
     return (lo, hi)
 
 

@@ -16,12 +16,12 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NullConditioningError, UnsupportedModelError
+from .errors import NullConditioningError, UnsupportedModelError, VerificationError
 from .exactlp import INFEASIBLE, LinearSystem, lp_feasible, refutes
 from .kernel import (Effect, State, StateSpace, barycenter, extremal_effects,
                      is_square_model, is_valid_state)
 from .ratio import ONE, ZERO, Rational, as_ratio
-from .vecs import (dot, invert, matrix_times_col, outer, qmat, qvec,
+from .vecs import (dot, matrix_times_col, outer, qmat, qvec, rank,
                    row_times_matrix, transpose, vadd, vscale, vzero)
 
 log = logging.getLogger(__name__)
@@ -97,14 +97,7 @@ def in_max_tensor(state: BipartiteState) -> bool:
     Nonnegativity on the extreme points of both effect polytopes extends
     to all valid effect pairs by bilinearity and convexity.
     """
-    if not state.is_normalized:
-        return False
-    for ea in extremal_effects(state.space_a):
-        partial = row_times_matrix(ea.coeffs, state.matrix)
-        for eb in extremal_effects(state.space_b):
-            if dot(partial, eb.coeffs) < 0:
-                return False
-    return True
+    return state.is_normalized and max_tensor_violation(state) is None
 
 
 def max_tensor_violation(state: BipartiteState) -> tuple[Effect, Effect] | None:
@@ -195,7 +188,8 @@ def _check_decomposition(state: BipartiteState, decomposition: SeparableDecompos
         block = outer(sa.coords, sb.coords)
         for i in range(len(total)):
             total[i] = vadd(total[i], vscale(w, block[i]))
-    assert tuple(total) == state.matrix, "internal error: decomposition does not reproduce state"
+    if tuple(total) != state.matrix:
+        raise VerificationError("decomposition does not reproduce the state")
 
 
 def verify_entanglement_certificate(state: BipartiteState, certificate) -> bool:
@@ -274,7 +268,7 @@ def effect_to_state_isomorphism(space: StateSpace) -> tuple[tuple[Rational, ...]
             tuple(sum((v[i] * v[j] for v in space.vertices), ZERO) / n
                   for j in range(space.ambient_dim))
             for i in range(space.ambient_dim))
-        if invert(j_matrix) is None:
+        if rank(j_matrix) < space.ambient_dim:
             raise UnsupportedModelError("degenerate simplex embedding")
         return j_matrix
     raise UnsupportedModelError(
@@ -292,9 +286,9 @@ def canonical_max_entangled(space: StateSpace) -> BipartiteState:
     """
     j_matrix = effect_to_state_isomorphism(space)
     state = BipartiteState(space, space, transpose(j_matrix))
-    assert state.is_normalized
-    assert in_max_tensor(state), "internal error: canonical state left the maximal cone"
+    if not in_max_tensor(state):
+        raise VerificationError("canonical state left the maximal tensor product")
     center = barycenter(space).coords
-    assert marginal(state, "A").coords == center
-    assert marginal(state, "B").coords == center
+    if marginal(state, "A").coords != center or marginal(state, "B").coords != center:
+        raise VerificationError("canonical state's marginals are not maximally mixed")
     return state

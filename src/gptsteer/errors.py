@@ -36,5 +36,15 @@ class ConstructionError(RuntimeError):
     """
 
 
+class VerificationError(RuntimeError):
+    """A verdict's own evidence failed its audit by exact substitution.
+
+    Raised instead of returning a witness, certificate or derived object
+    that does not check out; it signals a bug in the library, never bad
+    input. Not a ConstructionError, so callers that tolerate failed
+    constructions do not swallow it.
+    """
+
+
 class SchemaError(ValueError):
     """A JSON document does not match the expected schema."""

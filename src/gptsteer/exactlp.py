@@ -20,7 +20,7 @@ import itertools
 import logging
 from dataclasses import dataclass
 
-from .errors import UnboundedRegionError
+from .errors import UnboundedRegionError, VerificationError
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .vecs import dot, qvec, solve_unique, vzero
 
@@ -238,8 +238,8 @@ class _Tableau:
                     objrow[j] -= x
         for r in art_rows:
             objrow[self.art_col[r]] += ONE
-        status = self.run_bland(objrow, self.total_cols)
-        assert status == OPTIMAL, "phase one objective is bounded below by zero"
+        if self.run_bland(objrow, self.total_cols) != OPTIMAL:
+            raise VerificationError("phase one objective is bounded below by zero")
         infeasibility = ZERO
         for r in range(len(self.rows)):
             if self.basis[r] >= self.struct_cols:
@@ -312,10 +312,12 @@ def lp_feasible(system: LinearSystem) -> FeasibilityResult:
     tableau = _Tableau(system)
     ok, certificate = tableau.phase_one()
     if not ok:
-        assert refutes(system, certificate), "internal error: bad Farkas certificate"
+        if not refutes(system, certificate):
+            raise VerificationError("Farkas certificate fails substitution")
         return FeasibilityResult(INFEASIBLE, certificate=certificate)
     point = tableau.extract_point()
-    assert satisfies(system, point), "internal error: witness fails substitution"
+    if not satisfies(system, point):
+        raise VerificationError("witness fails substitution")
     return FeasibilityResult(FEASIBLE, witness=point)
 
 
@@ -333,16 +335,20 @@ def lp_optimize(objective, system: LinearSystem, sense: str = "max") -> Optimiza
     tableau = _Tableau(system)
     ok, certificate = tableau.phase_one()
     if not ok:
+        if not refutes(system, certificate):
+            raise VerificationError("Farkas certificate fails substitution")
         return OptimizationResult(INFEASIBLE, certificate=certificate)
     internal = tuple(-c for c in obj) if sense == "max" else obj
     status, value = tableau.phase_two(internal)
     if status == UNBOUNDED:
         return OptimizationResult(UNBOUNDED)
     point = tableau.extract_point()
-    assert satisfies(system, point), "internal error: optimizer left the feasible set"
+    if not satisfies(system, point):
+        raise VerificationError("optimizer left the feasible set")
     if sense == "max":
         value = -value
-    assert dot(obj, point) == value
+    if dot(obj, point) != value:
+        raise VerificationError("optimal point does not attain the optimal value")
     return OptimizationResult(OPTIMAL, value=value, point=point)
 
 

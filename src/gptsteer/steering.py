@@ -26,11 +26,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .compatibility import JmResult, MotherObservable, check_joint_measurability
+from .compatibility import (JmResult, MotherObservable, _bisect_level,
+                            check_joint_measurability)
 from .composites import (BipartiteState, canonical_max_entangled, in_max_tensor,
                          marginal, subnormalized_conditional)
-from .errors import ConstructionError, NotRemotelyPreparableError
-from .exactlp import LinearSystem, lp_feasible, refutes
+from .errors import ConstructionError, NotRemotelyPreparableError, VerificationError
+from .exactlp import LinearSystem, lp_feasible
 from .kernel import (Effect, Observable, State, StateSpace, depolarize_observable,
                      in_state_cone, is_valid_state, mother_outcome_tuples,
                      unit_effect)
@@ -296,8 +297,7 @@ def functional_strategy_bound(functional, space: StateSpace,
 def check_lhs(assemblage: Assemblage) -> LhsResult:
     """Decide unsteerability of an assemblage, with model or certificate."""
     assemblage.validate()
-    system = lhs_linear_system(assemblage)
-    outcome = lp_feasible(system)
+    outcome = lp_feasible(lhs_linear_system(assemblage))
     space = assemblage.space
     if outcome.feasible:
         strategies = _strategies(assemblage.outcomes)
@@ -322,14 +322,14 @@ def check_lhs(assemblage: Assemblage) -> LhsResult:
                          outcomes=assemblage.outcomes, lambdas=tuple(lambdas))
         model.validate()
         if reconstruct_assemblage(model).elements != assemblage.elements:
-            raise AssertionError("local model fails to reproduce the assemblage")
+            raise VerificationError("local model fails to reproduce the assemblage")
         return LhsResult(status=UNSTEERABLE, model=model)
     certificate = outcome.certificate
-    assert refutes(system, certificate)
     functional = _functional_from_certificate(assemblage, certificate)
-    assert functional_value(functional, assemblage) > ZERO
-    assert functional_strategy_bound(functional, space,
-                                     assemblage.outcomes) <= ZERO
+    if functional_value(functional, assemblage) <= ZERO:
+        raise VerificationError("steering functional is not positive on the assemblage")
+    if functional_strategy_bound(functional, space, assemblage.outcomes) > ZERO:
+        raise VerificationError("steering functional is positive on a local strategy")
     return LhsResult(status=STEERABLE, certificate=certificate,
                      functional=functional)
 
@@ -409,16 +409,14 @@ def find_conditioning_effect(state: BipartiteState,
         raise ValueError("target must lie in Bob's state cone")
     if not ZERO <= target[0] <= ONE:
         raise ValueError("target weight must lie in [0,1]")
-    system = conditioning_system(state, target)
-    outcome = lp_feasible(system)
+    outcome = lp_feasible(conditioning_system(state, target))
     if not outcome.feasible:
-        assert refutes(system, outcome.certificate)
         raise NotRemotelyPreparableError(
             "no valid effect conditions the state onto the target",
             outcome.certificate)
     effect = Effect(outcome.witness)
     if subnormalized_conditional(state, effect, "A") != target:
-        raise AssertionError("conditioning witness fails to reproduce target")
+        raise VerificationError("conditioning witness fails to reproduce target")
     return effect
 
 
@@ -567,16 +565,7 @@ def lhs_noise_threshold(observables: tuple[Observable, ...],
         noisy = tuple(depolarize_observable(o, level) for o in observables)
         return check_lhs(assemblage_from(state, noisy)).unsteerable
 
-    if unsteerable_at(ONE):
-        return ONE, ONE
-    lo, hi = ZERO, ONE
-    while hi - lo > precision:
-        mid = (lo + hi) / as_ratio(2)
-        if unsteerable_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    return _bisect_level(unsteerable_at, precision)
 
 
 @dataclass(frozen=True)

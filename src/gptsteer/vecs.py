@@ -61,11 +61,13 @@ def matrix_times_col(matrix: Sequence[Sequence], col: Sequence) -> tuple[Rationa
     return tuple(dot(row, col) for row in matrix)
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
+def _eliminate(work: list[list], ncols: int) -> int:
+    """Gauss-Jordan elimination of work, in place, over its first ncols columns.
+
+    Returns the rank r. Rows 0..r-1 then have a one in their own pivot
+    column, pivot columns increasing with the row, and a zero in every
+    other row's pivot column.
+    """
     r = 0
     for col in range(ncols):
         pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
@@ -85,6 +87,12 @@ def rank(rows: Sequence[Sequence]) -> int:
     return r
 
 
+def rank(rows: Sequence[Sequence]) -> int:
+    if not rows:
+        return 0
+    return _eliminate([list(r) for r in rows], len(rows[0]))
+
+
 def affine_rank(points: Sequence[Sequence]) -> int:
     """Rank of the difference vectors to the first point (0 for a single point)."""
     if len(points) <= 1:
@@ -99,50 +107,10 @@ def solve_unique(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Rational, .
         return None
     n = len(matrix[0])
     aug = [list(row) + [r] for row, r in zip(matrix, rhs, strict=True)]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = ONE / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        prow = aug[r]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
-        pivot_cols.append(col)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][n] != 0:
-            return None  # inconsistent
-    if r < n:
+    if _eliminate(aug, n) < n:
         return None  # underdetermined
-    solution = [ZERO] * n
-    for i, col in enumerate(pivot_cols):
-        solution[col] = aug[i][n]
-    return tuple(solution)
-
-
-def invert(matrix: Sequence[Sequence]) -> tuple[tuple[Rational, ...], ...] | None:
-    """Inverse of a square matrix, or None if singular."""
-    n = len(matrix)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(matrix)]
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = ONE / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        prow = aug[r]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
-        r += 1
-    return tuple(tuple(row[n:]) for row in aug)
+    for row in aug[n:]:
+        if row[n] != 0:
+            return None  # inconsistent
+    # Every column is a pivot column, so row i holds x_i.
+    return tuple(row[n] for row in aug[:n])

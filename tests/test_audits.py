@@ -1,0 +1,54 @@
+"""The library's audits are real exceptions, not asserts."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import gptsteer
+
+PACKAGE_DIR = Path(gptsteer.__file__).resolve().parent
+
+# Under -O, corrupt the simplex witness by one unit and report what
+# lp_feasible does with it.
+BAD_WITNESS_SCRIPT = """
+from gptsteer import exactlp
+
+assert False, "this interpreter is not running under -O"
+
+clean = exactlp._Tableau.extract_point
+
+
+def off_by_one(self):
+    point = clean(self)
+    return (point[0] + 1,) + point[1:]
+
+
+exactlp._Tableau.extract_point = off_by_one
+system = exactlp.LinearSystem.build(2, equalities=[((1, 1), 1)],
+                                    inequalities=[((1, 0), 0), ((0, 1), 0)])
+try:
+    result = exactlp.lp_feasible(system)
+except Exception as err:
+    print(type(err).__name__)
+else:
+    print("returned", result.status, result.witness)
+"""
+
+
+def test_no_bare_asserts_in_package():
+    offenders = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert offenders == []
+
+
+def test_witness_audit_survives_optimize_flag():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", BAD_WITNESS_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "VerificationError"
