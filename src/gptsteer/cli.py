@@ -4,12 +4,14 @@ Every command emits a run report: schema tag, the command line it
 answered, a digest of the parsed inputs, the result payload, and the
 exit status it is about to return. Exit codes are strict: 0 the checked
 property holds, 1 it is refuted (a certificate rides along), 2 the
-input or usage was bad. The library audits every verdict's witness or
-certificate before returning it, and a failed audit raises
-VerificationError, also under ``python -O``; so a printed report never
-outruns its evidence. Verbosity comes from the GPTSTEER_LOG environment
-variable (a logging level name); output is canonical JSON unless --out
-text asks for a short human summary.
+input or usage was bad, 3 an internal audit failed. The library audits
+every verdict's witness or certificate before returning it, and a
+failed audit raises VerificationError, also under ``python -O``; the
+CLI then prints the error, no report, and exits 3, so a printed report
+never outruns its evidence and a bug is never reported as a refutation.
+Verbosity comes from the GPTSTEER_LOG environment variable (a logging
+level name); output is canonical JSON unless --out text asks for a
+short human summary.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import serialize as sz
 from .compatibility import check_joint_measurability, jm_noise_threshold
 from .composites import (conditional_state, is_separable, joint_probability,
                          marginal, max_tensor_violation)
-from .errors import SchemaError
+from .errors import SchemaError, VerificationError
 from .kernel import Effect, extremal_effects, is_valid_effect, zoo_by_name, zoo_names
 from .ratio import format_ratio, parse_ratio
 from .sampler import SamplerConfig
@@ -35,6 +37,7 @@ log = logging.getLogger("gptsteer")
 EXIT_HOLDS = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _digest(inputs) -> str:
@@ -299,6 +302,9 @@ def main(argv=None) -> int:
     except (SchemaError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except VerificationError as err:
+        print(f"error: internal audit failed: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

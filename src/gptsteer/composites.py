@@ -2,12 +2,12 @@
 
 A bipartite state is the rational matrix of a bilinear form on effect
 pairs: value(e_A, e_B) = e_A^T M e_B, with M[0][0] = 1 when normalized.
-Membership in the maximal tensor product is nonnegativity on all
-extremal effect pairs; separability (the minimal tensor product) asks
-for a convex combination of vertex pairs and is a rational LP whose
-infeasibility certificate doubles as an entanglement witness. Marginals
-contract with the partner's unit effect and conditionals with an
-arbitrary effect, exactly.
+Membership in the maximal tensor product is nonnegativity on all pairs
+of state-cone facets, which generate the effect cones; separability
+(the minimal tensor product) asks for a convex combination of vertex
+pairs and is a rational LP whose infeasibility certificate doubles as
+an entanglement witness. Marginals contract with the partner's unit
+effect and conditionals with an arbitrary effect, exactly.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .errors import NullConditioningError, UnsupportedModelError, VerificationError
 from .exactlp import INFEASIBLE, LinearSystem, lp_feasible, refutes
-from .kernel import (Effect, State, StateSpace, barycenter, extremal_effects,
-                     is_square_model, is_valid_state)
+from .kernel import (Effect, State, StateSpace, barycenter, is_square_model,
+                     is_valid_state, state_cone_facets)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .vecs import (dot, matrix_times_col, outer, qmat, qvec, rank,
                    row_times_matrix, transpose, vadd, vscale, vzero)
@@ -67,7 +67,7 @@ def product_state(space_a: StateSpace, state_a: State,
                   space_b: StateSpace, state_b: State) -> BipartiteState:
     """Outer product of two valid normalized states."""
     for state, space, side in ((state_a, space_a, "A"), (state_b, space_b, "B")):
-        if state.coords[0] != 1 or not is_valid_state(state, space):
+        if not is_valid_state(state, space):
             raise ValueError(f"side {side} factor is not a valid normalized state")
     return BipartiteState(space_a, space_b, outer(state_a.coords, state_b.coords))
 
@@ -92,23 +92,24 @@ def mix_bipartite_states(states: Sequence[BipartiteState], weights) -> Bipartite
 
 
 def in_max_tensor(state: BipartiteState) -> bool:
-    """Normalized and nonnegative on every pair of extremal effects.
+    """Normalized and nonnegative on every pair of state-cone facets.
 
-    Nonnegativity on the extreme points of both effect polytopes extends
-    to all valid effect pairs by bilinearity and convexity.
+    The facets generate the effect cone of each side, so nonnegativity
+    on facet pairs extends to all valid effect pairs by bilinearity.
     """
     return state.is_normalized and max_tensor_violation(state) is None
 
 
 def max_tensor_violation(state: BipartiteState) -> tuple[Effect, Effect] | None:
-    """A witnessing extremal effect pair with negative value, if any."""
+    """A witnessing facet pair (each an extremal effect) with negative value, if any."""
     if not state.is_normalized:
         return None
-    for ea in extremal_effects(state.space_a):
-        partial = row_times_matrix(ea.coeffs, state.matrix)
-        for eb in extremal_effects(state.space_b):
-            if dot(partial, eb.coeffs) < 0:
-                return (ea, eb)
+    facets_b = state_cone_facets(state.space_b)
+    for fa in state_cone_facets(state.space_a):
+        partial = row_times_matrix(fa, state.matrix)
+        for fb in facets_b:
+            if dot(partial, fb) < 0:
+                return (Effect(fa), Effect(fb))
     return None
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .exactlp import LinearSystem, cone_member, convex_member, vertex_enumerate
+from .exactlp import LinearSystem, vertex_enumerate
 from .ratio import ONE, ZERO, Rational, as_ratio, format_ratio
-from .vecs import affine_rank, dot, qvec, vadd, vscale, vzero
+from .vecs import affine_rank, dot, qvec, rank, vadd, vscale, vzero
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,9 @@ class StateSpace:
             raise ValueError("duplicate vertices")
         if affine_rank(self.vertices) != self.ambient_dim - 1:
             raise ValueError("vertices do not affinely span the normalization slice")
-        for i, v in enumerate(self.vertices):
-            others = self.vertices[:i] + self.vertices[i + 1:]
-            if others and convex_member(v, others).feasible:
+        facets = state_cone_facets(self)
+        for v in self.vertices:
+            if rank([f for f in facets if dot(f, v) == 0]) < self.ambient_dim - 1:
                 raise ValueError(f"vertex {v} is a convex combination of the others")
 
     @property
@@ -140,13 +140,13 @@ def is_valid_effect(effect, space: StateSpace) -> bool:
 def is_valid_state(state, space: StateSpace) -> bool:
     """True iff the coordinates are a convex combination of the vertices.
 
-    Decided by exact LP membership; the equivalent facet test is
-    ``in_state_cone`` plus first coordinate 1.
+    That is first coordinate 1 and membership in the state cone, which
+    ``in_state_cone`` decides with one dot product per facet.
     """
     coords = _coords(state)
     if len(coords) != space.ambient_dim:
         raise ValueError("state dimension does not match space")
-    return convex_member(coords, space.vertices).feasible
+    return coords[0] == 1 and in_state_cone(coords, space)
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +154,8 @@ def extremal_effects(space: StateSpace) -> tuple[Effect, ...]:
     """Extreme points of the effect polytope, in sorted coefficient order.
 
     The effect polytope is cut out by 0 <= e(v) <= 1 over the vertices;
-    its extreme points are enumerated exactly and cached per space.
+    its extreme points are enumerated exactly over C(2V, d) active sets
+    and cached per space. Only ``gptsteer zoo show`` needs them.
     """
     inequalities = []
     for v in space.vertices:
@@ -166,20 +167,17 @@ def extremal_effects(space: StateSpace) -> tuple[Effect, ...]:
 
 @lru_cache(maxsize=None)
 def state_cone_facets(space: StateSpace) -> tuple[tuple[Rational, ...], ...]:
-    """Generators of the extreme rays of the effect cone.
+    """Facet normals of the state cone, which generate the effect cone.
 
-    These are exactly the facet functionals of the state cone, so
-    membership of a vector in the cone over the vertices is equivalent
-    to nonnegative dot products with all of them (used as the fast path
-    for sub-normalized state checks).
+    The vertices of the polar slice {f : f.v >= 0 for every vertex v,
+    f.c = 1}, c the barycenter, each rescaled to an extremal effect
+    (largest value 1 on a vertex) and sorted. Dot products with them
+    decide state validity, vertex extremeness and max-tensor membership.
     """
-    candidates = [e.coeffs for e in extremal_effects(space) if any(c != 0 for c in e.coeffs)]
-    rays = []
-    for i, cand in enumerate(candidates):
-        others = candidates[:i] + candidates[i + 1:]
-        if not cone_member(cand, others).feasible:
-            rays.append(cand)
-    return tuple(rays)
+    polar = LinearSystem(space.ambient_dim, ((barycenter(space).coords, ONE),),
+                         tuple((v, ZERO) for v in space.vertices))
+    return tuple(sorted(vscale(ONE / max(dot(f, v) for v in space.vertices), f)
+                        for f in vertex_enumerate(polar)))
 
 
 def in_state_cone(coords, space: StateSpace) -> bool:

@@ -345,10 +345,7 @@ def jm_to_lhs(mother: MotherObservable, state: BipartiteState) -> LhsModel:
     """
     if mother.space != state.space_a:
         raise ValueError("mother observable must act on the A side")
-    if not in_max_tensor(state):
-        raise ValueError("state must lie in the maximal tensor product")
-    settings = _unique_labels(axis.label for axis in mother.axes)
-    outcomes = tuple(axis.outcomes for axis in mother.axes)
+    target = assemblage_from(state, mother.axes)
     lambdas = []
     for combo, effect in mother.items():
         vec = subnormalized_conditional(state, effect, "A")
@@ -361,11 +358,10 @@ def jm_to_lhs(mother: MotherObservable, state: BipartiteState) -> LhsModel:
                   for k in range(len(axis.outcomes)))
             for x, axis in enumerate(mother.axes))
         lambdas.append(LhsLambda(weight, hidden, responses))
-    model = LhsModel(space=state.space_b, settings=settings,
-                     outcomes=outcomes, lambdas=tuple(lambdas))
+    model = LhsModel(space=state.space_b, settings=target.settings,
+                     outcomes=target.outcomes, lambdas=tuple(lambdas))
     model.validate()
     produced = reconstruct_assemblage(model)
-    target = assemblage_from(state, mother.axes)
     if produced.elements != target.elements:
         raise ConstructionError("mother-derived model misses the assemblage")
     return model

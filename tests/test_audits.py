@@ -46,6 +46,16 @@ def test_no_bare_asserts_in_package():
     assert offenders == []
 
 
+def test_oracles_stay_independent_of_the_package():
+    path = Path(__file__).resolve().parent / "oracles.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert [name for name in imported if name.split(".")[0] == "gptsteer"] == []
+
+
 def test_witness_audit_survives_optimize_flag():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     proc = subprocess.run([sys.executable, "-O", "-c", BAD_WITNESS_SCRIPT],

@@ -1,5 +1,6 @@
-"""End-to-end command-line tests through subprocess."""
+"""End-to-end command-line tests through subprocess, and in process."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 
 import pytest
 
+from gptsteer import exactlp
+from gptsteer.cli import EXIT_INTERNAL, main
 from gptsteer.composites import BipartiteState, product_state
 from gptsteer.kernel import (Effect, Observable, State, barycenter,
                              depolarize_observable, zoo_classical)
@@ -287,3 +290,27 @@ def test_text_output_mode(docs):
                    "--out", "text")
     assert proc.returncode == 1
     assert proc.stdout.startswith("status: incompatible")
+
+
+def test_fixed_seed_report_is_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("GPTSTEER_LOG", raising=False)
+    status = main(["theorem-verify", "--model", "gbit", "--trials", "20", "--seed", "7"])
+    assert status == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "372a92f84290b1b879b56823a5648801515591fc15566095d35b6e38b0a81bad"
+
+
+def test_failed_audit_exits_internal(docs, capsys, monkeypatch):
+    monkeypatch.delenv("GPTSTEER_LOG", raising=False)
+    clean = exactlp._Tableau.extract_point
+
+    def off_by_one(self):
+        point = clean(self)
+        return (point[0] + 1,) + point[1:]
+
+    monkeypatch.setattr(exactlp._Tableau, "extract_point", off_by_one)
+    status = main(["check-jm", "--obs-file", docs["noisy_obs"]])
+    captured = capsys.readouterr()
+    assert status == EXIT_INTERNAL == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal audit failed: ")

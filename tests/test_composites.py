@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptsteer.composites import (ENTANGLED, SEPARABLE, BipartiteState,
                                  canonical_max_entangled, conditional_state,
@@ -14,8 +16,9 @@ from gptsteer.composites import (ENTANGLED, SEPARABLE, BipartiteState,
                                  subnormalized_conditional,
                                  verify_entanglement_certificate)
 from gptsteer.errors import NullConditioningError, UnsupportedModelError
-from gptsteer.kernel import (Effect, State, barycenter, probability,
-                             zoo_classical, zoo_polygon)
+from gptsteer.kernel import (Effect, State, barycenter, extremal_effects,
+                             probability, zoo_by_name, zoo_classical,
+                             zoo_polygon)
 from gptsteer.ratio import as_ratio, format_ratio
 from gptsteer.sampler import random_separable_state, random_state
 from gptsteer.vecs import outer
@@ -76,6 +79,44 @@ def test_max_tensor_membership(gbit, phi):
     assert not in_max_tensor(too_far)
     ea, eb = max_tensor_violation(too_far)
     assert joint_probability(too_far, ea, eb) < 0
+
+
+def _perturbed_product(space, raw, denominator):
+    """The barycenter product plus a grid perturbation off entry (0, 0)."""
+    center = barycenter(space).coords
+    return BipartiteState(space, space, tuple(
+        tuple(a * b + (0 if i == j == 0 else r(raw[i][j], denominator))
+              for j, b in enumerate(center))
+        for i, a in enumerate(center)))
+
+
+# Coarse grids mostly leave the maximal tensor product, fine ones mostly stay.
+_PERTURBATION = st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+                         min_size=3, max_size=3)
+_DENOMINATOR = st.sampled_from((8, 16, 64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("classical-3", "polygon-5")), _PERTURBATION, _DENOMINATOR)
+def test_max_tensor_equals_all_extremal_effect_pairs(name, raw, denominator):
+    state = _perturbed_product(zoo_by_name(name), raw, denominator)
+    effects = extremal_effects(state.space_a)
+    brute = all(joint_probability(state, ea, eb) >= 0
+                for ea in effects for eb in effects)
+    assert in_max_tensor(state) == brute
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("gbit", "classical-3", "polygon-5")), _PERTURBATION,
+       _DENOMINATOR)
+def test_violation_is_a_negative_extremal_effect_pair(name, raw, denominator):
+    state = _perturbed_product(zoo_by_name(name), raw, denominator)
+    violation = max_tensor_violation(state)
+    if violation is not None:
+        effects = extremal_effects(state.space_a)
+        ea, eb = violation
+        assert ea in effects and eb in effects
+        assert joint_probability(state, ea, eb) < 0
 
 
 def test_phi_is_entangled_with_verified_certificate(gbit, phi):

@@ -17,6 +17,7 @@ from gptsteer.kernel import (Effect, Observable, State, StateSpace, barycenter,
                              zoo_by_name, zoo_classical, zoo_gbit, zoo_names,
                              zoo_polygon)
 from gptsteer.ratio import as_ratio, format_ratio
+from gptsteer.vecs import dot, row_times_matrix
 
 from oracles import effect_polytope_vertices
 
@@ -164,6 +165,60 @@ def test_state_cone_facets_and_membership(gbit, classical2):
     assert in_state_cone((0, 0, 0), gbit)
     assert not in_state_cone((1, 2, 0), gbit)
     assert not in_state_cone((-1, 0, 0), gbit)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("gbit", "polygon-5")),
+       st.sampled_from((1, 1, 1, r(1, 2), 0)),
+       st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+def test_state_validity_equals_convex_membership(name, weight, raw):
+    space = zoo_by_name(name)
+    coords = (r(weight),) + tuple(r(x, 8) for x in raw)
+    assert is_valid_state(coords, space) == convex_member(coords, space.vertices).feasible
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=5, max_size=5).filter(
+           lambda w: sum(x > 0 for x in w) >= 2),
+       st.integers(0, 5))
+def test_non_extreme_point_is_rejected(weights, position):
+    # a mixture of at least two polygon vertices lies on an edge or inside
+    vertices = zoo_polygon(5).vertices
+    point = mix_states([State(v) for v in vertices],
+                       [r(w, sum(weights)) for w in weights]).coords
+    listed = vertices[:position] + (point,) + vertices[position:]
+    with pytest.raises(ValueError) as excinfo:
+        StateSpace("polygon-5-plus", 3, listed)
+    assert str(excinfo.value) == f"vertex {point} is a convex combination of the others"
+
+
+def test_geometry_never_enumerates_the_effect_polytope(monkeypatch):
+    import gptsteer.composites
+    import gptsteer.kernel
+    from gptsteer.composites import BipartiteState, in_max_tensor, max_tensor_violation
+
+    def forbidden(space):
+        raise AssertionError(f"effect polytope enumerated for {space.label}")
+
+    for module in (gptsteer.kernel, gptsteer.composites):
+        monkeypatch.setattr(module, "extremal_effects", forbidden, raising=False)
+    # fresh labels, so that no geometry cache holds these spaces yet
+    polygon = StateSpace("cold-polygon-7", 3, zoo_polygon(7).vertices)
+    classical = StateSpace("cold-classical-5", 5, zoo_classical(5).vertices)
+    for space in (polygon, classical):
+        center = barycenter(space).coords
+        assert is_valid_state(center, space)
+        assert in_state_cone(center, space)
+        outside = (r(1),) + tuple(2 * c for c in space.vertices[1][1:])
+        assert not is_valid_state(outside, space)
+        assert not in_state_cone(outside, space)
+    # a product of two vertices with its non-normalization entries doubled
+    stretched = BipartiteState(polygon, classical, tuple(
+        tuple(a * b * (1 if i == j == 0 else 2) for j, b in enumerate(classical.vertices[1]))
+        for i, a in enumerate(polygon.vertices[1])))
+    assert not in_max_tensor(stretched)
+    ea, eb = max_tensor_violation(stretched)
+    assert dot(row_times_matrix(ea.coeffs, stretched.matrix), eb.coeffs) < 0
 
 
 @settings(max_examples=80, deadline=None)

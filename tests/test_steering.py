@@ -223,6 +223,24 @@ def test_jm_to_lhs_guards(gbit, phi, fiducials):
         jm_to_lhs(jm2.mother, phi)
 
 
+def test_jm_to_lhs_tests_max_tensor_membership_once(monkeypatch, gbit, phi, fiducials):
+    import gptsteer.steering
+    jm = check_joint_measurability(_depolarized_pair(fiducials, r(1, 2)), gbit)
+    calls = []
+    clean = gptsteer.steering.in_max_tensor
+
+    def counted(state):
+        calls.append(state)
+        return clean(state)
+
+    monkeypatch.setattr(gptsteer.steering, "in_max_tensor", counted)
+    jm_to_lhs(jm.mother, phi)
+    assert len(calls) == 1
+    too_far = BipartiteState(gbit, gbit, ((1, 0, 0), (0, 2, 0), (0, 0, 2)))
+    with pytest.raises(ValueError, match="state must lie in the maximal tensor product"):
+        jm_to_lhs(jm.mother, too_far)
+
+
 def test_find_conditioning_effect_frozen(phi):
     target = (r(1, 4), r(1, 4), r(1, 4))
     effect = find_conditioning_effect(phi, target)
