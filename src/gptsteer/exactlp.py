@@ -2,9 +2,11 @@
 
 Feasibility and optimization run a two-phase primal simplex over exact
 rationals with Bland's smallest-index pivot rule, so every run
-terminates and identical inputs give identical answers. Infeasible
-systems always come back with a Farkas certificate that re-verifies by
-substitution; feasible ones carry an exact witness point.
+terminates and identical inputs give identical answers. Its pivot is
+``vecs.pivot``, the Gauss-Jordan step of ``vecs`` elimination too.
+Infeasible systems always come back with a Farkas certificate that
+re-verifies by substitution; feasible ones carry an exact witness point.
+Vertex enumeration solves active sets and runs one feasibility LP.
 
 A ``LinearSystem`` holds equality rows (coeffs . x == rhs) and
 inequality rows (coeffs . x >= rhs) over free variables. Certificates
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import UnboundedRegionError, VerificationError
 from .ratio import ONE, ZERO, Rational, as_ratio
-from .vecs import dot, qvec, solve_unique, vzero
+from .vecs import dot, pivot, qvec, rank, solve_unique, vzero
 
 log = logging.getLogger(__name__)
 
@@ -117,7 +119,8 @@ def refutes(system: LinearSystem, certificate) -> bool:
 # ---------------------------------------------------------------------------
 # Simplex core. Standard form: free variables are split x = xp - xm, every
 # inequality gets a slack, rows are flipped to nonnegative rhs, and rows that
-# still lack a basic column get an artificial variable for phase one.
+# still lack a basic column get an artificial variable for phase one. The rhs
+# is each row's last column, and a pivot is one vecs.pivot over rows + objrow.
 
 
 class _Tableau:
@@ -128,7 +131,6 @@ class _Tableau:
         self.n = n
         self.struct_cols = 2 * n + n_ineq
         self.rows: list[list[Rational]] = []
-        self.rhs: list[Rational] = []
         self.flip: list[Rational] = []
         self.basis: list[int] = []
         self.art_col: list[int | None] = []   # per row
@@ -138,7 +140,7 @@ class _Tableau:
         all_rows = [(c, b, None) for c, b in system.equalities]
         all_rows += [(c, b, i) for i, (c, b) in enumerate(system.inequalities)]
         for coeffs, b, ineq_index in all_rows:
-            row = [ZERO] * self.struct_cols
+            row = [ZERO] * self.struct_cols + [b]
             for j, c in enumerate(coeffs):
                 if c:
                     row[j] = c
@@ -152,13 +154,11 @@ class _Tableau:
             # column, so flip on b == 0 too.
             if b < 0 or (b == 0 and slack is not None):
                 row = [-x for x in row]
-                b = -b
                 sign = -ONE
             else:
                 sign = ONE
             r = len(self.rows)
             self.rows.append(row)
-            self.rhs.append(b)
             self.flip.append(sign)
             self.slack_col.append(slack)
             if slack is not None and row[slack] == ONE:
@@ -175,36 +175,14 @@ class _Tableau:
             self.art_col[r] = col
             self.basis[r] = col
         for r, row in enumerate(self.rows):
-            row.extend([ZERO] * (self.total_cols - self.struct_cols))
+            row[-1:-1] = [ZERO] * (self.total_cols - self.struct_cols)
             if self.art_col[r] is not None:
                 row[self.art_col[r]] = ONE
 
     # -- pivoting ----------------------------------------------------------
 
-    def pivot(self, objrow: list[Rational], r: int, c: int):
-        # Sparse in-place update: only the pivot row's nonzero columns can
-        # change, so every other entry is left untouched.
-        prow = self.rows[r]
-        piv = prow[c]
-        if piv != ONE:
-            inv = ONE / piv
-            for j, x in enumerate(prow):
-                if x:
-                    prow[j] = x * inv
-            self.rhs[r] *= inv
-        pr_rhs = self.rhs[r]
-        entries = [(j, b) for j, b in enumerate(prow) if b]
-        for i, row in enumerate(self.rows):
-            if i != r:
-                f = row[c]
-                if f:
-                    for j, b in entries:
-                        row[j] -= f * b
-                    self.rhs[i] -= f * pr_rhs
-        f = objrow[c]
-        if f:
-            for j, b in entries:
-                objrow[j] -= f * b
+    def step(self, objrow: list[Rational], r: int, c: int):
+        pivot(self.rows + [objrow], r, c)
         self.basis[r] = c
 
     def run_bland(self, objrow: list[Rational], allowed_cols: int) -> str:
@@ -218,20 +196,21 @@ class _Tableau:
             for i, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    t = self.rhs[i] / a
+                    t = row[-1] / a
                     if best is None or t < best or (t == best and self.basis[i] < self.basis[leave]):
                         best = t
                         leave = i
             if leave is None:
                 return UNBOUNDED
-            self.pivot(objrow, leave, enter)
+            self.step(objrow, leave, enter)
 
     # -- phases ------------------------------------------------------------
 
-    def phase_one(self):
-        """Returns (True, None) when feasible, else (False, certificate)."""
+    def phase_one(self) -> tuple[Rational, ...] | None:
+        """None when feasible, else a Farkas certificate that is checked
+        here by substitution (VerificationError if it fails)."""
         art_rows = [r for r, col in enumerate(self.art_col) if col is not None]
-        objrow = [ZERO] * self.total_cols
+        objrow = [ZERO] * (self.total_cols + 1)
         for r in art_rows:
             for j, x in enumerate(self.rows[r]):
                 if x:
@@ -240,11 +219,8 @@ class _Tableau:
             objrow[self.art_col[r]] += ONE
         if self.run_bland(objrow, self.total_cols) != OPTIMAL:
             raise VerificationError("phase one objective is bounded below by zero")
-        infeasibility = ZERO
-        for r in range(len(self.rows)):
-            if self.basis[r] >= self.struct_cols:
-                infeasibility += self.rhs[r]
-        if infeasibility > 0:
+        # The objective row's last entry is minus the artificials' total.
+        if objrow[-1] < 0:
             # Simplex multipliers, read off through reduced costs: the
             # artificial column of row r is the unit vector e_r with cost 1,
             # the flipped slack column is e_r with cost 0.
@@ -255,9 +231,12 @@ class _Tableau:
                 else:
                     y = -objrow[self.slack_col[r]]
                 mults.append(self.flip[r] * y)
-            return False, tuple(mults)
+            certificate = tuple(mults)
+            if not refutes(self.system, certificate):
+                raise VerificationError("Farkas certificate fails substitution")
+            return certificate
         self._drive_out_artificials(objrow)
-        return True, None
+        return None
 
     def _drive_out_artificials(self, objrow: list[Rational]):
         drop: list[int] = []
@@ -268,18 +247,18 @@ class _Tableau:
             if col is None:
                 drop.append(r)  # redundant row
             else:
-                self.pivot(objrow, r, col)
+                self.step(objrow, r, col)
         for r in reversed(drop):
-            del self.rows[r], self.rhs[r], self.basis[r]
+            del self.rows[r], self.basis[r]
             del self.flip[r], self.art_col[r], self.slack_col[r]
         for row in self.rows:
-            del row[self.struct_cols:]
+            del row[self.struct_cols:-1]
         self.total_cols = self.struct_cols
 
     def phase_two(self, objective) -> tuple[str, Rational | None]:
         """Minimize objective (over original free variables) after phase one."""
         n = self.n
-        cost = [ZERO] * self.struct_cols
+        cost = [ZERO] * (self.struct_cols + 1)
         for j, c in enumerate(objective):
             cost[j] = c
             cost[n + j] = -c
@@ -293,16 +272,13 @@ class _Tableau:
         status = self.run_bland(objrow, self.struct_cols)
         if status == UNBOUNDED:
             return UNBOUNDED, None
-        value = ZERO
-        for r, b in enumerate(self.basis):
-            if cost[b]:
-                value += cost[b] * self.rhs[r]
-        return OPTIMAL, value
+        # The objective row's last entry is minus the objective value.
+        return OPTIMAL, -objrow[-1]
 
     def extract_point(self) -> tuple[Rational, ...]:
         values = [ZERO] * self.struct_cols
         for r, b in enumerate(self.basis):
-            values[b] = self.rhs[r]
+            values[b] = self.rows[r][-1]
         n = self.n
         return tuple(values[j] - values[n + j] for j in range(n))
 
@@ -310,10 +286,8 @@ class _Tableau:
 def lp_feasible(system: LinearSystem) -> FeasibilityResult:
     """Decide feasibility; the result always carries its own evidence."""
     tableau = _Tableau(system)
-    ok, certificate = tableau.phase_one()
-    if not ok:
-        if not refutes(system, certificate):
-            raise VerificationError("Farkas certificate fails substitution")
+    certificate = tableau.phase_one()
+    if certificate is not None:
         return FeasibilityResult(INFEASIBLE, certificate=certificate)
     point = tableau.extract_point()
     if not satisfies(system, point):
@@ -333,10 +307,8 @@ def lp_optimize(objective, system: LinearSystem, sense: str = "max") -> Optimiza
     if len(obj) != system.variable_count:
         raise ValueError("objective length does not match variable count")
     tableau = _Tableau(system)
-    ok, certificate = tableau.phase_one()
-    if not ok:
-        if not refutes(system, certificate):
-            raise VerificationError("Farkas certificate fails substitution")
+    certificate = tableau.phase_one()
+    if certificate is not None:
         return OptimizationResult(INFEASIBLE, certificate=certificate)
     internal = tuple(-c for c in obj) if sense == "max" else obj
     status, value = tableau.phase_two(internal)
@@ -357,39 +329,38 @@ def lp_optimize(objective, system: LinearSystem, sense: str = "max") -> Optimiza
 
 
 def vertex_enumerate(system: LinearSystem) -> tuple[tuple[Rational, ...], ...]:
-    """All vertices of the polytope described by the system.
+    """All vertices of the polytope described by the system, sorted.
 
-    Equality rows are accepted and treated as opposing inequality pairs,
-    so lower-dimensional polytopes work. Exhaustive active-set search:
-    every size-n subset of constraints with a unique common solution is
-    a candidate, kept when it satisfies the whole system. The region
-    must be bounded (UnboundedRegionError otherwise); an empty region
-    has no vertices. Output is sorted, making it deterministic.
+    Equalities are active at every point, so a vertex is the unique
+    common solution of all the equalities and n - rank(equalities)
+    inequality rows. Every such choice of inequality rows is solved and
+    the solution kept when it satisfies the inequalities: active-set
+    enumeration (Avis & Fukuda, Discrete Comput. Geom. 8, 1992).
+
+    One feasibility LP decides boundedness. Without a vertex the region
+    is empty, which returns (), or contains a line. With one, the rows
+    have full rank, and the region is unbounded exactly when some
+    recession direction d has (sum of the inequality rows) . d = 1.
+    Unbounded regions raise UnboundedRegionError.
     """
     n = system.variable_count
-    halfspaces: list[Row] = list(system.inequalities)
-    for coeffs, b in system.equalities:
-        halfspaces.append((coeffs, b))
-        halfspaces.append((tuple(-c for c in coeffs), -b))
-    if not halfspaces:
-        raise UnboundedRegionError("no constraints: region is all of space")
-    probe_system = LinearSystem(n, (), tuple(halfspaces))
-    if not lp_feasible(probe_system).feasible:
-        return ()
-    for axis in range(n):
-        direction = [ZERO] * n
-        direction[axis] = ONE
-        for sense in ("max", "min"):
-            if lp_optimize(direction, probe_system, sense).status == UNBOUNDED:
-                raise UnboundedRegionError(f"region is unbounded along axis {axis}")
+    equalities, inequalities = system.equalities, system.inequalities
     found: set[tuple[Rational, ...]] = set()
-    for subset in itertools.combinations(range(len(halfspaces)), n):
-        matrix = [halfspaces[i][0] for i in subset]
-        rhs = [halfspaces[i][1] for i in subset]
-        point = solve_unique(matrix, rhs)
-        if point is not None and all(dot(c, point) >= b for c, b in halfspaces):
+    for subset in itertools.combinations(inequalities, n - rank([c for c, _ in equalities])):
+        rows = (*equalities, *subset)
+        point = solve_unique([c for c, _ in rows], [b for _, b in rows])
+        if point is not None and all(dot(c, point) >= b for c, b in inequalities):
             found.add(point)
-    log.debug("vertex_enumerate: %d candidates -> %d vertices", len(halfspaces), len(found))
+    log.debug("vertex_enumerate: %d rows -> %d vertices", system.row_count, len(found))
+    if not found:
+        if lp_feasible(system).feasible:
+            raise UnboundedRegionError("region is nonempty but has no vertex: it contains a line")
+        return ()
+    total = tuple(sum((c[j] for c, _ in inequalities), ZERO) for j in range(n))
+    recession = LinearSystem(n, tuple((c, ZERO) for c, _ in equalities) + ((total, ONE),),
+                             tuple((c, ZERO) for c, _ in inequalities))
+    if lp_feasible(recession).feasible:
+        raise UnboundedRegionError("region has a vertex and a recession ray: it is unbounded")
     return tuple(sorted(found))
 
 

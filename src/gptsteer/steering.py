@@ -259,7 +259,7 @@ def lhs_linear_system(assemblage: Assemblage) -> LinearSystem:
         coeffs = [ZERO] * n_vars
         coeffs[i] = ONE
         inequalities.append((tuple(coeffs), ZERO))
-    return LinearSystem.build(n_vars, equalities, inequalities)
+    return LinearSystem(n_vars, tuple(equalities), tuple(inequalities))
 
 
 def _functional_from_certificate(assemblage: Assemblage,
@@ -345,7 +345,12 @@ def jm_to_lhs(mother: MotherObservable, state: BipartiteState) -> LhsModel:
     """
     if mother.space != state.space_a:
         raise ValueError("mother observable must act on the A side")
-    target = assemblage_from(state, mother.axes)
+    return _model_from_mother(mother, state, assemblage_from(state, mother.axes))
+
+
+def _model_from_mother(mother: MotherObservable, state: BipartiteState,
+                       target: Assemblage) -> LhsModel:
+    """The body of jm_to_lhs, given the assemblage the mother's axes steer."""
     lambdas = []
     for combo, effect in mother.items():
         vec = subnormalized_conditional(state, effect, "A")
@@ -390,7 +395,7 @@ def conditioning_system(state: BipartiteState,
         inequalities.append((vertex, ZERO))
     for vertex in state.space_a.vertices:
         inequalities.append((tuple(-c for c in vertex), -ONE))
-    return LinearSystem.build(dim_a, equalities, inequalities)
+    return LinearSystem(dim_a, tuple(equalities), tuple(inequalities))
 
 
 def find_conditioning_effect(state: BipartiteState,
@@ -609,6 +614,8 @@ def theorem_verify(space: StateSpace, n_trials: int, config: SamplerConfig,
     """
     if n_trials < 0:
         raise ValueError("trial count must be nonnegative")
+    if extra_states_per_jm_trial < 0:
+        raise ValueError("extra state count must be nonnegative")
     state = canonical_max_entangled(space)
     rng = make_rng(config)
     families = list(fixed_sets)
@@ -631,10 +638,11 @@ def theorem_verify(space: StateSpace, n_trials: int, config: SamplerConfig,
             for _ in range(extras):
                 other = random_max_tensor_state(space, space, rng,
                                                 config.denominator)
-                if not check_lhs(assemblage_from(other, observables)).unsteerable:
+                target = assemblage_from(other, observables)
+                if not check_lhs(target).unsteerable:
                     extra_unsteerable = False
                 try:
-                    jm_to_lhs(jm.mother, other)
+                    _model_from_mother(jm.mother, other, target)
                 except ConstructionError:
                     extra_reconstructed = False
             if not (extra_unsteerable and extra_reconstructed):

@@ -1,8 +1,9 @@
 """Tuple-based exact vectors and matrices.
 
-Everything here is immutable-in, immutable-out; matrices are tuples of
-row tuples. Gaussian elimination uses first-nonzero pivoting, which is
-all exact arithmetic needs.
+Everything here is immutable-in, immutable-out, except ``pivot``, the
+in-place Gauss-Jordan step that elimination shares with the ``exactlp``
+simplex; matrices are tuples of row tuples. Gaussian elimination uses
+first-nonzero pivoting, which is all exact arithmetic needs.
 """
 
 from __future__ import annotations
@@ -61,6 +62,25 @@ def matrix_times_col(matrix: Sequence[Sequence], col: Sequence) -> tuple[Rationa
     return tuple(dot(row, col) for row in matrix)
 
 
+def pivot(rows: list[list], r: int, c: int) -> None:
+    """Gauss-Jordan step in place: rows[r][c] becomes one and column c of
+    every other row zero, touching only the columns where row r is nonzero."""
+    prow = rows[r]
+    piv = prow[c]
+    if piv != ONE:
+        inv = ONE / piv
+        for j, x in enumerate(prow):
+            if x:
+                prow[j] = x * inv
+    entries = [(j, b) for j, b in enumerate(prow) if b]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            if f:
+                for j, b in entries:
+                    row[j] -= f * b
+
+
 def _eliminate(work: list[list], ncols: int) -> int:
     """Gauss-Jordan elimination of work, in place, over its first ncols columns.
 
@@ -70,17 +90,11 @@ def _eliminate(work: list[list], ncols: int) -> int:
     """
     r = 0
     for col in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
+        found = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if found is None:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = ONE / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        prow = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
+        work[r], work[found] = work[found], work[r]
+        pivot(work, r, col)
         r += 1
         if r == len(work):
             break
@@ -113,4 +127,4 @@ def solve_unique(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Rational, .
         if row[n] != 0:
             return None  # inconsistent
     # Every column is a pivot column, so row i holds x_i.
-    return tuple(row[n] for row in aug[:n])
+    return qvec(row[n] for row in aug[:n])

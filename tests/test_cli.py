@@ -218,6 +218,14 @@ def test_theorem_verify_usage(docs):
     assert proc.returncode == 2
 
 
+def test_theorem_verify_rejects_negative_extra_states(docs):
+    proc = run_cli("theorem-verify", "--model", "gbit", "--trials", "2",
+                   "--seed", "1", "--extra-states", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "extra state count must be nonnegative" in proc.stderr
+
+
 def test_tensor_check_max(docs):
     proc = run_cli("tensor", "check-max", "--state-file", docs["phi"])
     assert proc.returncode == 0

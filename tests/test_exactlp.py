@@ -185,11 +185,60 @@ def test_vertex_enumeration_unbounded_raises():
         vertex_enumerate(LinearSystem.build(2, (), (((1, 0), 0), ((0, 1), 0))))
     with pytest.raises(UnboundedRegionError):
         vertex_enumerate(LinearSystem.build(1, (), ()))
+    # a strip in the plane is nonempty but has no vertex: it holds a line
+    strip = LinearSystem.build(2, (), (((1, 0), 0), ((-1, 0), -1)))
+    with pytest.raises(UnboundedRegionError, match="contains a line"):
+        vertex_enumerate(strip)
+    # the quadrant x >= 0, y >= 1 has the vertex (0, 1) and two rays
+    quadrant = LinearSystem.build(2, (), (((1, 0), 0), ((0, 1), 1)))
+    with pytest.raises(UnboundedRegionError, match="recession ray"):
+        vertex_enumerate(quadrant)
+    # the half-line x + y == 1, x >= 0 has the vertex (0, 1) and one ray
+    halfline = LinearSystem.build(2, (((1, 1), 1),), (((1, 0), 0),))
+    with pytest.raises(UnboundedRegionError, match="recession ray"):
+        vertex_enumerate(halfline)
 
 
 def test_vertex_enumeration_infeasible_is_empty():
     system = LinearSystem.build(1, (), (((1,), 1), ((-1,), 0)))
     assert vertex_enumerate(system) == ()
+    # x + y >= 1 and -x - y >= 0 have no vertex either, and no point
+    empty = LinearSystem.build(2, (), (((1, 1), 1), ((-1, -1), 0)))
+    assert vertex_enumerate(empty) == ()
+    inconsistent = LinearSystem.build(2, (((1, 1), 1), ((1, 1), 2)))
+    assert vertex_enumerate(inconsistent) == ()
+
+
+def test_vertex_enumeration_of_equalities_alone():
+    point = LinearSystem.build(2, (((1, 1), 1), ((1, -1), 0), ((2, 2), 2)))
+    assert vertex_enumerate(point) == ((r(1, 2), r(1, 2)),)
+    # rows of plain ints still give exact rational vertices
+    ints = LinearSystem(1, (), (((1,), 0), ((-1,), -1)))
+    assert [type(x) for p in vertex_enumerate(ints) for x in p] == [type(r(0))] * 2
+    # and rows given as lists work as tuples do
+    listed = LinearSystem(2, [((1, 1), 1)], [((1, 0), 0), ((0, 1), 0)])
+    assert vertex_enumerate(listed) == ((r(0), r(1)), (r(1), r(0)))
+
+
+def test_vertex_enumeration_solves_one_lp(monkeypatch):
+    import gptsteer.exactlp as exactlp
+    calls = []
+    clean = exactlp.lp_feasible
+
+    def counted(system):
+        calls.append("lp_feasible")
+        return clean(system)
+
+    def forbidden(*args, **kwargs):
+        calls.append("lp_optimize")
+
+    monkeypatch.setattr(exactlp, "lp_feasible", counted)
+    monkeypatch.setattr(exactlp, "lp_optimize", forbidden)
+    simplex = LinearSystem.build(
+        3, (((1, 1, 1), 1),),
+        (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)))
+    assert len(vertex_enumerate(simplex)) == 3
+    assert calls == ["lp_feasible"]
 
 
 # --- cone and convex membership ---------------------------------------------
@@ -258,6 +307,36 @@ def test_feasibility_always_justified(data):
         assert refutes(system, result.certificate)
         assert check_farkas(eqs, ineqs,
                             [Fraction(format_ratio(m)) for m in result.certificate])
+
+
+@st.composite
+def bounded_systems(draw):
+    """A box -k <= x_i <= k, more inequalities and 0-2 equalities."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=1, max_value=3))
+    row = st.tuples(st.tuples(*[small_int] * n), small_int)
+    ineqs = draw(st.lists(row, max_size=3))
+    for i in range(n):
+        unit = tuple(int(i == j) for j in range(n))
+        ineqs += [(unit, -k), (tuple(-u for u in unit), -k)]
+    eqs = draw(st.lists(row, max_size=2))
+    if len(eqs) == 2 and draw(st.booleans()):
+        eqs[1] = eqs[0]
+    return n, tuple(eqs), tuple(ineqs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_systems())
+def test_vertex_enumeration_matches_brute_force_with_equalities(data):
+    n, eqs, ineqs = data
+    # the oracle knows only inequalities: each equality is two opposite rows
+    rows = [(tuple(map(Fraction, c)), Fraction(b)) for c, b in ineqs]
+    for c, b in eqs:
+        rows.append((tuple(map(Fraction, c)), Fraction(b)))
+        rows.append((tuple(-Fraction(x) for x in c), -Fraction(b)))
+    got = [tuple(Fraction(format_ratio(c)) for c in point)
+           for point in vertex_enumerate(LinearSystem.build(n, eqs, ineqs))]
+    assert got == list(brute_force_vertices(rows, n))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """State spaces, effects, observables, the zoo and noise."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,22 @@ def test_polygon_extremal_effects_match_brute_force():
     expected = effect_polytope_vertices(space.vertices)
     assert [tuple(Fraction(format_ratio(c)) for c in e) for e in got] \
         == list(expected)
+
+
+def test_zoo_geometry_is_pinned():
+    # facets and extremal effects of eleven zoo spaces, one line each
+    names = ["gbit"] + [f"classical-{n}" for n in range(2, 6)] \
+        + [f"polygon-{n}" for n in range(3, 9)]
+    lines = []
+    for name in names:
+        space = zoo_by_name(name)
+        lines += [f"{name} facet " + " ".join(map(format_ratio, f))
+                  for f in state_cone_facets(space)]
+        lines += [f"{name} effect " + " ".join(map(format_ratio, e.coeffs))
+                  for e in extremal_effects(space)]
+    assert len(lines) == 191
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "3e24fba2ecb351290453f5817826bdd993c13851d5d450fbd73ff3241ea917f1"
 
 
 def test_state_cone_facets_and_membership(gbit, classical2):

@@ -425,3 +425,32 @@ def test_theorem_verify_extras(gbit, fiducials):
     assert report.extra_failures == 0
     with pytest.raises(ValueError):
         theorem_verify(gbit, -1, config)
+
+
+def test_theorem_verify_rejects_negative_extra_states(monkeypatch, gbit, fiducials):
+    import gptsteer.steering
+    calls = []
+    monkeypatch.setattr(gptsteer.steering, "check_joint_measurability",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="extra state count"):
+        theorem_verify(gbit, 2, SamplerConfig(seed=1), extra_states_per_jm_trial=-1,
+                       fixed_sets=(fiducials,))
+    assert calls == []  # raised before the first trial
+
+
+def test_theorem_verify_builds_each_assemblage_once(monkeypatch, gbit, fiducials):
+    import gptsteer.steering
+    calls = []
+    clean = gptsteer.steering.assemblage_from
+
+    def counted(state, observables):
+        calls.append(state)
+        return clean(state, observables)
+
+    monkeypatch.setattr(gptsteer.steering, "assemblage_from", counted)
+    noisy = _depolarized_pair(fiducials, r(1, 2))
+    report = theorem_verify(gbit, 0, SamplerConfig(seed=7), extra_states_per_jm_trial=2,
+                            fixed_sets=(noisy,))
+    assert report.trials[0].extra_all_reconstructed is True
+    # one for the family on the canonical state, one per extra state
+    assert len(calls) == 3
