@@ -4,8 +4,11 @@ Feasibility and optimization run a two-phase primal simplex over exact
 rationals with Bland's smallest-index pivot rule, so every run
 terminates and identical inputs give identical answers. Its pivot is
 ``vecs.pivot``, the Gauss-Jordan step of ``vecs`` elimination too.
+A row x_j >= 0 is a bound on column j, not a tableau row of its own,
+and only variables without one are split into two nonnegative parts.
 Infeasible systems always come back with a Farkas certificate that
-re-verifies by substitution; feasible ones carry an exact witness point.
+re-verifies by substitution, with a multiplier for every row, bound
+rows included; feasible ones carry an exact witness point.
 Vertex enumeration solves active sets and runs one feasibility LP.
 
 A ``LinearSystem`` holds equality rows (coeffs . x == rhs) and
@@ -117,37 +120,60 @@ def refutes(system: LinearSystem, certificate) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Simplex core. Standard form: free variables are split x = xp - xm, every
-# inequality gets a slack, rows are flipped to nonnegative rhs, and rows that
-# still lack a basic column get an artificial variable for phase one. The rhs
-# is each row's last column, and a pivot is one vecs.pivot over rows + objrow.
+# Simplex core. Standard form: a bound row x_j >= 0 (coefficient exactly 1
+# at j, 0 elsewhere, rhs 0; the first such row for each j) makes column j a
+# nonnegative column and gets neither a slack nor a tableau row. Every other
+# variable is split x = xp - xm, every other inequality gets a slack, rows
+# are flipped to nonnegative rhs, and rows that still lack a basic column get
+# an artificial variable for phase one. Columns run x (xp for split ones),
+# xm, slacks, artificials. The rhs is each row's last column, and a pivot is
+# one vecs.pivot over rows + objrow.
+
+
+def _bound_rows(system: LinearSystem) -> dict[int, int]:
+    """Column j -> index among the inequalities of its first row x_j >= 0."""
+    bounds: dict[int, int] = {}
+    for i, (coeffs, b) in enumerate(system.inequalities):
+        if b == 0:
+            support = [j for j, c in enumerate(coeffs) if c]
+            if len(support) == 1 and coeffs[support[0]] == 1:
+                bounds.setdefault(support[0], i)
+    return bounds
 
 
 class _Tableau:
     def __init__(self, system: LinearSystem):
         n = system.variable_count
-        n_ineq = len(system.inequalities)
+        n_eq = len(system.equalities)
         self.system = system
         self.n = n
-        self.struct_cols = 2 * n + n_ineq
+        self.bound_row = _bound_rows(system)
+        bound_ineq = set(self.bound_row.values())
+        free = [j for j in range(n) if j not in self.bound_row]
+        self.minus_col = {j: n + k for k, j in enumerate(free)}
+        kept = [i for i in range(len(system.inequalities)) if i not in bound_ineq]
+        self.struct_cols = n + len(free) + len(kept)
         self.rows: list[list[Rational]] = []
+        self.origin: list[int] = []            # per row: index in system row order
         self.flip: list[Rational] = []
         self.basis: list[int] = []
         self.art_col: list[int | None] = []   # per row
         self.slack_col: list[int | None] = [] # per row
+        self.pivots = 0
         pending_art: list[int] = []
 
-        all_rows = [(c, b, None) for c, b in system.equalities]
-        all_rows += [(c, b, i) for i, (c, b) in enumerate(system.inequalities)]
-        for coeffs, b, ineq_index in all_rows:
+        all_rows = [(c, b, r, None) for r, (c, b) in enumerate(system.equalities)]
+        all_rows += [(*system.inequalities[i], n_eq + i, n + len(free) + k)
+                     for k, i in enumerate(kept)]
+        for coeffs, b, origin, slack in all_rows:
             row = [ZERO] * self.struct_cols + [b]
             for j, c in enumerate(coeffs):
                 if c:
                     row[j] = c
-                    row[n + j] = -c
-            slack = None
-            if ineq_index is not None:
-                slack = 2 * n + ineq_index
+                    m = self.minus_col.get(j)
+                    if m is not None:
+                        row[m] = -c
+            if slack is not None:
                 row[slack] = -ONE
             # Flip to nonnegative rhs; flipping an inequality row turns its
             # slack coefficient to +1, making the slack a ready-made basis
@@ -159,6 +185,7 @@ class _Tableau:
                 sign = ONE
             r = len(self.rows)
             self.rows.append(row)
+            self.origin.append(origin)
             self.flip.append(sign)
             self.slack_col.append(slack)
             if slack is not None and row[slack] == ONE:
@@ -168,6 +195,7 @@ class _Tableau:
                 self.basis.append(-1)  # placeholder, artificial assigned below
                 self.art_col.append(-1)
                 pending_art.append(r)
+        self.row_count = len(self.rows)
 
         self.total_cols = self.struct_cols + len(pending_art)
         for k, r in enumerate(pending_art):
@@ -184,6 +212,7 @@ class _Tableau:
     def step(self, objrow: list[Rational], r: int, c: int):
         pivot(self.rows + [objrow], r, c)
         self.basis[r] = c
+        self.pivots += 1
 
     def run_bland(self, objrow: list[Rational], allowed_cols: int) -> str:
         """Minimize until no negative reduced cost; returns OPTIMAL|UNBOUNDED."""
@@ -224,13 +253,18 @@ class _Tableau:
             # Simplex multipliers, read off through reduced costs: the
             # artificial column of row r is the unit vector e_r with cost 1,
             # the flipped slack column is e_r with cost 0.
-            mults = []
-            for r in range(len(self.rows)):
+            mults = [ZERO] * self.system.row_count
+            for r, origin in enumerate(self.origin):
                 if self.art_col[r] is not None:
                     y = ONE - objrow[self.art_col[r]]
                 else:
                     y = -objrow[self.slack_col[r]]
-                mults.append(self.flip[r] * y)
+                mults[origin] = self.flip[r] * y
+            # The reduced cost of a bounded column j is -(sum_r m_r coeffs_r)_j,
+            # nonnegative at optimality: the multiplier of its bound row.
+            n_eq = len(self.system.equalities)
+            for j, i in self.bound_row.items():
+                mults[n_eq + i] = objrow[j]
             certificate = tuple(mults)
             if not refutes(self.system, certificate):
                 raise VerificationError("Farkas certificate fails substitution")
@@ -249,7 +283,7 @@ class _Tableau:
             else:
                 self.step(objrow, r, col)
         for r in reversed(drop):
-            del self.rows[r], self.basis[r]
+            del self.rows[r], self.basis[r], self.origin[r]
             del self.flip[r], self.art_col[r], self.slack_col[r]
         for row in self.rows:
             del row[self.struct_cols:-1]
@@ -257,11 +291,12 @@ class _Tableau:
 
     def phase_two(self, objective) -> tuple[str, Rational | None]:
         """Minimize objective (over original free variables) after phase one."""
-        n = self.n
         cost = [ZERO] * (self.struct_cols + 1)
         for j, c in enumerate(objective):
             cost[j] = c
-            cost[n + j] = -c
+            m = self.minus_col.get(j)
+            if m is not None:
+                cost[m] = -c
         objrow = list(cost)
         for r, b in enumerate(self.basis):
             cb = cost[b]
@@ -278,15 +313,24 @@ class _Tableau:
     def extract_point(self) -> tuple[Rational, ...]:
         values = [ZERO] * self.struct_cols
         for r, b in enumerate(self.basis):
-            values[b] = self.rows[r][-1]
-        n = self.n
-        return tuple(values[j] - values[n + j] for j in range(n))
+            values[b] += self.rows[r][-1]  # adding to ZERO keeps int rhs rational
+        point = values[:self.n]
+        for j, m in self.minus_col.items():
+            point[j] -= values[m]
+        return tuple(point)
+
+    def log_solve(self, name: str, phase_one_pivots: int):
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("%s: %d rows x %d structural columns, %d bounded, pivots %d + %d",
+                      name, self.row_count, self.struct_cols, len(self.bound_row),
+                      phase_one_pivots, self.pivots - phase_one_pivots)
 
 
 def lp_feasible(system: LinearSystem) -> FeasibilityResult:
     """Decide feasibility; the result always carries its own evidence."""
     tableau = _Tableau(system)
     certificate = tableau.phase_one()
+    tableau.log_solve("lp_feasible", tableau.pivots)
     if certificate is not None:
         return FeasibilityResult(INFEASIBLE, certificate=certificate)
     point = tableau.extract_point()
@@ -308,10 +352,13 @@ def lp_optimize(objective, system: LinearSystem, sense: str = "max") -> Optimiza
         raise ValueError("objective length does not match variable count")
     tableau = _Tableau(system)
     certificate = tableau.phase_one()
+    phase_one_pivots = tableau.pivots
     if certificate is not None:
+        tableau.log_solve("lp_optimize", phase_one_pivots)
         return OptimizationResult(INFEASIBLE, certificate=certificate)
     internal = tuple(-c for c in obj) if sense == "max" else obj
     status, value = tableau.phase_two(internal)
+    tableau.log_solve("lp_optimize", phase_one_pivots)
     if status == UNBOUNDED:
         return OptimizationResult(UNBOUNDED)
     point = tableau.extract_point()

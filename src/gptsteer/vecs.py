@@ -28,7 +28,8 @@ def vzero(n: int) -> tuple[Rational, ...]:
 def dot(a: Sequence, b: Sequence) -> Rational:
     total = ZERO
     for x, y in zip(a, b, strict=True):
-        total += x * y
+        if x and y:
+            total += x * y
     return total
 
 

@@ -6,6 +6,8 @@ witness/certificate contract on arbitrary small systems against the
 same independent verifiers.
 """
 
+import logging
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,10 +16,11 @@ from hypothesis import strategies as st
 
 from gptsteer.errors import UnboundedRegionError
 from gptsteer.exactlp import (FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED,
-                              LinearSystem, cone_member, convex_member,
-                              lp_feasible, lp_optimize, refutes, satisfies,
-                              vertex_enumerate)
+                              LinearSystem, _Tableau, cone_member,
+                              convex_member, lp_feasible, lp_optimize, refutes,
+                              satisfies, vertex_enumerate)
 from gptsteer.ratio import as_ratio, format_ratio, parse_ratio
+from gptsteer.steering import assemblage_from, lhs_linear_system
 
 from oracles import brute_force_vertices, check_farkas, check_point
 
@@ -149,6 +152,80 @@ def test_optimize_rejects_bad_sense():
     system = LinearSystem.build(1, (), (((1,), 0),))
     with pytest.raises(ValueError):
         lp_optimize((1,), system, "maximize")
+
+
+# --- bound rows x_j >= 0 ---------------------------------------------------
+
+def test_only_unit_rows_with_zero_rhs_are_bounds():
+    # x0 >= 0 (bound), 2 x0 >= 0, x0 >= 1, x0 >= 0 again, -x1 >= 0, x1 >= -1
+    rows = (((1, 0), 0), ((2, 0), 0), ((1, 0), 1), ((1, 0), 0), ((0, -1), 0),
+            ((0, 1), -1))
+    tableau = _Tableau(LinearSystem.build(2, (), rows))
+    assert tableau.bound_row == {0: 0}
+    assert tableau.minus_col == {1: 2}
+    assert len(tableau.rows) == 5
+    assert tableau.struct_cols == 2 + 1 + 5  # x, x1's minus part, slacks
+    result = lp_feasible(LinearSystem.build(2, (), rows))
+    assert check_point((), rows, [format_ratio(x) for x in result.witness])
+
+
+def test_bound_row_alone_refutes():
+    # x0 == -1 with x0 >= 0: only the bound row can close the contradiction,
+    # so its multiplier is positive.
+    equalities, inequalities = (((1,), -1),), (((1,), 0),)
+    system = LinearSystem.build(1, equalities, inequalities)
+    assert len(_Tableau(system).rows) == 1
+    result = lp_feasible(system)
+    assert result.status == INFEASIBLE
+    assert result.certificate[1] > 0
+    assert check_farkas(equalities, inequalities,
+                        [Fraction(format_ratio(m)) for m in result.certificate])
+
+
+def test_optimize_over_bounded_columns():
+    # x + y == 1, x >= 0, y >= 0: both columns bounded, one tableau row
+    simplex = LinearSystem.build(2, (((1, 1), 1),), (((1, 0), 0), ((0, 1), 0)))
+    assert len(_Tableau(simplex).rows) == 1
+    high = lp_optimize((1, 2), simplex, "max")
+    assert (high.status, high.value, high.point) == (OPTIMAL, r(2), (r(0), r(1)))
+    low = lp_optimize((1, 2), simplex, "min")
+    assert (low.status, low.value, low.point) == (OPTIMAL, r(1), (r(1), r(0)))
+    # x - y == 0 with both bounded is the ray x = y >= 0
+    ray = LinearSystem.build(2, (((1, -1), 0),), (((1, 0), 0), ((0, 1), 0)))
+    assert lp_optimize((1, 0), ray, "max").status == UNBOUNDED
+    assert lp_optimize((1, 0), ray, "min").value == r(0)
+
+
+def test_gbit_lhs_tableau_has_no_bound_rows(phi, fiducials):
+    # 16 cone weights, 12 equalities, 16 rows w_i >= 0: the weights are
+    # bounded columns, so no minus column, slack or row for the bounds.
+    system = lhs_linear_system(assemblage_from(phi, fiducials))
+    assert (system.variable_count, len(system.equalities),
+            len(system.inequalities)) == (16, 12, 16)
+    tableau = _Tableau(system)
+    assert len(tableau.rows) == 12
+    assert tableau.struct_cols == 16
+    assert tableau.minus_col == {}
+    assert len(tableau.bound_row) == 16
+
+
+def test_debug_line_per_solve(caplog, phi, fiducials):
+    system = lhs_linear_system(assemblage_from(phi, fiducials))
+    with caplog.at_level(logging.INFO, logger="gptsteer.exactlp"):
+        lp_feasible(system)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="gptsteer.exactlp"):
+        lp_feasible(system)
+        lp_optimize((1,) + (0,) * 15, system, "max")
+    lines = [rec.getMessage() for rec in caplog.records]
+    assert len(lines) == 2
+    pattern = (r"{}: 12 rows x 16 structural columns, 16 bounded, "
+               r"pivots (\d+) \+ (\d+)")
+    feasible = re.fullmatch(pattern.format("lp_feasible"), lines[0])
+    optimize = re.fullmatch(pattern.format("lp_optimize"), lines[1])
+    assert feasible and optimize
+    assert int(feasible[1]) > 0 and feasible[2] == "0"
+    assert optimize[1] == feasible[1]
 
 
 # --- vertex enumeration -----------------------------------------------------
@@ -307,6 +384,50 @@ def test_feasibility_always_justified(data):
         assert refutes(system, result.certificate)
         assert check_farkas(eqs, ineqs,
                             [Fraction(format_ratio(m)) for m in result.certificate])
+
+
+@st.composite
+def systems_with_bound_rows(draw):
+    """Bound rows x_j >= 0, some repeated, among look-alikes and ordinary rows."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    index = st.integers(min_value=0, max_value=n - 1)
+
+    def unit(j, scale=1):
+        return tuple(scale if i == j else 0 for i in range(n))
+
+    row = st.one_of(
+        index.map(lambda j: (unit(j), 0)),
+        index.map(lambda j: (unit(j, 2), 0)),
+        index.map(lambda j: (unit(j), 1)),
+        index.map(lambda j: (unit(j), -1)),
+        index.map(lambda j: (unit(j, -1), 0)),
+        st.tuples(st.tuples(*[small_int] * n), small_int))
+    ineqs = draw(st.lists(row, max_size=6))
+    if ineqs and draw(st.booleans()):
+        ineqs.append(draw(st.sampled_from(ineqs)))
+    eqs = draw(st.lists(st.tuples(st.tuples(*[small_int] * n), small_int), max_size=2))
+    return n, tuple(eqs), tuple(ineqs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems_with_bound_rows(), st.tuples(small_int, small_int, small_int))
+def test_bound_rows_keep_evidence(data, objective):
+    n, eqs, ineqs = data
+    system = LinearSystem.build(n, eqs, ineqs)
+    result = lp_feasible(system)
+    if result.feasible:
+        assert check_point(eqs, ineqs, [format_ratio(x) for x in result.witness])
+    else:
+        assert check_farkas(eqs, ineqs,
+                            [Fraction(format_ratio(m)) for m in result.certificate])
+    optimum = lp_optimize(objective[:n], system, "max")
+    assert (optimum.status == INFEASIBLE) == (not result.feasible)
+    if optimum.status == OPTIMAL:
+        assert check_point(eqs, ineqs, [format_ratio(x) for x in optimum.point])
+        assert sum(r(c) * x for c, x in zip(objective[:n], result.witness)) <= optimum.value
+    elif optimum.status == INFEASIBLE:
+        assert check_farkas(eqs, ineqs,
+                            [Fraction(format_ratio(m)) for m in optimum.certificate])
 
 
 @st.composite
