@@ -19,6 +19,7 @@ from gptsteer.exactlp import (FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED,
                               LinearSystem, _Tableau, cone_member,
                               convex_member, lp_feasible, lp_optimize, refutes,
                               satisfies, vertex_enumerate)
+from gptsteer.kernel import depolarize_observable
 from gptsteer.ratio import as_ratio, format_ratio, parse_ratio
 from gptsteer.steering import assemblage_from, lhs_linear_system
 
@@ -210,7 +211,8 @@ def test_gbit_lhs_tableau_has_no_bound_rows(phi, fiducials):
 
 
 def test_debug_line_per_solve(caplog, phi, fiducials):
-    system = lhs_linear_system(assemblage_from(phi, fiducials))
+    noisy = tuple(depolarize_observable(o, r(1, 2)) for o in fiducials)
+    system = lhs_linear_system(assemblage_from(phi, noisy))
     with caplog.at_level(logging.INFO, logger="gptsteer.exactlp"):
         lp_feasible(system)
     assert caplog.records == []
@@ -225,7 +227,7 @@ def test_debug_line_per_solve(caplog, phi, fiducials):
     optimize = re.fullmatch(pattern.format("lp_optimize"), lines[1])
     assert feasible and optimize
     assert int(feasible[1]) > 0 and feasible[2] == "0"
-    assert optimize[1] == feasible[1]
+    assert optimize[1] == feasible[1]  # phase one runs the same pivots
 
 
 # --- vertex enumeration -----------------------------------------------------
