@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NullConditioningError, UnsupportedModelError, VerificationError
-from .exactlp import INFEASIBLE, LinearSystem, lp_feasible, refutes
+from .exactlp import INFEASIBLE, LinearSystem, lp_feasible, membership_system, refutes
 from .kernel import (Effect, State, StateSpace, barycenter, is_square_model,
                      is_valid_state, state_cone_facets)
 from .ratio import ONE, ZERO, Rational, as_ratio
-from .vecs import (dot, matrix_times_col, outer, qmat, qvec, rank,
-                   row_times_matrix, transpose, vadd, vscale, vzero)
+from .vecs import (combine, dot, matrix_times_col, outer, qmat, qvec, rank,
+                   row_times_matrix, transpose, vscale)
 
 log = logging.getLogger(__name__)
 
@@ -82,13 +82,9 @@ def mix_bipartite_states(states: Sequence[BipartiteState], weights) -> Bipartite
     for s in states[1:]:
         if s.space_a != first.space_a or s.space_b != first.space_b:
             raise ValueError("mixing requires a common pair of spaces")
-    rows = []
-    for i in range(first.space_a.ambient_dim):
-        row = vzero(first.space_b.ambient_dim)
-        for weight, s in zip(w, states):
-            row = vadd(row, vscale(weight, s.matrix[i]))
-        rows.append(row)
-    return BipartiteState(first.space_a, first.space_b, tuple(rows))
+    rows = tuple(combine(w, [s.matrix[i] for s in states])
+                 for i in range(first.space_a.ambient_dim))
+    return BipartiteState(first.space_a, first.space_b, rows)
 
 
 def in_max_tensor(state: BipartiteState) -> bool:
@@ -135,24 +131,17 @@ class SeparabilityResult:
 def separability_system(state: BipartiteState) -> LinearSystem:
     """LP over vertex-pair weights, row order documented for certificates.
 
-    Variables: one weight per (vertex_A, vertex_B) pair, A-major.
-    Equalities: matrix entries row-major, then the weight sum. All
-    weight nonnegativity rows follow as inequalities.
+    The convex-membership system (``exactlp.membership_system``) of the
+    matrix read row-major, with one generator per (vertex_A, vertex_B)
+    pair, A-major: the product va (x) vb, flattened row-major. Its
+    weights are the variables. Equalities: matrix entries row-major,
+    then the weight sum. All weight nonnegativity rows follow as
+    inequalities.
     """
-    va, vb = state.space_a.vertices, state.space_b.vertices
-    nvars = len(va) * len(vb)
-    equalities = []
-    for i in range(state.space_a.ambient_dim):
-        for j in range(state.space_b.ambient_dim):
-            row = tuple(va[p][i] * vb[q][j] for p in range(len(va)) for q in range(len(vb)))
-            equalities.append((row, state.matrix[i][j]))
-    equalities.append(((ONE,) * nvars, ONE))
-    inequalities = []
-    for k in range(nvars):
-        row = [ZERO] * nvars
-        row[k] = ONE
-        inequalities.append((tuple(row), ZERO))
-    return LinearSystem(nvars, tuple(equalities), tuple(inequalities))
+    target = tuple(c for row in state.matrix for c in row)
+    gens = [tuple(x * y for x in a for y in b)
+            for a in state.space_a.vertices for b in state.space_b.vertices]
+    return membership_system(target, gens, convex=True)
 
 
 def is_separable(state: BipartiteState) -> SeparabilityResult:
@@ -184,12 +173,10 @@ def is_separable(state: BipartiteState) -> SeparabilityResult:
 
 
 def _check_decomposition(state: BipartiteState, decomposition: SeparableDecomposition):
-    total = [vzero(state.space_b.ambient_dim) for _ in range(state.space_a.ambient_dim)]
-    for w, (sa, sb) in zip(decomposition.weights, decomposition.pairs):
-        block = outer(sa.coords, sb.coords)
-        for i in range(len(total)):
-            total[i] = vadd(total[i], vscale(w, block[i]))
-    if tuple(total) != state.matrix:
+    blocks = [outer(sa.coords, sb.coords) for sa, sb in decomposition.pairs]
+    total = tuple(combine(decomposition.weights, [block[i] for block in blocks])
+                  for i in range(state.space_a.ambient_dim))
+    if total != state.matrix:
         raise VerificationError("decomposition does not reproduce the state")
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 from .errors import UnboundedRegionError, VerificationError
@@ -37,6 +38,10 @@ OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
 Row = tuple[tuple[Rational, ...], Rational]
+
+# vertex_enumerate refuses systems with more active sets than this, rather
+# than run for hours.
+ACTIVE_SET_CAP = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -388,12 +393,18 @@ def vertex_enumerate(system: LinearSystem) -> tuple[tuple[Rational, ...], ...]:
     is empty, which returns (), or contains a line. With one, the rows
     have full rank, and the region is unbounded exactly when some
     recession direction d has (sum of the inequality rows) . d = 1.
-    Unbounded regions raise UnboundedRegionError.
+    Unbounded regions raise UnboundedRegionError. A system with more than
+    ACTIVE_SET_CAP active sets raises ValueError before any is solved.
     """
     n = system.variable_count
     equalities, inequalities = system.equalities, system.inequalities
+    size = n - rank([c for c, _ in equalities])
+    count = math.comb(len(inequalities), size)
+    if count > ACTIVE_SET_CAP:
+        raise ValueError(f"vertex enumeration needs {count} active sets, "
+                         f"more than the cap of {ACTIVE_SET_CAP}")
     found: set[tuple[Rational, ...]] = set()
-    for subset in itertools.combinations(inequalities, n - rank([c for c, _ in equalities])):
+    for subset in itertools.combinations(inequalities, size):
         rows = (*equalities, *subset)
         point = solve_unique([c for c, _ in rows], [b for _, b in rows])
         if point is not None and all(dot(c, point) >= b for c, b in inequalities):
@@ -430,7 +441,7 @@ def cone_member(point, generators) -> FeasibilityResult:
         cert = [ZERO] * len(target)
         cert[j] = ONE if target[j] > 0 else -ONE
         return FeasibilityResult(INFEASIBLE, certificate=tuple(cert))
-    system = _membership_system(target, gens, convex=False)
+    system = membership_system(target, gens, convex=False)
     return lp_feasible(system)
 
 
@@ -443,15 +454,22 @@ def convex_member(point, vertices) -> FeasibilityResult:
     for g in gens:
         if len(g) != len(target):
             raise ValueError("vertex dimension does not match point")
-    system = _membership_system(target, gens, convex=True)
+    system = membership_system(target, gens, convex=True)
     return lp_feasible(system)
 
 
-def _membership_system(target, gens, convex: bool) -> LinearSystem:
+def membership_system(target, gens, convex: bool) -> LinearSystem:
+    """The LP of target = sum_i w_i gens[i] over nonnegative weights w.
+
+    Variables are the weights, in generator order. Rows, in the order a
+    certificate's multipliers follow: one equality per coordinate of
+    target, then sum_i w_i == 1 when convex, then w_i >= 0 for each i in
+    generator order. Every nonnegative-weight LP in the package (cone
+    and convex membership, local hidden states, separability) is built
+    here.
+    """
     k = len(gens)
-    equalities = []
-    for coord in range(len(target)):
-        equalities.append((tuple(g[coord] for g in gens), target[coord]))
+    equalities = list(zip(zip(*gens), target, strict=True))
     if convex:
         equalities.append(((ONE,) * k, ONE))
     inequalities = []

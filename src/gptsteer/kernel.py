@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .exactlp import LinearSystem, vertex_enumerate
 from .ratio import ONE, ZERO, Rational, as_ratio, format_ratio
-from .vecs import affine_rank, dot, qvec, rank, vadd, vscale, vzero
+from .vecs import affine_rank, combine, dot, qvec, rank, vadd, vscale, vzero
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,8 @@ class StateSpace:
 
 def barycenter(space: StateSpace) -> State:
     """The maximally mixed state: uniform mixture of the vertices."""
-    total = vzero(space.ambient_dim)
-    for v in space.vertices:
-        total = vadd(total, v)
-    return State(vscale(as_ratio(1, len(space.vertices)), total))
+    share = as_ratio(1, len(space.vertices))
+    return State(combine([share] * len(space.vertices), space.vertices))
 
 
 def probability(effect: Effect, state: State) -> Rational:
@@ -241,10 +239,7 @@ def _mix(vectors, weights) -> tuple[Rational, ...]:
         raise ValueError("weights and vectors differ in length")
     if any(x < 0 for x in w) or sum(w) != 1:
         raise ValueError("weights must be nonnegative and sum to one")
-    total = vzero(len(vectors[0]))
-    for weight, vec in zip(w, vectors):
-        total = vadd(total, vscale(weight, vec))
-    return total
+    return combine(w, vectors)
 
 
 def depolarize_observable(obs: Observable, visibility) -> Observable:

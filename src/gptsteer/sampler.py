@@ -19,7 +19,8 @@ from .composites import BipartiteState, mix_bipartite_states, product_state
 from .exactlp import convex_member
 from .kernel import (Effect, Observable, State, StateSpace,
                      dichotomic_observable, is_valid_effect)
-from .ratio import ZERO, as_ratio
+from .ratio import as_ratio
+from .vecs import combine
 
 _REJECTION_CAP = 10_000
 
@@ -76,12 +77,7 @@ def random_state(space: StateSpace, rng: random.Random, denominator: int = 8) ->
         total = sum(raw)
         if total:
             break
-    coords = [ZERO] * space.ambient_dim
-    for numerator, vertex in zip(raw, space.vertices):
-        if numerator:
-            w = as_ratio(numerator, total)
-            coords = [c + w * v for c, v in zip(coords, vertex)]
-    return State(tuple(coords))
+    return State(combine([as_ratio(n, total) for n in raw], space.vertices))
 
 
 def random_product_state(space_a: StateSpace, space_b: StateSpace,

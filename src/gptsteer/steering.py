@@ -24,6 +24,7 @@ observable by remotely preparing each hidden state.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .compatibility import (JmResult, MotherObservable, _bisect_level,
@@ -31,13 +32,13 @@ from .compatibility import (JmResult, MotherObservable, _bisect_level,
 from .composites import (BipartiteState, canonical_max_entangled, in_max_tensor,
                          marginal, subnormalized_conditional)
 from .errors import ConstructionError, NotRemotelyPreparableError, VerificationError
-from .exactlp import LinearSystem, lp_feasible
+from .exactlp import LinearSystem, lp_feasible, membership_system
 from .kernel import (Effect, Observable, State, StateSpace, depolarize_observable,
                      in_state_cone, is_valid_state, mother_outcome_tuples,
                      unit_effect)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .sampler import SamplerConfig, make_rng, random_max_tensor_state, random_observable_set
-from .vecs import dot, qvec
+from .vecs import combine, dot, qvec, vzero
 
 UNSTEERABLE = "unsteerable"
 STEERABLE = "steerable"
@@ -169,6 +170,10 @@ class LhsModel:
     outcomes: tuple[tuple[str, ...], ...]
     lambdas: tuple[LhsLambda, ...]
 
+    def __post_init__(self):
+        if len(self.outcomes) != len(self.settings):
+            raise ValueError("one outcome row per setting required")
+
     def validate(self) -> None:
         if not self.lambdas:
             raise ValueError("a model needs at least one hidden state")
@@ -186,20 +191,13 @@ class LhsModel:
 
 def reconstruct_assemblage(model: LhsModel) -> Assemblage:
     """The assemblage a local model produces."""
-    dim = model.space.ambient_dim
-    elements = []
-    for x in range(len(model.settings)):
-        row = []
-        for k in range(len(model.outcomes[x])):
-            vec = [ZERO] * dim
-            for lam in model.lambdas:
-                scale = lam.weight * lam.responses[x][k]
-                if scale != ZERO:
-                    vec = [c + scale * s for c, s in zip(vec, lam.state.coords)]
-            row.append(tuple(vec))
-        elements.append(tuple(row))
+    states = [lam.state.coords for lam in model.lambdas]
+    elements = tuple(
+        tuple(combine([lam.weight * lam.responses[x][k] for lam in model.lambdas], states)
+              for k in range(len(outs)))
+        for x, outs in enumerate(model.outcomes))
     return Assemblage(space=model.space, settings=model.settings,
-                      outcomes=model.outcomes, elements=tuple(elements))
+                      outcomes=model.outcomes, elements=elements)
 
 
 @dataclass(frozen=True)
@@ -230,36 +228,20 @@ def _strategies(outcomes: tuple[tuple[str, ...], ...]) -> tuple[tuple[int, ...],
 def lhs_linear_system(assemblage: Assemblage) -> LinearSystem:
     """Feasibility system for a local model of the assemblage.
 
-    Variables are cone weights c[strategy][vertex], strategy-major in
-    the order of _strategies, vertices in space order. Equality rows run
-    over (setting, outcome, coordinate) in that nesting; inequality rows
-    are the nonnegativity constraints in variable order.
+    The cone-membership system (``exactlp.membership_system``) of the
+    elements stacked in (setting, outcome, coordinate) order. There is
+    one generator per (strategy, vertex), strategy-major in the order of
+    _strategies, vertices in space order: it holds the vertex in the
+    slots of the strategy's outcome for each setting and zero
+    elsewhere. Its weights are the variables c[strategy][vertex].
     """
-    space = assemblage.space
-    strategies = _strategies(assemblage.outcomes)
-    vertices = space.vertices
-    n_vars = len(strategies) * len(vertices)
-
-    def var(s: int, v: int) -> int:
-        return s * len(vertices) + v
-
-    equalities = []
-    for x, row in enumerate(assemblage.elements):
-        for k, element in enumerate(row):
-            for coord in range(space.ambient_dim):
-                coeffs = [ZERO] * n_vars
-                for s, strat in enumerate(strategies):
-                    if strat[x] != k:
-                        continue
-                    for v, vertex in enumerate(vertices):
-                        coeffs[var(s, v)] = vertex[coord]
-                equalities.append((tuple(coeffs), element[coord]))
-    inequalities = []
-    for i in range(n_vars):
-        coeffs = [ZERO] * n_vars
-        coeffs[i] = ONE
-        inequalities.append((tuple(coeffs), ZERO))
-    return LinearSystem(n_vars, tuple(equalities), tuple(inequalities))
+    target = tuple(c for row in assemblage.elements for e in row for c in e)
+    blank = vzero(assemblage.space.ambient_dim)
+    gens = [sum((blank * k + vertex + blank * (len(outs) - 1 - k)
+                 for k, outs in zip(strat, assemblage.outcomes)), ())
+            for strat in _strategies(assemblage.outcomes)
+            for vertex in assemblage.space.vertices]
+    return membership_system(target, gens, convex=False)
 
 
 def _functional_from_certificate(assemblage: Assemblage,
@@ -305,10 +287,7 @@ def check_lhs(assemblage: Assemblage) -> LhsResult:
         lambdas = []
         for s, strat in enumerate(strategies):
             weights = outcome.witness[s * len(vertices):(s + 1) * len(vertices)]
-            coords = [ZERO] * space.ambient_dim
-            for w, vertex in zip(weights, vertices):
-                if w != ZERO:
-                    coords = [c + w * v for c, v in zip(coords, vertex)]
+            coords = combine(weights, vertices)
             gamma = coords[0]
             if gamma == ZERO:
                 continue
@@ -445,33 +424,23 @@ def lhs_to_mother(model: LhsModel, state: BipartiteState) -> MotherObservable:
                 err.certificate) from err
     space_a = state.space_a
     combos = tuple(itertools.product(*(range(len(row)) for row in model.outcomes)))
+    prepared_coeffs = [e.coeffs for e in prepared]
     effects = []
     for combo in combos:
-        coeffs = [ZERO] * space_a.ambient_dim
-        for lam, e_lam in zip(model.lambdas, prepared):
-            scale = ONE
-            for x, k in enumerate(combo):
-                scale = scale * lam.responses[x][k]
-            if scale != ZERO:
-                coeffs = [c + scale * ec for c, ec in zip(coeffs, e_lam.coeffs)]
-        effects.append(Effect(tuple(coeffs)))
-    total = effects[0]
-    for eff in effects[1:]:
-        total = total + eff
-    if total.coeffs != unit_effect(space_a.ambient_dim).coeffs:
+        scales = [math.prod((lam.responses[x][k] for x, k in enumerate(combo)), start=ONE)
+                  for lam in model.lambdas]
+        effects.append(Effect(combine(scales, prepared_coeffs)))
+    effect_coeffs = [eff.coeffs for eff in effects]
+    if combine([ONE] * len(effects), effect_coeffs) != unit_effect(space_a.ambient_dim).coeffs:
         raise ConstructionError("prepared effects do not sum to the unit")
     axes = []
     for x, label in enumerate(model.settings):
-        axis_effects = []
-        for k in range(len(model.outcomes[x])):
-            coeffs = [ZERO] * space_a.ambient_dim
-            for combo, eff in zip(combos, effects):
-                if combo[x] == k:
-                    coeffs = [c + ec for c, ec in zip(coeffs, eff.coeffs)]
-            axis_effects.append(Effect(tuple(coeffs)))
+        axis_effects = tuple(
+            Effect(combine([ONE if combo[x] == k else ZERO for combo in combos], effect_coeffs))
+            for k in range(len(model.outcomes[x])))
         axes.append(Observable(label=label, space=space_a,
                                outcomes=model.outcomes[x],
-                               effects=tuple(axis_effects)))
+                               effects=axis_effects))
     tuples = mother_outcome_tuples(tuple(axes))
     mother = MotherObservable(axes=tuple(axes), outcome_tuples=tuples,
                               effects=tuple(effects))
@@ -523,12 +492,9 @@ def is_strongly_steerable_for(state: BipartiteState,
             raise ValueError("decomposition weights must be positive")
         if sum((w for w, _ in pairs), ZERO) != ONE:
             raise ValueError("decomposition weights must sum to one")
-        mixed = [ZERO] * state.space_b.ambient_dim
-        for w, s in pairs:
-            if not is_valid_state(s.coords, state.space_b):
-                raise ValueError("decomposition component outside the state space")
-            mixed = [m + w * c for m, c in zip(mixed, s.coords)]
-        if tuple(mixed) != mu.coords:
+        if not all(is_valid_state(s.coords, state.space_b) for _, s in pairs):
+            raise ValueError("decomposition component outside the state space")
+        if combine([w for w, _ in pairs], [s.coords for _, s in pairs]) != mu.coords:
             raise ValueError("decomposition does not mix to the B marginal")
         effects = []
         report = None

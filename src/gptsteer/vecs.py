@@ -46,6 +46,24 @@ def vscale(factor, a: Sequence) -> tuple[Rational, ...]:
     return tuple(f * x for x in a)
 
 
+def combine(weights: Sequence, vectors: Sequence[Sequence]) -> tuple[Rational, ...]:
+    """sum_i weights[i] * vectors[i], skipping zero weights and zero entries.
+
+    Needs at least one vector, whose length is the result's."""
+    if not vectors:
+        raise ValueError("need at least one vector")
+    n = len(vectors[0])
+    total = [ZERO] * n
+    for w, vec in zip(weights, vectors, strict=True):
+        if len(vec) != n:
+            raise ValueError("vectors differ in length")
+        if w:
+            for j, x in enumerate(vec):
+                if x:
+                    total[j] += w * x
+    return tuple(total)
+
+
 def outer(a: Sequence, b: Sequence) -> tuple[tuple[Rational, ...], ...]:
     return tuple(tuple(x * y for y in b) for x in a)
 

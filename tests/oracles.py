@@ -206,3 +206,48 @@ def assemblage_of_model(weights, states, responses, settings, outcomes):
             row.append(tuple(vec))
         elements.append(tuple(row))
     return tuple(elements)
+
+
+def _nonnegativity_rows(count):
+    """w_i >= 0 for each of count weights, in weight order."""
+    return [(tuple(F(1) if j == i else F(0) for j in range(count)), F(0))
+            for i in range(count)]
+
+
+def lhs_rows(vertices, elements):
+    """(equalities, inequalities) of the local-hidden-state LP, as documented.
+
+    elements[x][k] is the assemblage element of setting x, outcome k.
+    One weight per (deterministic strategy, vertex), strategy-major,
+    strategies in itertools.product order of outcome indices. One
+    equality per (setting, outcome, coordinate): the weights of the
+    strategies answering k at x, times the vertex coordinate, sum to
+    the element's coordinate. Then w >= 0 per weight.
+    """
+    strategies = list(product(*(range(len(row)) for row in elements)))
+    count = len(strategies) * len(vertices)
+    equalities = []
+    for x, row in enumerate(elements):
+        for k, element in enumerate(row):
+            for coord, value in enumerate(element):
+                coeffs = [F(0)] * count
+                for s, strategy in enumerate(strategies):
+                    if strategy[x] == k:
+                        for v, vertex in enumerate(vertices):
+                            coeffs[s * len(vertices) + v] = F(vertex[coord])
+                equalities.append((tuple(coeffs), F(value)))
+    return equalities, _nonnegativity_rows(count)
+
+
+def separability_rows(vertices_a, vertices_b, matrix):
+    """(equalities, inequalities) of the separability LP, as documented.
+
+    One weight per (vertex_A, vertex_B) pair, A-major. One equality per
+    matrix entry, row-major: the weighted vertex products reproduce the
+    entry. Then the weights sum to one, then w >= 0 per weight.
+    """
+    pairs = [(a, b) for a in vertices_a for b in vertices_b]
+    equalities = [(tuple(F(a[i]) * F(b[j]) for a, b in pairs), F(value))
+                  for i, row in enumerate(matrix) for j, value in enumerate(row)]
+    equalities.append(((F(1),) * len(pairs), F(1)))
+    return equalities, _nonnegativity_rows(len(pairs))

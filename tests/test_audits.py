@@ -56,6 +56,26 @@ def test_oracles_stay_independent_of_the_package():
     assert [name for name in imported if name.split(".")[0] == "gptsteer"] == []
 
 
+def test_every_import_in_package_modules_is_used():
+    unused = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert sorted(unused) == []
+
+
 def test_witness_audit_survives_optimize_flag():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     proc = subprocess.run([sys.executable, "-O", "-c", BAD_WITNESS_SCRIPT],

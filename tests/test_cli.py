@@ -119,6 +119,20 @@ def test_zoo_show_unknown(docs):
     assert proc.stderr.startswith("error:")
 
 
+def test_zoo_show_refuses_huge_enumeration(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the enumeration ran")
+
+    zoo_classical(30)  # caches its state-cone facets, so only the effects are left
+    monkeypatch.setattr(exactlp, "solve_unique", forbidden)
+    status = main(["zoo", "show", "classical-30"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == ("error: vertex enumeration needs 118264581564861424 "
+                            "active sets, more than the cap of 100000\n")
+
+
 def test_check_jm_compatible(docs):
     proc = run_cli("check-jm", "--obs-file", docs["classical_obs"])
     assert proc.returncode == 0

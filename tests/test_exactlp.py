@@ -14,16 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gptsteer.composites import canonical_max_entangled, separability_system
 from gptsteer.errors import UnboundedRegionError
-from gptsteer.exactlp import (FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED,
-                              LinearSystem, _Tableau, cone_member,
-                              convex_member, lp_feasible, lp_optimize, refutes,
-                              satisfies, vertex_enumerate)
-from gptsteer.kernel import depolarize_observable
+from gptsteer.exactlp import (ACTIVE_SET_CAP, FEASIBLE, INFEASIBLE, OPTIMAL,
+                              UNBOUNDED, LinearSystem, _Tableau, cone_member,
+                              convex_member, lp_feasible, lp_optimize,
+                              membership_system, refutes, satisfies,
+                              vertex_enumerate)
+from gptsteer.kernel import (depolarize_observable, extremal_effects,
+                             zoo_classical, zoo_gbit, zoo_polygon)
 from gptsteer.ratio import as_ratio, format_ratio, parse_ratio
+from gptsteer.sampler import (SamplerConfig, make_rng, random_observable_set,
+                              random_separable_state)
 from gptsteer.steering import assemblage_from, lhs_linear_system
+from gptsteer.vecs import combine
 
-from oracles import brute_force_vertices, check_farkas, check_point
+from oracles import (brute_force_vertices, check_farkas, check_point, lhs_rows,
+                     separability_rows)
 
 r = as_ratio
 
@@ -320,6 +327,21 @@ def test_vertex_enumeration_solves_one_lp(monkeypatch):
     assert calls == ["lp_feasible"]
 
 
+def test_vertex_enumeration_refuses_too_many_active_sets(monkeypatch):
+    import gptsteer.exactlp as exactlp
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the enumeration ran")
+
+    # classical-30's effect polytope: 60 rows in ambient 30, C(60, 30) sets.
+    space = zoo_classical(30)
+    monkeypatch.setattr(exactlp, "solve_unique", forbidden)
+    monkeypatch.setattr(exactlp, "lp_feasible", forbidden)
+    count = "118264581564861424"
+    with pytest.raises(ValueError, match=f"{count} active sets.*cap of {ACTIVE_SET_CAP}"):
+        extremal_effects(space)
+
+
 # --- cone and convex membership ---------------------------------------------
 
 def test_cone_membership_of_square_center(gbit):
@@ -354,6 +376,59 @@ def test_convex_membership(gbit):
     # scaled center is in the cone but not the convex hull
     assert cone_member((2, 0, 0), gbit.vertices).feasible
     assert not convex_member((2, 0, 0), gbit.vertices).feasible
+
+
+# --- membership systems against rows written from their documented order ----
+
+def _fraction_rows(rows):
+    return [(tuple(Fraction(format_ratio(c)) for c in coeffs),
+             Fraction(format_ratio(rhs))) for coeffs, rhs in rows]
+
+
+def _membership_case(name):
+    """(state, observables on its A side): canonical state or a separable mix."""
+    rng = make_rng(SamplerConfig(seed=29))
+    config = SamplerConfig(seed=29, min_observables=2, max_observables=3)
+    if name == "gbit x classical-2":
+        space = zoo_gbit()
+        state = random_separable_state(space, zoo_classical(2), rng)
+    else:
+        space = {"gbit": zoo_gbit(), "classical-3": zoo_classical(3),
+                 "polygon-3": zoo_polygon(3)}[name]
+        state = canonical_max_entangled(space)
+    return state, random_observable_set(space, rng, config)
+
+
+MEMBERSHIP_CASES = ("gbit", "classical-3", "polygon-3", "gbit x classical-2")
+
+
+@pytest.mark.parametrize("name", MEMBERSHIP_CASES)
+def test_lhs_system_matches_oracle_rows(name):
+    state, observables = _membership_case(name)
+    asm = assemblage_from(state, observables)
+    equalities, inequalities = lhs_rows(asm.space.vertices, asm.elements)
+    system = lhs_linear_system(asm)
+    assert system.variable_count == len(inequalities)
+    assert _fraction_rows(system.equalities) == equalities
+    assert _fraction_rows(system.inequalities) == inequalities
+
+
+@pytest.mark.parametrize("name", MEMBERSHIP_CASES)
+def test_separability_system_matches_oracle_rows(name):
+    state, _ = _membership_case(name)
+    equalities, inequalities = separability_rows(
+        state.space_a.vertices, state.space_b.vertices, state.matrix)
+    system = separability_system(state)
+    assert system.variable_count == len(inequalities)
+    assert _fraction_rows(system.equalities) == equalities
+    assert _fraction_rows(system.inequalities) == inequalities
+
+
+def test_membership_system_row_order():
+    system = membership_system((r(3), r(1)), [(r(1), r(0)), (r(1), r(1))], convex=True)
+    assert system == LinearSystem.build(
+        2, equalities=(((1, 1), 3), ((0, 1), 1), ((1, 1), 1)),
+        inequalities=(((1, 0), 0), ((0, 1), 0)))
 
 
 # --- property tests ----------------------------------------------------------
@@ -492,3 +567,17 @@ def test_convex_membership_hull_property(points, target):
         assert mix == (r(target[0]), r(target[1]))
     else:
         assert result.certificate is not None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.tuples(small_int, st.lists(small_int, min_size=n, max_size=n)),
+                       min_size=1, max_size=5)))
+def test_combine_is_the_weighted_sum(terms):
+    weights = [r(w, 3) for w, _ in terms]
+    vectors = [tuple(r(x) for x in vec) for _, vec in terms]
+    naive = tuple(sum((w * vec[j] for w, vec in zip(weights, vectors)), r(0))
+                  for j in range(len(vectors[0])))
+    assert combine(weights, vectors) == naive
+    assert combine([0] * len(vectors), vectors) == (r(0),) * len(vectors[0])
+    assert [type(x) for x in combine(weights, vectors)] == [type(r(0))] * len(naive)

@@ -174,6 +174,9 @@ def test_lhs_model_roundtrip(gbit, phi, fiducials):
     broken["lambdas"] = [dict(lam, weight="-1/2") for lam in doc["lambdas"]]
     with pytest.raises(SchemaError):
         lhs_model_from_json(broken, gbit)
+    short = dict(doc, settings=[*doc["settings"], "extra"])
+    with pytest.raises(SchemaError, match="one outcome row per setting"):
+        lhs_model_from_json(short, gbit)
 
 
 def test_lhs_result_json(gbit, phi, fiducials):

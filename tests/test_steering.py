@@ -194,6 +194,12 @@ def test_lhs_lambda_guards(gbit):
         LhsModel(gbit, ("X",), (("+", "-"),), ()).validate()
 
 
+def test_lhs_model_needs_one_outcome_row_per_setting(gbit):
+    lam = LhsLambda(ONE, State((1, 0, 0)), ((1, 0), (1, 0)))
+    with pytest.raises(ValueError, match="one outcome row per setting"):
+        LhsModel(gbit, ("a", "b"), (("+", "-"),), (lam,))
+
+
 # ------------------------------------------------- constructions, both ways
 
 def test_jm_to_lhs_reproduces_assemblage(gbit, phi, fiducials):
