@@ -9,8 +9,8 @@ assemblages they produce on a canonical maximally entangled state.
 
 from .compatibility import (INCOMPATIBLE, JOINTLY_MEASURABLE, JmResult,
                             MotherObservable, check_joint_measurability,
-                            jm_linear_system, jm_noise_threshold,
-                            marginalize_mother, subset_jm_scan,
+                            jm_critical_visibility, jm_linear_system,
+                            jm_noise_threshold, marginalize_mother, subset_jm_scan,
                             verify_incompatibility_certificate)
 from .composites import (ENTANGLED, SEPARABLE, BipartiteState,
                          SeparabilityResult, SeparableDecomposition,
@@ -26,8 +26,8 @@ from .errors import (ConstructionError, NotRemotelyPreparableError,
                      UnboundedRegionError, UnsupportedModelError,
                      VerificationError)
 from .exactlp import (FeasibilityResult, LinearSystem, OptimizationResult,
-                      cone_member, convex_member, lp_feasible, lp_optimize,
-                      refutes, satisfies, vertex_enumerate)
+                      certifies_optimum, cone_member, convex_member, lp_feasible,
+                      lp_optimize, refutes, satisfies, vertex_enumerate)
 from .kernel import (Effect, Observable, State, StateSpace, barycenter,
                      depolarize_observable, dichotomic_observable,
                      extremal_effects, in_state_cone, is_valid_effect,
@@ -47,7 +47,8 @@ from .steering import (STEERABLE, UNSTEERABLE, Assemblage, LhsLambda, LhsModel,
                        conditioning_system, find_conditioning_effect,
                        functional_strategy_bound, functional_value,
                        is_steerable_state, is_strongly_steerable_for,
-                       jm_to_lhs, lhs_linear_system, lhs_noise_threshold,
-                       lhs_to_mother, reconstruct_assemblage, theorem_verify)
+                       jm_to_lhs, lhs_critical_visibility, lhs_linear_system,
+                       lhs_noise_threshold, lhs_to_mother, reconstruct_assemblage,
+                       theorem_verify)
 
 __version__ = "0.1.0"

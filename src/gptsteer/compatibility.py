@@ -7,6 +7,11 @@ summing them over all tuple slots but one reproduces the kept axis.
 Existence of such a mother is a rational LP; infeasibility comes with a
 Farkas certificate and feasibility with the mother itself, so either
 verdict can be re-checked by substitution.
+
+Depolarizing noise moves only the LP's right-hand sides, and affinely, so
+the critical visibility, the largest level at which the noisy family is
+still jointly measurable, is the optimum of one LP over the mother and
+the level together (``_critical_level``, shared with the steering side).
 """
 
 from __future__ import annotations
@@ -16,11 +21,12 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactlp import INFEASIBLE, LinearSystem, lp_feasible, refutes
+from .errors import VerificationError
+from .exactlp import INFEASIBLE, OPTIMAL, LinearSystem, lp_feasible, lp_optimize, refutes
 from .kernel import (Effect, Observable, StateSpace, depolarize_observable,
                      is_valid_effect, is_valid_observable, mother_outcome_tuples)
 from .ratio import ONE, ZERO, Rational, as_ratio
-from .vecs import vadd, vzero
+from .vecs import combine
 
 log = logging.getLogger(__name__)
 
@@ -61,9 +67,7 @@ class MotherObservable:
         for e in self.effects:
             if not is_valid_effect(e, space):
                 raise ValueError("mother effect outside the effect polytope")
-        total = vzero(space.ambient_dim)
-        for e in self.effects:
-            total = vadd(total, e.coeffs)
+        total = combine([ONE] * len(self.effects), [e.coeffs for e in self.effects])
         if total != space.unit.coeffs:
             raise ValueError("mother effects do not sum to the unit effect")
         for axis_index, axis in enumerate(self.axes):
@@ -161,12 +165,11 @@ def marginalize_mother(mother: MotherObservable, axis_index: int) -> Observable:
     if not 0 <= axis_index < len(mother.axes):
         raise ValueError(f"no axis {axis_index} in a {len(mother.axes)}-axis mother")
     axis = mother.axes[axis_index]
-    dim = mother.space.ambient_dim
-    sums = {outcome: vzero(dim) for outcome in axis.outcomes}
-    for combo, effect in mother.items():
-        sums[combo[axis_index]] = vadd(sums[combo[axis_index]], effect.coeffs)
-    return Observable(axis.label, mother.space, axis.outcomes,
-                      tuple(Effect(sums[o]) for o in axis.outcomes))
+    coeffs = [e.coeffs for e in mother.effects]
+    return Observable(axis.label, mother.space, axis.outcomes, tuple(
+        Effect(combine([ONE if combo[axis_index] == o else ZERO
+                        for combo in mother.outcome_tuples], coeffs))
+        for o in axis.outcomes))
 
 
 def verify_incompatibility_certificate(observables: Sequence[Observable],
@@ -175,45 +178,87 @@ def verify_incompatibility_certificate(observables: Sequence[Observable],
     return refutes(jm_linear_system(observables, space), certificate)
 
 
+def jm_critical_visibility(observables: Sequence[Observable], space: StateSpace) -> Rational:
+    """The largest depolarizing level at which the family is jointly measurable.
+
+    Exact, from one LP (``_critical_level``); 1 for a family that is
+    jointly measurable even sharp.
+    """
+    _check_family(observables, space)
+    return _critical_level(observables, lambda noisy: jm_linear_system(noisy, space))
+
+
 def jm_noise_threshold(observables: Sequence[Observable], space: StateSpace,
                        precision) -> tuple[Rational, Rational]:
-    """Bisection bracket (lo, hi) for the critical depolarizing level.
+    """Dyadic bracket (lo, hi) around the critical depolarizing level.
 
     The family is jointly measurable at lo and not at hi, with
     hi - lo <= precision; a family that is compatible even sharp returns
-    (1, 1). Level 0 replaces every effect by a multiple of the unit, so
-    compatibility there is automatic and the lower endpoint starts at 0
-    without probing.
+    (1, 1). The bracket is the one bisection from [0, 1] would reach, but
+    it comes from the exact critical visibility by arithmetic alone, not
+    from an LP per probed level (``_level_bracket``).
     """
     eps = as_ratio(precision)
     if eps <= 0:
         raise ValueError("precision must be positive")
-    _check_family(observables, space)
-
-    def compatible_at(level) -> bool:
-        noisy = [depolarize_observable(obs, level) for obs in observables]
-        return check_joint_measurability(noisy, space).jointly_measurable
-
-    return _bisect_level(compatible_at, eps)
+    return _level_bracket(jm_critical_visibility(observables, space), eps, "JM")
 
 
-def _bisect_level(holds_at, precision) -> tuple[Rational, Rational]:
-    """Bracket (lo, hi) of the depolarizing level where holds_at turns false.
+def _critical_level(observables: Sequence[Observable], system_of) -> Rational:
+    """Largest level in [0, 1] at which system_of(depolarized family) is feasible.
 
-    holds_at is never asked about level 0, where it is taken to hold;
-    (1, 1) comes back when it holds at level 1. Otherwise it holds at lo
-    and fails at hi, with hi - lo <= precision.
+    The coefficient rows of the system do not depend on the level and
+    its right-hand sides are affine in it, so rows A x (==, >=) b0 + eta
+    (b1 - b0), built at levels 0 and 1, become A x - eta (b1 - b0) (==,
+    >=) b0 over (x, eta), with eta >= 0 and -eta >= -1 appended. One
+    lp_optimize maximizes eta; it audits the optimal point and the dual
+    multipliers that bound eta from above. Level 0 is always feasible,
+    so the feasible levels form the interval [0, optimum].
     """
-    if holds_at(ONE):
-        return (ONE, ONE)
-    lo, hi = ZERO, ONE
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        if holds_at(mid):
-            lo = mid
-        else:
-            hi = mid
-        log.debug("noise threshold bracket [%s, %s]", lo, hi)
+    base = system_of(tuple(depolarize_observable(o, ZERO) for o in observables))
+    sharp = system_of(tuple(observables))
+    n = base.variable_count
+
+    def with_level(rows, rows_at_one):
+        out = []
+        for (coeffs, b0), (coeffs_at_one, b1) in zip(rows, rows_at_one, strict=True):
+            if coeffs != coeffs_at_one:
+                raise VerificationError("a constraint row changes with the noise level")
+            out.append((coeffs + (b0 - b1,), b0))
+        return tuple(out)
+
+    level = (ZERO,) * n + (ONE,)
+    bounds = ((level, ZERO), (tuple(-c for c in level), -ONE))
+    system = LinearSystem(n + 1, with_level(base.equalities, sharp.equalities),
+                          with_level(base.inequalities, sharp.inequalities) + bounds)
+    result = lp_optimize(level, system, "max")
+    if result.status != OPTIMAL:
+        raise VerificationError(f"critical-level LP is {result.status}, "
+                                "though level 0 is always feasible")
+    return result.value
+
+
+def _level_bracket(critical: Rational, precision: Rational,
+                  side: str) -> tuple[Rational, Rational]:
+    """The bisection bracket of [0, 1] around a known critical level.
+
+    (1, 1) when critical is 1. Otherwise halve [0, 1] until it is no
+    wider than precision, keeping mid as lo when mid <= critical and as
+    hi when not: the bracket a bisection over feasibility LPs reaches,
+    since the feasible levels are exactly [0, critical].
+    """
+    if critical == ONE:
+        lo = hi = ONE
+    else:
+        lo, hi = ZERO, ONE
+        while hi - lo > precision:
+            mid = (lo + hi) / 2
+            if mid <= critical:
+                lo = mid
+            else:
+                hi = mid
+    log.debug("%s noise threshold: critical level %s, bracket [%s, %s]",
+              side, critical, lo, hi)
     return (lo, hi)
 
 

@@ -8,7 +8,10 @@ A row x_j >= 0 is a bound on column j, not a tableau row of its own,
 and only variables without one are split into two nonnegative parts.
 Infeasible systems always come back with a Farkas certificate that
 re-verifies by substitution, with a multiplier for every row, bound
-rows included; feasible ones carry an exact witness point.
+rows included; feasible ones carry an exact witness point. Optimal
+results carry the optimal point and an optimality certificate, dual
+multipliers that are checked by substitution before the result is
+returned (``certifies_optimum``).
 Vertex enumeration solves active sets and runs one feasibility LP.
 
 A ``LinearSystem`` holds equality rows (coeffs . x == rhs) and
@@ -16,7 +19,10 @@ inequality rows (coeffs . x >= rhs) over free variables. Certificates
 are multiplier tuples aligned with the rows in that order (equalities
 first): inequality multipliers are nonnegative, the combined coefficient
 vector is zero, and the combined right-hand side is strictly positive,
-i.e. the rows combine to the contradiction 0 >= positive.
+i.e. the rows combine to the contradiction 0 >= positive. An optimality
+certificate follows the same order and sign rules, and combines the rows
+into -objective . x >= -value when maximizing (objective . x >= value
+when minimizing), a bound that the optimal point attains.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import UnboundedRegionError, VerificationError
 from .ratio import ONE, ZERO, Rational, as_ratio
-from .vecs import dot, pivot, qvec, rank, solve_unique, vzero
+from .vecs import combine, dot, pivot, qvec, rank, solve_unique, vzero
 
 log = logging.getLogger(__name__)
 
@@ -85,6 +91,8 @@ class FeasibilityResult:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """certificate: optimality multipliers when OPTIMAL, Farkas when INFEASIBLE."""
+
     status: str  # OPTIMAL | UNBOUNDED | INFEASIBLE
     value: Rational | None = None
     point: tuple[Rational, ...] | None = None
@@ -100,6 +108,20 @@ def satisfies(system: LinearSystem, point) -> bool:
         all(dot(c, p) >= b for c, b in system.inequalities)
 
 
+def _combination(system: LinearSystem, mults) -> tuple[tuple[Rational, ...], Rational] | None:
+    """(coefficients, rhs) of the rows summed with the multipliers, or None
+    when the multipliers do not fit: a wrong count, or a negative one on an
+    inequality row."""
+    rows = system.equalities + system.inequalities
+    if len(mults) != len(rows) or any(m < 0 for m in mults[len(system.equalities):]):
+        return None
+    used = [(m, (*coeffs, rhs)) for m, (coeffs, rhs) in zip(mults, rows) if m]
+    if not used:
+        return vzero(system.variable_count), ZERO
+    *coeffs, rhs = combine([m for m, _ in used], [row for _, row in used])
+    return tuple(coeffs), rhs
+
+
 def refutes(system: LinearSystem, certificate) -> bool:
     """Exact substitution check of a Farkas certificate.
 
@@ -107,21 +129,28 @@ def refutes(system: LinearSystem, certificate) -> bool:
     inequality part must be nonnegative, the combined coefficient vector
     must vanish and the combined right-hand side must be positive.
     """
-    mults = qvec(certificate)
-    rows = system.equalities + system.inequalities
-    if len(mults) != len(rows):
+    combination = _combination(system, qvec(certificate))
+    if combination is None:
         return False
-    n_eq = len(system.equalities)
-    if any(m < 0 for m in mults[n_eq:]):
+    coeffs, rhs = combination
+    return not any(coeffs) and rhs > 0
+
+
+def certifies_optimum(system: LinearSystem, objective, value, certificate,
+                      sense: str = "max") -> bool:
+    """Exact substitution check of an optimality certificate.
+
+    Multipliers follow row order, the inequality part nonnegative, as for
+    refutes. When maximizing they must combine the rows into exactly
+    -objective . x >= -value, so no feasible point exceeds value; when
+    minimizing into objective . x >= value.
+    """
+    combination = _combination(system, qvec(certificate))
+    if combination is None:
         return False
-    combined = list(vzero(system.variable_count))
-    total = ZERO
-    for m, (coeffs, rhs) in zip(mults, rows):
-        if m:
-            for i, c in enumerate(coeffs):
-                combined[i] += m * c
-            total += m * rhs
-    return all(c == 0 for c in combined) and total > 0
+    coeffs, rhs = combination
+    sign = -ONE if sense == "max" else ONE
+    return coeffs == tuple(sign * c for c in qvec(objective)) and rhs == sign * as_ratio(value)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +161,9 @@ def refutes(system: LinearSystem, certificate) -> bool:
 # are flipped to nonnegative rhs, and rows that still lack a basic column get
 # an artificial variable for phase one. Columns run x (xp for split ones),
 # xm, slacks, artificials. The rhs is each row's last column, and a pivot is
-# one vecs.pivot over rows + objrow.
+# one vecs.pivot over rows + objrow. The artificial columns stay after phase
+# one, never entering again: with the ready-made slacks they are the unit
+# columns that row multipliers are read off.
 
 
 def _bound_rows(system: LinearSystem) -> dict[int, int]:
@@ -159,13 +190,13 @@ class _Tableau:
         kept = [i for i in range(len(system.inequalities)) if i not in bound_ineq]
         self.struct_cols = n + len(free) + len(kept)
         self.rows: list[list[Rational]] = []
-        self.origin: list[int] = []            # per row: index in system row order
+        # Per initial row, kept when redundant rows are dropped: its index in
+        # system row order, its sign flip, and its unit column (artificial,
+        # or the slack when that is a ready-made basis column).
+        self.origin: list[int] = []
         self.flip: list[Rational] = []
-        self.basis: list[int] = []
-        self.art_col: list[int | None] = []   # per row
-        self.slack_col: list[int | None] = [] # per row
+        self.unit_col: list[int | None] = []
         self.pivots = 0
-        pending_art: list[int] = []
 
         all_rows = [(c, b, r, None) for r, (c, b) in enumerate(system.equalities)]
         all_rows += [(*system.inequalities[i], n_eq + i, n + len(free) + k)
@@ -188,29 +219,21 @@ class _Tableau:
                 sign = -ONE
             else:
                 sign = ONE
-            r = len(self.rows)
             self.rows.append(row)
             self.origin.append(origin)
             self.flip.append(sign)
-            self.slack_col.append(slack)
-            if slack is not None and row[slack] == ONE:
-                self.basis.append(slack)
-                self.art_col.append(None)
-            else:
-                self.basis.append(-1)  # placeholder, artificial assigned below
-                self.art_col.append(-1)
-                pending_art.append(r)
+            self.unit_col.append(slack if slack is not None and row[slack] == ONE else None)
         self.row_count = len(self.rows)
 
+        pending_art = [r for r, col in enumerate(self.unit_col) if col is None]
         self.total_cols = self.struct_cols + len(pending_art)
         for k, r in enumerate(pending_art):
-            col = self.struct_cols + k
-            self.art_col[r] = col
-            self.basis[r] = col
-        for r, row in enumerate(self.rows):
-            row[-1:-1] = [ZERO] * (self.total_cols - self.struct_cols)
-            if self.art_col[r] is not None:
-                row[self.art_col[r]] = ONE
+            self.unit_col[r] = self.struct_cols + k
+        self.basis: list[int] = list(self.unit_col)
+        for row, col in zip(self.rows, self.unit_col):
+            row[-1:-1] = [ZERO] * len(pending_art)
+            if col >= self.struct_cols:
+                row[col] = ONE
 
     # -- pivoting ----------------------------------------------------------
 
@@ -243,39 +266,43 @@ class _Tableau:
     def phase_one(self) -> tuple[Rational, ...] | None:
         """None when feasible, else a Farkas certificate that is checked
         here by substitution (VerificationError if it fails)."""
-        art_rows = [r for r, col in enumerate(self.art_col) if col is not None]
+        art_rows = [r for r, col in enumerate(self.unit_col) if col >= self.struct_cols]
         objrow = [ZERO] * (self.total_cols + 1)
         for r in art_rows:
             for j, x in enumerate(self.rows[r]):
                 if x:
                     objrow[j] -= x
         for r in art_rows:
-            objrow[self.art_col[r]] += ONE
+            objrow[self.unit_col[r]] += ONE
         if self.run_bland(objrow, self.total_cols) != OPTIMAL:
             raise VerificationError("phase one objective is bounded below by zero")
         # The objective row's last entry is minus the artificials' total.
         if objrow[-1] < 0:
-            # Simplex multipliers, read off through reduced costs: the
-            # artificial column of row r is the unit vector e_r with cost 1,
-            # the flipped slack column is e_r with cost 0.
-            mults = [ZERO] * self.system.row_count
-            for r, origin in enumerate(self.origin):
-                if self.art_col[r] is not None:
-                    y = ONE - objrow[self.art_col[r]]
-                else:
-                    y = -objrow[self.slack_col[r]]
-                mults[origin] = self.flip[r] * y
-            # The reduced cost of a bounded column j is -(sum_r m_r coeffs_r)_j,
-            # nonnegative at optimality: the multiplier of its bound row.
-            n_eq = len(self.system.equalities)
-            for j, i in self.bound_row.items():
-                mults[n_eq + i] = objrow[j]
-            certificate = tuple(mults)
+            certificate = self.multipliers(objrow, ONE)
             if not refutes(self.system, certificate):
                 raise VerificationError("Farkas certificate fails substitution")
             return certificate
         self._drive_out_artificials(objrow)
         return None
+
+    def multipliers(self, objrow: list[Rational], art_cost: Rational) -> tuple[Rational, ...]:
+        """Simplex multipliers in system row order, read off reduced costs.
+
+        The unit column of initial row r is e_r, with cost art_cost if it
+        is an artificial and 0 if it is a slack, so the row's multiplier is
+        that cost minus the column's reduced cost, times the row's flip.
+        The reduced cost of a bounded column j, cost_j - (sum_r m_r
+        coeffs_r)_j, is nonnegative at optimality: the multiplier of its
+        bound row.
+        """
+        mults = [ZERO] * self.system.row_count
+        for origin, sign, col in zip(self.origin, self.flip, self.unit_col):
+            cost = art_cost if col >= self.struct_cols else ZERO
+            mults[origin] = sign * (cost - objrow[col])
+        n_eq = len(self.system.equalities)
+        for j, i in self.bound_row.items():
+            mults[n_eq + i] = objrow[j]
+        return tuple(mults)
 
     def _drive_out_artificials(self, objrow: list[Rational]):
         drop: list[int] = []
@@ -288,15 +315,14 @@ class _Tableau:
             else:
                 self.step(objrow, r, col)
         for r in reversed(drop):
-            del self.rows[r], self.basis[r], self.origin[r]
-            del self.flip[r], self.art_col[r], self.slack_col[r]
-        for row in self.rows:
-            del row[self.struct_cols:-1]
-        self.total_cols = self.struct_cols
+            del self.rows[r], self.basis[r]
 
-    def phase_two(self, objective) -> tuple[str, Rational | None]:
-        """Minimize objective (over original free variables) after phase one."""
-        cost = [ZERO] * (self.struct_cols + 1)
+    def phase_two(self, objective) -> tuple[str, Rational | None, tuple[Rational, ...] | None]:
+        """Minimize objective (over original free variables) after phase one.
+
+        Returns the status, the optimum and its multipliers, which combine
+        the rows into objective . x >= optimum."""
+        cost = [ZERO] * (self.total_cols + 1)
         for j, c in enumerate(objective):
             cost[j] = c
             m = self.minus_col.get(j)
@@ -311,9 +337,9 @@ class _Tableau:
                         objrow[j] -= cb * x
         status = self.run_bland(objrow, self.struct_cols)
         if status == UNBOUNDED:
-            return UNBOUNDED, None
+            return UNBOUNDED, None, None
         # The objective row's last entry is minus the objective value.
-        return OPTIMAL, -objrow[-1]
+        return OPTIMAL, -objrow[-1], self.multipliers(objrow, ZERO)
 
     def extract_point(self) -> tuple[Rational, ...]:
         values = [ZERO] * self.struct_cols
@@ -348,7 +374,9 @@ def lp_optimize(objective, system: LinearSystem, sense: str = "max") -> Optimiza
     """Exact optimum of a linear objective over the system.
 
     sense is "max" or "min"; unbounded and infeasible outcomes are kept
-    apart, and an infeasible outcome carries a Farkas certificate.
+    apart, and an infeasible outcome carries a Farkas certificate. An
+    optimal outcome carries its point and an optimality certificate,
+    both checked here by substitution (VerificationError if one fails).
     """
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
@@ -362,7 +390,7 @@ def lp_optimize(objective, system: LinearSystem, sense: str = "max") -> Optimiza
         tableau.log_solve("lp_optimize", phase_one_pivots)
         return OptimizationResult(INFEASIBLE, certificate=certificate)
     internal = tuple(-c for c in obj) if sense == "max" else obj
-    status, value = tableau.phase_two(internal)
+    status, value, certificate = tableau.phase_two(internal)
     tableau.log_solve("lp_optimize", phase_one_pivots)
     if status == UNBOUNDED:
         return OptimizationResult(UNBOUNDED)
@@ -373,7 +401,9 @@ def lp_optimize(objective, system: LinearSystem, sense: str = "max") -> Optimiza
         value = -value
     if dot(obj, point) != value:
         raise VerificationError("optimal point does not attain the optimal value")
-    return OptimizationResult(OPTIMAL, value=value, point=point)
+    if not certifies_optimum(system, obj, value, certificate, sense):
+        raise VerificationError("optimality certificate fails substitution")
+    return OptimizationResult(OPTIMAL, value=value, point=point, certificate=certificate)
 
 
 # ---------------------------------------------------------------------------

@@ -217,12 +217,9 @@ class Observable:
 
 def is_valid_observable(obs: Observable) -> bool:
     """Every effect valid and the exact sum equal to the unit effect."""
-    total = vzero(obs.space.ambient_dim)
-    for e in obs.effects:
-        if not is_valid_effect(e, obs.space):
-            return False
-        total = vadd(total, e.coeffs)
-    return total == obs.space.unit.coeffs
+    effects = obs.effects
+    return all(is_valid_effect(e, obs.space) for e in effects) and \
+        combine([ONE] * len(effects), [e.coeffs for e in effects]) == obs.space.unit.coeffs
 
 
 def mix_states(states: Sequence[State], weights) -> State:

@@ -27,15 +27,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .compatibility import (JmResult, MotherObservable, _bisect_level,
-                            check_joint_measurability)
+from .compatibility import (JmResult, MotherObservable, _check_family, _critical_level,
+                            _level_bracket, check_joint_measurability)
 from .composites import (BipartiteState, canonical_max_entangled, in_max_tensor,
                          marginal, subnormalized_conditional)
 from .errors import ConstructionError, NotRemotelyPreparableError, VerificationError
 from .exactlp import LinearSystem, lp_feasible, membership_system
-from .kernel import (Effect, Observable, State, StateSpace, depolarize_observable,
-                     in_state_cone, is_valid_state, mother_outcome_tuples,
-                     unit_effect)
+from .kernel import (Effect, Observable, State, StateSpace, in_state_cone, is_valid_state,
+                     mother_outcome_tuples, unit_effect)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .sampler import SamplerConfig, make_rng, random_max_tensor_state, random_observable_set
 from .vecs import combine, dot, qvec, vzero
@@ -102,8 +101,7 @@ class Assemblage:
                     raise ValueError(f"element ({x},{k}) has weight outside [0,1]")
                 if not in_state_cone(e, self.space):
                     raise ValueError(f"element ({x},{k}) leaves the state cone")
-            total = tuple(sum(col, ZERO) for col in zip(*row))
-            totals.append(total)
+            totals.append(combine([ONE] * len(row), row))
         if any(t != totals[0] for t in totals[1:]):
             raise ValueError("setting totals disagree (signaling assemblage)")
         if totals[0][0] != ONE:
@@ -112,7 +110,8 @@ class Assemblage:
     def reduced_state(self) -> State:
         """The common per-setting total, as a normalized state."""
         self.validate()
-        return State(tuple(sum(col, ZERO) for col in zip(*self.elements[0])))
+        first = self.elements[0]
+        return State(combine([ONE] * len(first), first))
 
 
 def assemblage_from(state: BipartiteState,
@@ -513,26 +512,37 @@ def is_strongly_steerable_for(state: BipartiteState,
     return strongly, tuple(reports)
 
 
+def lhs_critical_visibility(observables: tuple[Observable, ...],
+                            state: BipartiteState) -> Rational:
+    """The largest depolarizing level at which the steered assemblage is unsteerable.
+
+    Exact, from one LP over the local-model weights and the level
+    (``compatibility._critical_level``); 1 for a family that steers
+    nothing even sharp. On the canonical maximally entangled state it
+    equals the family's critical visibility for joint measurability.
+    """
+    _check_family(observables, state.space_a)
+    return _critical_level(observables,
+                           lambda noisy: lhs_linear_system(assemblage_from(state, noisy)))
+
+
 def lhs_noise_threshold(observables: tuple[Observable, ...],
                         state: BipartiteState,
                         precision: Rational) -> tuple[Rational, Rational]:
     """Bracket the critical depolarizing level for unsteerability.
 
-    Same bisection contract as the joint-measurability threshold: the
-    returned (lo, hi) satisfy hi - lo <= precision, the assemblage at
-    lo is unsteerable and the one at hi is steerable, except that a
-    family unsteerable at full visibility reports (1, 1). Level 0 is
-    never probed; fully depolarized observables steer nothing.
+    Same contract as the joint-measurability threshold: the returned
+    (lo, hi) satisfy hi - lo <= precision, the assemblage at lo is
+    unsteerable and the one at hi is steerable, except that a family
+    unsteerable at full visibility reports (1, 1). The bracket comes
+    from the exact critical visibility by arithmetic, not from
+    bisection LPs. The family is validated first, against the state's
+    A side.
     """
     precision = as_ratio(precision)
     if precision <= ZERO:
         raise ValueError("precision must be positive")
-
-    def unsteerable_at(level: Rational) -> bool:
-        noisy = tuple(depolarize_observable(o, level) for o in observables)
-        return check_lhs(assemblage_from(state, noisy)).unsteerable
-
-    return _bisect_level(unsteerable_at, precision)
+    return _level_bracket(lhs_critical_visibility(observables, state), precision, "LHS")
 
 
 @dataclass(frozen=True)

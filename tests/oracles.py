@@ -88,6 +88,27 @@ def check_farkas(equalities, inequalities, certificate):
     return total > 0
 
 
+def check_optimum(equalities, inequalities, objective, sense, value, certificate):
+    """Substitution check that multipliers prove an optimal value.
+
+    Row order and multiplier signs as in check_farkas. For sense "max"
+    the rows must combine into exactly -objective . x >= -value, so no
+    feasible point exceeds value; for "min" into objective . x >= value.
+    """
+    rows = list(equalities) + list(inequalities)
+    cert = fvec(certificate)
+    if len(cert) != len(rows):
+        return False
+    if any(m < 0 for m in cert[len(equalities):]):
+        return False
+    sign = F(-1) if sense == "max" else F(1)
+    combined = [sum((m * F(row[0][i]) for m, row in zip(cert, rows)), F(0))
+                for i in range(len(objective))]
+    total = sum((m * F(row[1]) for m, row in zip(cert, rows)), F(0))
+    return (combined == [sign * F(c) for c in objective]
+            and total == sign * F(value))
+
+
 def check_point(equalities, inequalities, point):
     """Substitution check that a point satisfies the system."""
     pt = fvec(point)

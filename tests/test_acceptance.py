@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from gptsteer.compatibility import (MotherObservable, jm_linear_system,
+from gptsteer.compatibility import (MotherObservable, check_joint_measurability,
+                                    jm_critical_visibility, jm_linear_system,
                                     jm_noise_threshold, marginalize_mother)
 from gptsteer.composites import (canonical_max_entangled, conditional_state,
                                  in_max_tensor, marginal, product_state,
@@ -21,9 +22,10 @@ from gptsteer.composites import (canonical_max_entangled, conditional_state,
 from gptsteer.kernel import (Effect, State, depolarize_observable,
                              extremal_effects, mother_outcome_tuples)
 from gptsteer.ratio import as_ratio, format_ratio
-from gptsteer.sampler import (SamplerConfig, random_max_tensor_state,
-                              random_separable_state)
-from gptsteer.steering import (assemblage_from, jm_to_lhs, lhs_linear_system,
+from gptsteer.sampler import (SamplerConfig, make_rng, random_max_tensor_state,
+                              random_observable_set, random_separable_state)
+from gptsteer.steering import (assemblage_from, check_lhs, jm_to_lhs,
+                               lhs_critical_visibility, lhs_linear_system,
                                lhs_noise_threshold, lhs_to_mother,
                                reconstruct_assemblage, theorem_verify)
 
@@ -237,3 +239,25 @@ def test_determinism():
     assert second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout  # nonempty report
+
+
+@criterion(9, "critical visibilities for JM and LHS coincide exactly")
+def test_critical_visibilities_coincide(gbit, phi, fiducials):
+    config = SamplerConfig(seed=SEED, min_observables=2, max_observables=3)
+    rng = make_rng(config)
+    families = [fiducials]
+    while len(families) < 9:
+        family = random_observable_set(gbit, rng, config)
+        if not check_joint_measurability(family, gbit).jointly_measurable:
+            families.append(family)
+    for family in families:
+        critical = jm_critical_visibility(family, gbit)
+        assert critical == lhs_critical_visibility(family, phi)
+        assert r(0) < critical < r(1)
+        # both sides hold at the critical level and fail just above it
+        above = critical + (1 - critical) / 1024
+        for level, holds in ((critical, True), (above, False)):
+            noisy = tuple(depolarize_observable(o, level) for o in family)
+            assert check_joint_measurability(noisy, gbit).jointly_measurable == holds
+            assert check_lhs(assemblage_from(phi, noisy)).unsteerable == holds
+    assert jm_critical_visibility(fiducials, gbit) == r(1, 2)

@@ -37,6 +37,33 @@ else:
 """
 
 
+# Under -O, corrupt one optimality multiplier by one unit and report what
+# lp_optimize does with it.
+BAD_OPTIMUM_SCRIPT = """
+from gptsteer import exactlp
+
+assert False, "this interpreter is not running under -O"
+
+clean = exactlp._Tableau.phase_two
+
+
+def off_by_one(self, objective):
+    status, value, certificate = clean(self, objective)
+    return status, value, (certificate[0] + 1,) + certificate[1:]
+
+
+exactlp._Tableau.phase_two = off_by_one
+system = exactlp.LinearSystem.build(2, equalities=[((1, 1), 1)],
+                                    inequalities=[((1, 0), 0), ((0, 1), 0)])
+try:
+    result = exactlp.lp_optimize((1, 2), system, "max")
+except Exception as err:
+    print(type(err).__name__)
+else:
+    print("returned", result.status, result.certificate)
+"""
+
+
 def test_no_bare_asserts_in_package():
     offenders = []
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
@@ -76,9 +103,17 @@ def test_every_import_in_package_modules_is_used():
     assert sorted(unused) == []
 
 
-def test_witness_audit_survives_optimize_flag():
+def _run_optimized(script):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    proc = subprocess.run([sys.executable, "-O", "-c", BAD_WITNESS_SCRIPT],
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "VerificationError"
+    return proc.stdout.strip()
+
+
+def test_witness_audit_survives_optimize_flag():
+    assert _run_optimized(BAD_WITNESS_SCRIPT) == "VerificationError"
+
+
+def test_optimality_audit_survives_optimize_flag():
+    assert _run_optimized(BAD_OPTIMUM_SCRIPT) == "VerificationError"

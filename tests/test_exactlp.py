@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptsteer.composites import canonical_max_entangled, separability_system
-from gptsteer.errors import UnboundedRegionError
+from gptsteer.errors import UnboundedRegionError, VerificationError
 from gptsteer.exactlp import (ACTIVE_SET_CAP, FEASIBLE, INFEASIBLE, OPTIMAL,
-                              UNBOUNDED, LinearSystem, _Tableau, cone_member,
-                              convex_member, lp_feasible, lp_optimize,
-                              membership_system, refutes, satisfies,
-                              vertex_enumerate)
+                              UNBOUNDED, LinearSystem, _Tableau, certifies_optimum,
+                              cone_member, convex_member, lp_feasible,
+                              lp_optimize, membership_system, refutes,
+                              satisfies, vertex_enumerate)
 from gptsteer.kernel import (depolarize_observable, extremal_effects,
                              zoo_classical, zoo_gbit, zoo_polygon)
 from gptsteer.ratio import as_ratio, format_ratio, parse_ratio
@@ -29,8 +29,8 @@ from gptsteer.sampler import (SamplerConfig, make_rng, random_observable_set,
 from gptsteer.steering import assemblage_from, lhs_linear_system
 from gptsteer.vecs import combine
 
-from oracles import (brute_force_vertices, check_farkas, check_point, lhs_rows,
-                     separability_rows)
+from oracles import (brute_force_vertices, check_farkas, check_optimum,
+                     check_point, lhs_rows, separability_rows)
 
 r = as_ratio
 
@@ -128,16 +128,51 @@ def test_satisfies_and_refutes_are_substitution_checks():
 
 # --- optimization -----------------------------------------------------------
 
+UNIT_SQUARE_ROWS = (((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1))
+
+
 def test_optimize_unit_square():
-    square = LinearSystem.build(
-        2, (), (((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)))
+    square = LinearSystem.build(2, (), UNIT_SQUARE_ROWS)
     result = lp_optimize((1, 1), square, "max")
     assert result.status == OPTIMAL
     assert result.value == r(2)
     assert result.point == (r(1), r(1))
+    # the two upper-bound rows add up to -x - y >= -2, and only they do
+    assert result.certificate == (r(0), r(0), r(1), r(1))
     low = lp_optimize((1, 1), square, "min")
     assert low.value == r(0)
     assert low.point == (r(0), r(0))
+    assert low.certificate == (r(1), r(1), r(0), r(0))
+    for opt, sense in ((result, "max"), (low, "min")):
+        assert check_optimum((), UNIT_SQUARE_ROWS, (1, 1), sense,
+                             Fraction(format_ratio(opt.value)), _fractions(opt.certificate))
+
+
+def test_optimality_check_rejects_near_misses():
+    square = LinearSystem.build(2, (), UNIT_SQUARE_ROWS)
+    certificate = (r(0), r(0), r(1), r(1))
+    assert certifies_optimum(square, (1, 1), r(2), certificate, "max")
+    # one unit off in the value, in a multiplier, or in the sense
+    assert not certifies_optimum(square, (1, 1), r(3), certificate, "max")
+    assert not certifies_optimum(square, (1, 1), r(1), certificate, "max")
+    assert not certifies_optimum(square, (1, 1), r(2), (r(1), r(0), r(1), r(1)), "max")
+    assert not certifies_optimum(square, (1, 1), r(2), certificate, "min")
+    # a negative inequality multiplier, or one too few
+    assert not certifies_optimum(square, (1, 1), r(2), (r(-1), r(0), r(0), r(1)), "max")
+    assert not certifies_optimum(square, (1, 1), r(2), certificate[:3], "max")
+
+
+def test_optimality_certificate_one_unit_off_raises(monkeypatch):
+    clean = _Tableau.phase_two
+
+    def off_by_one(self, objective):
+        status, value, certificate = clean(self, objective)
+        return status, value, (certificate[0] + 1,) + certificate[1:]
+
+    monkeypatch.setattr(_Tableau, "phase_two", off_by_one)
+    square = LinearSystem.build(2, (), UNIT_SQUARE_ROWS)
+    with pytest.raises(VerificationError, match="optimality certificate"):
+        lp_optimize((1, 1), square, "max")
 
 
 def test_optimize_reports_unbounded():
@@ -551,6 +586,24 @@ def test_optimum_dominates_feasible_points(data, objective):
     assert feas.feasible
     value_at_witness = sum(r(c) * x for c, x in zip(objective[:n], feas.witness))
     assert value_at_witness <= result.value
+
+
+def _fractions(values):
+    return [Fraction(format_ratio(x)) for x in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_systems(), systems_with_bound_rows(), bounded_systems()),
+       st.tuples(small_int, small_int, small_int), st.sampled_from(("max", "min")))
+def test_optimal_results_carry_checked_certificates(data, objective, sense):
+    n, eqs, ineqs = data
+    result = lp_optimize(objective[:n], LinearSystem.build(n, eqs, ineqs), sense)
+    if result.status == OPTIMAL:
+        assert check_optimum(eqs, ineqs, objective[:n], sense,
+                             Fraction(format_ratio(result.value)),
+                             _fractions(result.certificate))
+    elif result.status == INFEASIBLE:
+        assert check_farkas(eqs, ineqs, _fractions(result.certificate))
 
 
 @settings(max_examples=40, deadline=None)
