@@ -23,8 +23,9 @@ from typing import Sequence
 
 from .errors import VerificationError
 from .exactlp import INFEASIBLE, OPTIMAL, LinearSystem, lp_feasible, lp_optimize, refutes
-from .kernel import (Effect, Observable, StateSpace, depolarize_observable,
-                     is_valid_effect, is_valid_observable, mother_outcome_tuples)
+from .kernel import (Effect, Observable, StateSpace, _index_tuples, _slot_stack,
+                     depolarize_observable, is_valid_effect, is_valid_observable,
+                     mother_outcome_tuples)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .vecs import combine
 
@@ -102,44 +103,27 @@ def _check_family(observables: Sequence[Observable], space: StateSpace):
 def jm_linear_system(observables: Sequence[Observable], space: StateSpace) -> LinearSystem:
     """The joint-measurability LP, with a documented fixed row order.
 
-    Variables: mother effect coefficients, tuple-major then coordinate.
-    Equalities: unit-sum rows (one per coordinate), then for each axis in
-    order, for each of its outcomes in order, the marginal rows (one per
-    coordinate). Inequalities: for each tuple in axis-major order, for
-    each vertex in order, nonnegativity of the tuple effect on it.
-    Certificates align with this order, equalities first.
+    Variables: mother effect coefficients, tuple-major (in
+    ``mother_outcome_tuples`` order) then coordinate. Equalities: unit-sum
+    rows (one per coordinate), then for each axis, for each of its
+    outcomes, the marginal rows (one per coordinate); the column of tuple
+    t, coordinate c is e_c, then e_c in slot (x, t[x]) of every axis x
+    (``kernel._slot_stack``). Inequalities: for each tuple, for each
+    vertex, nonnegativity of the tuple effect on it, that is the vertex in
+    the tuple's block. Certificates align with this order, equalities first.
     """
     _check_family(observables, space)
     dim = space.ambient_dim
-    tuples = mother_outcome_tuples(observables)
-    nvars = len(tuples) * dim
-
-    def var(tuple_index: int, coord: int) -> int:
-        return tuple_index * dim + coord
-
-    equalities = []
-    unit = space.unit.coeffs
-    for coord in range(dim):
-        row = [ZERO] * nvars
-        for t in range(len(tuples)):
-            row[var(t, coord)] = ONE
-        equalities.append((tuple(row), unit[coord]))
-    for axis_index, axis in enumerate(observables):
-        for outcome, effect in axis.items():
-            for coord in range(dim):
-                row = [ZERO] * nvars
-                for t, combo in enumerate(tuples):
-                    if combo[axis_index] == outcome:
-                        row[var(t, coord)] = ONE
-                equalities.append((tuple(row), effect.coeffs[coord]))
-    inequalities = []
-    for t in range(len(tuples)):
-        for v in space.vertices:
-            row = [ZERO] * nvars
-            for coord in range(dim):
-                row[var(t, coord)] = v[coord]
-            inequalities.append((tuple(row), ZERO))
-    return LinearSystem(nvars, tuple(equalities), tuple(inequalities))
+    outcomes = [obs.outcomes for obs in observables]
+    tuples = _index_tuples(outcomes)
+    units = [(ZERO,) * c + (ONE,) + (ZERO,) * (dim - 1 - c) for c in range(dim)]
+    columns = [e_c + _slot_stack(t, e_c, outcomes) for t in tuples for e_c in units]
+    target = space.unit.coeffs + tuple(c for obs in observables
+                                       for e in obs.effects for c in e.coeffs)
+    inequalities = tuple((_slot_stack((t,), v, (tuples,)), ZERO)
+                         for t in range(len(tuples)) for v in space.vertices)
+    return LinearSystem(len(columns), tuple(zip(zip(*columns), target, strict=True)),
+                        inequalities)
 
 
 def check_joint_measurability(observables: Sequence[Observable],
@@ -165,11 +149,15 @@ def marginalize_mother(mother: MotherObservable, axis_index: int) -> Observable:
     if not 0 <= axis_index < len(mother.axes):
         raise ValueError(f"no axis {axis_index} in a {len(mother.axes)}-axis mother")
     axis = mother.axes[axis_index]
-    coeffs = [e.coeffs for e in mother.effects]
-    return Observable(axis.label, mother.space, axis.outcomes, tuple(
-        Effect(combine([ONE if combo[axis_index] == o else ZERO
-                        for combo in mother.outcome_tuples], coeffs))
-        for o in axis.outcomes))
+    return Observable(axis.label, mother.space, axis.outcomes, _marginal_effects(
+        mother.outcome_tuples, [e.coeffs for e in mother.effects], axis_index, axis.outcomes))
+
+
+def _marginal_effects(tuples, coeffs, x: int, outcomes) -> tuple[Effect, ...]:
+    """For each outcome o of setting x, the sum of coeffs[i] over the
+    tuples[i] whose entry x is o."""
+    return tuple(Effect(combine([ONE if t[x] == o else ZERO for t in tuples], coeffs))
+                 for o in outcomes)
 
 
 def verify_incompatibility_certificate(observables: Sequence[Observable],

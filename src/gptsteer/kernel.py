@@ -155,12 +155,15 @@ def extremal_effects(space: StateSpace) -> tuple[Effect, ...]:
     its extreme points are enumerated exactly over C(2V, d) active sets
     and cached per space. Only ``gptsteer zoo show`` needs them.
     """
-    inequalities = []
-    for v in space.vertices:
-        inequalities.append((v, ZERO))
-        inequalities.append((tuple(-c for c in v), -ONE))
-    system = LinearSystem(space.ambient_dim, (), tuple(inequalities))
+    system = LinearSystem(space.ambient_dim, (), _effect_rows(space))
     return tuple(Effect(point) for point in vertex_enumerate(system))
+
+
+def _effect_rows(space: StateSpace) -> tuple:
+    """Effect validity as inequality rows over the coefficients: every
+    0 <= e.v row in vertex order, then every e.v <= 1 row (as -e.v >= -1)."""
+    return (tuple((v, ZERO) for v in space.vertices)
+            + tuple((tuple(-c for c in v), -ONE) for v in space.vertices))
 
 
 @lru_cache(maxsize=None)
@@ -381,5 +384,31 @@ def zoo_names() -> tuple[str, ...]:
 
 
 def mother_outcome_tuples(observables: Sequence[Observable]) -> tuple[tuple[str, ...], ...]:
-    """Cartesian product of outcome labels, in axis-major order."""
+    """Cartesian product of outcome labels, in axis-major order.
+
+    Tuple t is also the deterministic strategy answering t[x] to setting
+    x; ``_index_tuples`` lists the same strategies as outcome indices, in
+    this order, and ``_slot_stack`` places a vector in the slots they pick.
+    """
     return tuple(itertools.product(*(obs.outcomes for obs in observables)))
+
+
+def _index_tuples(outcomes) -> tuple[tuple[int, ...], ...]:
+    """Outcome-index tuples in ``mother_outcome_tuples`` order; outcomes[x]
+    lists the outcomes of setting x."""
+    return tuple(itertools.product(*(range(len(row)) for row in outcomes)))
+
+
+def _slot_stack(strategy, vector, outcomes) -> tuple:
+    """vector in slot (x, strategy[x]) for every setting x, zeros elsewhere.
+
+    Slots run setting-major, then outcome, len(vector) entries each: the
+    (setting, outcome, coordinate) order of JM marginal rows and LHS elements.
+    """
+    blank = vzero(len(vector))
+    stack = []
+    for k, row in zip(strategy, outcomes, strict=True):
+        stack += blank * k
+        stack += vector
+        stack += blank * (len(row) - 1 - k)
+    return tuple(stack)

@@ -96,6 +96,17 @@ def resolve_space(spec) -> StateSpace:
     raise SchemaError("space must be a zoo name or an object")
 
 
+def _doc_space(obj, space: StateSpace | None) -> StateSpace:
+    """The document's own space, else the one given on the command line."""
+    if isinstance(obj, dict) and "space" in obj:
+        if space is not None:
+            raise SchemaError("space given both in the file and on the command line")
+        space = resolve_space(obj["space"])
+    if space is None:
+        raise SchemaError("no space: give one in the file or on the command line")
+    return space
+
+
 def observable_to_json(obs: Observable) -> dict:
     return {"label": obs.label,
             "outcomes": list(obs.outcomes),
@@ -127,12 +138,7 @@ def observables_doc_from_json(obj, space: StateSpace | None = None
                               ) -> tuple[StateSpace, tuple[Observable, ...]]:
     """Parse an observables document; `space` fills in when the file has none."""
     _check_schema(obj)
-    if isinstance(obj, dict) and "space" in obj:
-        if space is not None:
-            raise SchemaError("space given both in the file and on the command line")
-        space = resolve_space(obj["space"])
-    if space is None:
-        raise SchemaError("no space: give one in the file or on the command line")
+    space = _doc_space(obj, space)
     raw = _require(obj, "observables")
     if not isinstance(raw, list) or not raw:
         raise SchemaError("observables must be a nonempty list")
@@ -184,12 +190,7 @@ def assemblage_doc_to_json(assemblage: Assemblage) -> dict:
 
 def assemblage_doc_from_json(obj, space: StateSpace | None = None) -> Assemblage:
     _check_schema(obj)
-    if isinstance(obj, dict) and "space" in obj:
-        if space is not None:
-            raise SchemaError("space given both in the file and on the command line")
-        space = resolve_space(obj["space"])
-    if space is None:
-        raise SchemaError("no space: give one in the file or on the command line")
+    space = _doc_space(obj, space)
     settings = _require(obj, "settings")
     outcomes = _require(obj, "outcomes")
     elements = _require(obj, "elements")

@@ -23,21 +23,20 @@ observable by remotely preparing each hidden state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 from .compatibility import (JmResult, MotherObservable, _check_family, _critical_level,
-                            _level_bracket, check_joint_measurability)
+                            _level_bracket, _marginal_effects, check_joint_measurability)
 from .composites import (BipartiteState, canonical_max_entangled, in_max_tensor,
                          marginal, subnormalized_conditional)
 from .errors import ConstructionError, NotRemotelyPreparableError, VerificationError
 from .exactlp import LinearSystem, lp_feasible, membership_system
-from .kernel import (Effect, Observable, State, StateSpace, in_state_cone, is_valid_state,
-                     mother_outcome_tuples, unit_effect)
+from .kernel import (Effect, Observable, State, StateSpace, _effect_rows, _index_tuples,
+                     _slot_stack, in_state_cone, is_valid_state, mother_outcome_tuples)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .sampler import SamplerConfig, make_rng, random_max_tensor_state, random_observable_set
-from .vecs import combine, dot, qvec, vzero
+from .vecs import combine, dot, qvec
 
 UNSTEERABLE = "unsteerable"
 STEERABLE = "steerable"
@@ -219,28 +218,26 @@ class LhsResult:
         return self.status == UNSTEERABLE
 
 
-def _strategies(outcomes: tuple[tuple[str, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """All deterministic strategies, as tuples of outcome indices per setting."""
-    return tuple(itertools.product(*(range(len(row)) for row in outcomes)))
-
-
 def lhs_linear_system(assemblage: Assemblage) -> LinearSystem:
     """Feasibility system for a local model of the assemblage.
 
     The cone-membership system (``exactlp.membership_system``) of the
     elements stacked in (setting, outcome, coordinate) order. There is
     one generator per (strategy, vertex), strategy-major in the order of
-    _strategies, vertices in space order: it holds the vertex in the
-    slots of the strategy's outcome for each setting and zero
-    elsewhere. Its weights are the variables c[strategy][vertex].
+    ``kernel.mother_outcome_tuples`` (as outcome indices), vertices in
+    space order: ``kernel._slot_stack`` puts the vertex in slot
+    (x, strategy[x]) for each setting x and zeros in every other slot.
+    Its weights are the variables c[strategy][vertex].
     """
     target = tuple(c for row in assemblage.elements for e in row for c in e)
-    blank = vzero(assemblage.space.ambient_dim)
-    gens = [sum((blank * k + vertex + blank * (len(outs) - 1 - k)
-                 for k, outs in zip(strat, assemblage.outcomes)), ())
-            for strat in _strategies(assemblage.outcomes)
-            for vertex in assemblage.space.vertices]
-    return membership_system(target, gens, convex=False)
+    return membership_system(target, _generators(assemblage.space, assemblage.outcomes),
+                             convex=False)
+
+
+def _generators(space: StateSpace, outcomes) -> list[tuple[Rational, ...]]:
+    """The (strategy, vertex) cone generators of the local assemblages."""
+    return [_slot_stack(strategy, vertex, outcomes)
+            for strategy in _index_tuples(outcomes) for vertex in space.vertices]
 
 
 def _functional_from_certificate(assemblage: Assemblage,
@@ -265,14 +262,8 @@ def functional_value(functional, assemblage: Assemblage) -> Rational:
 def functional_strategy_bound(functional, space: StateSpace,
                               outcomes: tuple[tuple[str, ...], ...]) -> Rational:
     """Largest pairing any deterministic strategy and vertex can reach."""
-    best = None
-    for strat in _strategies(outcomes):
-        for vertex in space.vertices:
-            value = sum((dot(functional[x][strat[x]], vertex)
-                         for x in range(len(outcomes))), ZERO)
-            if best is None or value > best:
-                best = value
-    return best
+    flat = tuple(c for row in functional for f in row for c in f)
+    return max(dot(flat, gen) for gen in _generators(space, outcomes))
 
 
 def check_lhs(assemblage: Assemblage) -> LhsResult:
@@ -281,24 +272,10 @@ def check_lhs(assemblage: Assemblage) -> LhsResult:
     outcome = lp_feasible(lhs_linear_system(assemblage))
     space = assemblage.space
     if outcome.feasible:
-        strategies = _strategies(assemblage.outcomes)
-        vertices = space.vertices
-        lambdas = []
-        for s, strat in enumerate(strategies):
-            weights = outcome.witness[s * len(vertices):(s + 1) * len(vertices)]
-            coords = combine(weights, vertices)
-            gamma = coords[0]
-            if gamma == ZERO:
-                continue
-            state = State(tuple(c / gamma for c in coords))
-            responses = tuple(
-                tuple(ONE if strat[x] == k else ZERO
-                      for k in range(len(assemblage.outcomes[x])))
-                for x in range(len(assemblage.settings)))
-            lambdas.append(LhsLambda(gamma, state, responses))
-        model = LhsModel(space=space, settings=assemblage.settings,
-                         outcomes=assemblage.outcomes, lambdas=tuple(lambdas))
-        model.validate()
+        count = len(space.vertices)
+        model = _deterministic_model(assemblage, (
+            (strategy, combine(outcome.witness[s * count:(s + 1) * count], space.vertices))
+            for s, strategy in enumerate(_index_tuples(assemblage.outcomes))))
         if reconstruct_assemblage(model).elements != assemblage.elements:
             raise VerificationError("local model fails to reproduce the assemblage")
         return LhsResult(status=UNSTEERABLE, model=model)
@@ -310,6 +287,28 @@ def check_lhs(assemblage: Assemblage) -> LhsResult:
         raise VerificationError("steering functional is positive on a local strategy")
     return LhsResult(status=STEERABLE, certificate=certificate,
                      functional=functional)
+
+
+def _deterministic_model(shape: Assemblage, parts) -> LhsModel:
+    """The validated local model of (strategy, subnormalized state) parts.
+
+    Each part with nonzero weight (first coordinate) becomes one hidden
+    state: that weight, the part normalized, and the 0/1 responses that
+    answer strategy[x] to setting x. Space, settings and outcomes are
+    the shape assemblage's.
+    """
+    lambdas = []
+    for strategy, coords in parts:
+        weight = coords[0]
+        if weight == ZERO:
+            continue
+        responses = tuple(tuple(ONE if k == answer else ZERO for k in range(len(row)))
+                          for answer, row in zip(strategy, shape.outcomes, strict=True))
+        lambdas.append(LhsLambda(weight, State(tuple(c / weight for c in coords)), responses))
+    model = LhsModel(space=shape.space, settings=shape.settings,
+                     outcomes=shape.outcomes, lambdas=tuple(lambdas))
+    model.validate()
+    return model
 
 
 def jm_to_lhs(mother: MotherObservable, state: BipartiteState) -> LhsModel:
@@ -329,23 +328,11 @@ def jm_to_lhs(mother: MotherObservable, state: BipartiteState) -> LhsModel:
 def _model_from_mother(mother: MotherObservable, state: BipartiteState,
                        target: Assemblage) -> LhsModel:
     """The body of jm_to_lhs, given the assemblage the mother's axes steer."""
-    lambdas = []
-    for combo, effect in mother.items():
-        vec = subnormalized_conditional(state, effect, "A")
-        weight = vec[0]
-        if weight == ZERO:
-            continue
-        hidden = State(tuple(c / weight for c in vec))
-        responses = tuple(
-            tuple(ONE if axis.outcomes[k] == combo[x] else ZERO
-                  for k in range(len(axis.outcomes)))
-            for x, axis in enumerate(mother.axes))
-        lambdas.append(LhsLambda(weight, hidden, responses))
-    model = LhsModel(space=state.space_b, settings=target.settings,
-                     outcomes=target.outcomes, lambdas=tuple(lambdas))
-    model.validate()
-    produced = reconstruct_assemblage(model)
-    if produced.elements != target.elements:
+    model = _deterministic_model(target, (
+        (tuple(axis.outcomes.index(label) for axis, label in zip(mother.axes, combo)),
+         subnormalized_conditional(state, effect, "A"))
+        for combo, effect in mother.items()))
+    if reconstruct_assemblage(model).elements != target.elements:
         raise ConstructionError("mother-derived model misses the assemblage")
     return model
 
@@ -368,12 +355,7 @@ def conditioning_system(state: BipartiteState,
     for j in range(dim_b):
         column = tuple(state.matrix[i][j] for i in range(dim_a))
         equalities.append((column, target[j]))
-    inequalities = []
-    for vertex in state.space_a.vertices:
-        inequalities.append((vertex, ZERO))
-    for vertex in state.space_a.vertices:
-        inequalities.append((tuple(-c for c in vertex), -ONE))
-    return LinearSystem(dim_a, tuple(equalities), tuple(inequalities))
+    return LinearSystem(dim_a, tuple(equalities), _effect_rows(state.space_a))
 
 
 def find_conditioning_effect(state: BipartiteState,
@@ -422,27 +404,19 @@ def lhs_to_mother(model: LhsModel, state: BipartiteState) -> MotherObservable:
                 f"hidden state {i} is not remotely preparable: {err}",
                 err.certificate) from err
     space_a = state.space_a
-    combos = tuple(itertools.product(*(range(len(row)) for row in model.outcomes)))
+    combos = _index_tuples(model.outcomes)
     prepared_coeffs = [e.coeffs for e in prepared]
-    effects = []
-    for combo in combos:
-        scales = [math.prod((lam.responses[x][k] for x, k in enumerate(combo)), start=ONE)
-                  for lam in model.lambdas]
-        effects.append(Effect(combine(scales, prepared_coeffs)))
-    effect_coeffs = [eff.coeffs for eff in effects]
-    if combine([ONE] * len(effects), effect_coeffs) != unit_effect(space_a.ambient_dim).coeffs:
+    effect_coeffs = [combine([math.prod((lam.responses[x][k] for x, k in enumerate(combo)),
+                                        start=ONE) for lam in model.lambdas], prepared_coeffs)
+                     for combo in combos]
+    if combine([ONE] * len(combos), effect_coeffs) != space_a.unit.coeffs:
         raise ConstructionError("prepared effects do not sum to the unit")
-    axes = []
-    for x, label in enumerate(model.settings):
-        axis_effects = tuple(
-            Effect(combine([ONE if combo[x] == k else ZERO for combo in combos], effect_coeffs))
-            for k in range(len(model.outcomes[x])))
-        axes.append(Observable(label=label, space=space_a,
-                               outcomes=model.outcomes[x],
-                               effects=axis_effects))
-    tuples = mother_outcome_tuples(tuple(axes))
-    mother = MotherObservable(axes=tuple(axes), outcome_tuples=tuples,
-                              effects=tuple(effects))
+    axes = tuple(Observable(label=label, space=space_a, outcomes=outs,
+                            effects=_marginal_effects(combos, effect_coeffs, x,
+                                                      range(len(outs))))
+                 for x, (label, outs) in enumerate(zip(model.settings, model.outcomes)))
+    mother = MotherObservable(axes=axes, outcome_tuples=mother_outcome_tuples(axes),
+                              effects=tuple(map(Effect, effect_coeffs)))
     mother.validate()
     steered = assemblage_from(state, mother.axes)
     if steered.elements != reconstruct_assemblage(model).elements:

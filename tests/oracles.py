@@ -260,6 +260,41 @@ def lhs_rows(vertices, elements):
     return equalities, _nonnegativity_rows(count)
 
 
+def jm_rows(vertices, observables_effects):
+    """(equalities, inequalities) of the joint-measurability LP, as documented.
+
+    observables_effects[x][k] is the coefficient vector of outcome k of
+    observable x. Variables: the mother's effect coefficients, one block
+    of len(vertex) per outcome tuple, tuples in itertools.product order
+    of outcome indices. Equalities: per coordinate, all tuples sum to the
+    unit effect (1, 0, ..., 0); then per (observable x, outcome k,
+    coordinate), the tuples with entry k at x sum to the effect's
+    coordinate. Inequalities: per tuple, per vertex, the tuple's effect
+    is nonnegative on the vertex.
+    """
+    dim = len(vertices[0])
+    tuples = list(product(*(range(len(effects)) for effects in observables_effects)))
+    count = len(tuples) * dim
+
+    def row(entries):
+        coeffs = [F(0)] * count
+        for i, value in entries:
+            coeffs[i] = F(value)
+        return tuple(coeffs)
+
+    equalities = [(row((t * dim + coord, 1) for t in range(len(tuples))),
+                   F(1) if coord == 0 else F(0)) for coord in range(dim)]
+    for x, effects in enumerate(observables_effects):
+        for k, effect in enumerate(effects):
+            for coord in range(dim):
+                equalities.append((row((t * dim + coord, 1)
+                                       for t, combo in enumerate(tuples) if combo[x] == k),
+                                   F(effect[coord])))
+    inequalities = [(row((t * dim + coord, vertex[coord]) for coord in range(dim)), F(0))
+                    for t in range(len(tuples)) for vertex in vertices]
+    return equalities, inequalities
+
+
 def separability_rows(vertices_a, vertices_b, matrix):
     """(equalities, inequalities) of the separability LP, as documented.
 

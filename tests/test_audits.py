@@ -1,6 +1,7 @@
 """The library's audits are real exceptions, not asserts."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -81,6 +82,26 @@ def test_oracles_stay_independent_of_the_package():
     imported += [node.module or "" for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom)]
     assert [name for name in imported if name.split(".")[0] == "gptsteer"] == []
+
+
+def test_tracer_names_resolve():
+    # bench/tracing.py rebinds gptsteer functions by name; read its lists
+    # without importing it and check that each name still exists.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lists = {target.id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) for target in node.targets
+             if isinstance(target, ast.Name)
+             and target.id in ("WRAPPED", "SAMPLER_EFFECT_TEST")}
+    names = list(lists["WRAPPED"]) + [tuple(lists["SAMPLER_EFFECT_TEST"].split(".", 1))]
+    missing = []
+    for module_name, attr in names:
+        owner = importlib.import_module(f"gptsteer.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []
 
 
 def test_every_import_in_package_modules_is_used():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gptsteer.compatibility import jm_linear_system
 from gptsteer.composites import canonical_max_entangled, separability_system
 from gptsteer.errors import UnboundedRegionError, VerificationError
 from gptsteer.exactlp import (ACTIVE_SET_CAP, FEASIBLE, INFEASIBLE, OPTIMAL,
@@ -21,7 +22,7 @@ from gptsteer.exactlp import (ACTIVE_SET_CAP, FEASIBLE, INFEASIBLE, OPTIMAL,
                               cone_member, convex_member, lp_feasible,
                               lp_optimize, membership_system, refutes,
                               satisfies, vertex_enumerate)
-from gptsteer.kernel import (depolarize_observable, extremal_effects,
+from gptsteer.kernel import (Observable, depolarize_observable, extremal_effects,
                              zoo_classical, zoo_gbit, zoo_polygon)
 from gptsteer.ratio import as_ratio, format_ratio, parse_ratio
 from gptsteer.sampler import (SamplerConfig, make_rng, random_observable_set,
@@ -30,7 +31,7 @@ from gptsteer.steering import assemblage_from, lhs_linear_system
 from gptsteer.vecs import combine
 
 from oracles import (brute_force_vertices, check_farkas, check_optimum,
-                     check_point, lhs_rows, separability_rows)
+                     check_point, jm_rows, lhs_rows, separability_rows)
 
 r = as_ratio
 
@@ -437,13 +438,39 @@ def _membership_case(name):
 MEMBERSHIP_CASES = ("gbit", "classical-3", "polygon-3", "gbit x classical-2")
 
 
-@pytest.mark.parametrize("name", MEMBERSHIP_CASES)
+def _three_outcome(observable):
+    """The dichotomic observable with its first effect split 1/4 : 3/4."""
+    effect, rest = observable.effects
+    return Observable(observable.label + "3", observable.space, ("a", "b", "c"),
+                      (r(1, 4) * effect, r(3, 4) * effect, rest))
+
+
+@pytest.mark.parametrize("name", MEMBERSHIP_CASES + ("gbit three-outcome",))
 def test_lhs_system_matches_oracle_rows(name):
-    state, observables = _membership_case(name)
+    state, observables = _membership_case(name.removesuffix(" three-outcome"))
+    if name.endswith(" three-outcome"):
+        observables = (_three_outcome(observables[0]),) + observables[1:]
     asm = assemblage_from(state, observables)
     equalities, inequalities = lhs_rows(asm.space.vertices, asm.elements)
     system = lhs_linear_system(asm)
     assert system.variable_count == len(inequalities)
+    assert _fraction_rows(system.equalities) == equalities
+    assert _fraction_rows(system.inequalities) == inequalities
+
+
+@pytest.mark.parametrize("three_outcome", (False, True))
+@pytest.mark.parametrize("name", ("gbit", "classical-3", "polygon-5"))
+def test_jm_system_matches_oracle_rows(name, three_outcome):
+    space = {"gbit": zoo_gbit(), "classical-3": zoo_classical(3),
+             "polygon-5": zoo_polygon(5)}[name]
+    config = SamplerConfig(seed=31, min_observables=2, max_observables=3)
+    observables = random_observable_set(space, make_rng(config), config)
+    if three_outcome:
+        observables = (_three_outcome(observables[0]),) + observables[1:]
+    equalities, inequalities = jm_rows(
+        space.vertices, [[e.coeffs for e in obs.effects] for obs in observables])
+    system = jm_linear_system(observables, space)
+    assert system.variable_count == len(inequalities[0][0])
     assert _fraction_rows(system.equalities) == equalities
     assert _fraction_rows(system.inequalities) == inequalities
 
