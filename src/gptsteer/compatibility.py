@@ -170,9 +170,8 @@ def jm_critical_visibility(observables: Sequence[Observable], space: StateSpace)
     """The largest depolarizing level at which the family is jointly measurable.
 
     Exact, from one LP (``_critical_level``); 1 for a family that is
-    jointly measurable even sharp.
+    jointly measurable even sharp. The sharp build validates the family.
     """
-    _check_family(observables, space)
     return _critical_level(observables, lambda noisy: jm_linear_system(noisy, space))
 
 
@@ -201,10 +200,12 @@ def _critical_level(observables: Sequence[Observable], system_of) -> Rational:
     >=) b0 over (x, eta), with eta >= 0 and -eta >= -1 appended. One
     lp_optimize maximizes eta; it audits the optimal point and the dual
     multipliers that bound eta from above. Level 0 is always feasible,
-    so the feasible levels form the interval [0, optimum].
+    so the feasible levels form the interval [0, optimum]. The sharp
+    system is built first, so a builder that validates the family
+    names a bad observable, not its depolarized copy.
     """
-    base = system_of(tuple(depolarize_observable(o, ZERO) for o in observables))
     sharp = system_of(tuple(observables))
+    base = system_of(tuple(depolarize_observable(o, ZERO) for o in observables))
     n = base.variable_count
 
     def with_level(rows, rows_at_one):

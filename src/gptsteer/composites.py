@@ -12,17 +12,17 @@ effect and conditionals with an arbitrary effect, exactly.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NullConditioningError, UnsupportedModelError, VerificationError
 from .exactlp import INFEASIBLE, LinearSystem, lp_feasible, membership_system, refutes
-from .kernel import (Effect, State, StateSpace, barycenter, is_square_model,
-                     is_valid_state, state_cone_facets)
+from .kernel import (Effect, State, StateSpace, _coeffs, _mixture_weights, barycenter,
+                     is_square_model, is_valid_state, state_cone_facets)
 from .ratio import ONE, ZERO, Rational, as_ratio
-from .vecs import (combine, dot, matrix_times_col, outer, qmat, qvec, rank,
-                   row_times_matrix, transpose, vscale)
+from .vecs import combine, dot, matrix_times_col, outer, qmat, rank, transpose
 
 log = logging.getLogger(__name__)
 
@@ -58,9 +58,7 @@ class BipartiteState:
 
 def joint_probability(state: BipartiteState, effect_a: Effect, effect_b: Effect) -> Rational:
     """value(e_A, e_B) = e_A^T M e_B, exactly."""
-    ea = effect_a.coeffs if isinstance(effect_a, Effect) else qvec(effect_a)
-    eb = effect_b.coeffs if isinstance(effect_b, Effect) else qvec(effect_b)
-    return dot(row_times_matrix(ea, state.matrix), eb)
+    return dot(combine(_coeffs(effect_a), state.matrix), _coeffs(effect_b))
 
 
 def product_state(space_a: StateSpace, state_a: State,
@@ -73,11 +71,7 @@ def product_state(space_a: StateSpace, state_a: State,
 
 
 def mix_bipartite_states(states: Sequence[BipartiteState], weights) -> BipartiteState:
-    w = qvec(weights)
-    if len(w) != len(states) or not states:
-        raise ValueError("weights and states differ in length")
-    if any(x < 0 for x in w) or sum(w) != 1:
-        raise ValueError("weights must be nonnegative and sum to one")
+    w = _mixture_weights(weights, len(states))
     first = states[0]
     for s in states[1:]:
         if s.space_a != first.space_a or s.space_b != first.space_b:
@@ -102,7 +96,7 @@ def max_tensor_violation(state: BipartiteState) -> tuple[Effect, Effect] | None:
         return None
     facets_b = state_cone_facets(state.space_b)
     for fa in state_cone_facets(state.space_a):
-        partial = row_times_matrix(fa, state.matrix)
+        partial = combine(fa, state.matrix)
         for fb in facets_b:
             if dot(partial, fb) < 0:
                 return (Effect(fa), Effect(fb))
@@ -139,8 +133,7 @@ def separability_system(state: BipartiteState) -> LinearSystem:
     inequalities.
     """
     target = tuple(c for row in state.matrix for c in row)
-    gens = [tuple(x * y for x in a for y in b)
-            for a in state.space_a.vertices for b in state.space_b.vertices]
+    gens = [tuple(x * y for x in a for y in b) for a, b in _vertex_pairs(state)]
     return membership_system(target, gens, convex=True)
 
 
@@ -158,18 +151,20 @@ def is_separable(state: BipartiteState) -> SeparabilityResult:
     outcome = lp_feasible(system)
     if outcome.status == INFEASIBLE:
         return SeparabilityResult(ENTANGLED, certificate=outcome.certificate)
-    va, vb = state.space_a.vertices, state.space_b.vertices
     weights = []
     pairs = []
-    for p in range(len(va)):
-        for q in range(len(vb)):
-            w = outcome.witness[p * len(vb) + q]
-            if w != 0:
-                weights.append(w)
-                pairs.append((State(va[p]), State(vb[q])))
+    for (a, b), w in zip(_vertex_pairs(state), outcome.witness, strict=True):
+        if w != 0:
+            weights.append(w)
+            pairs.append((State(a), State(b)))
     decomposition = SeparableDecomposition(tuple(weights), tuple(pairs))
     _check_decomposition(state, decomposition)
     return SeparabilityResult(SEPARABLE, decomposition=decomposition)
+
+
+def _vertex_pairs(state: BipartiteState) -> list:
+    """(vertex_A, vertex_B) pairs, A-major: the separability LP's variable order."""
+    return list(itertools.product(state.space_a.vertices, state.space_b.vertices))
 
 
 def _check_decomposition(state: BipartiteState, decomposition: SeparableDecomposition):
@@ -206,11 +201,11 @@ def subnormalized_conditional(state: BipartiteState, effect: Effect,
     The first coordinate of the result is the outcome probability, so no
     division happens here and zero-probability effects are fine.
     """
-    coeffs = effect.coeffs if isinstance(effect, Effect) else qvec(effect)
+    coeffs = _coeffs(effect)
     if side == "A":
         if len(coeffs) != state.space_a.ambient_dim:
             raise ValueError("effect dimension does not match side A")
-        return row_times_matrix(coeffs, state.matrix)
+        return combine(coeffs, state.matrix)
     if side == "B":
         if len(coeffs) != state.space_b.ambient_dim:
             raise ValueError("effect dimension does not match side B")
@@ -233,7 +228,7 @@ def conditional_state(state: BipartiteState, effect: Effect,
     p = vec[0]
     if p == 0:
         raise NullConditioningError("conditioning effect has probability zero")
-    return p, State(vscale(ONE / p, vec))
+    return p, State(combine((ONE / p,), (vec,)))
 
 
 def effect_to_state_isomorphism(space: StateSpace) -> tuple[tuple[Rational, ...], ...]:

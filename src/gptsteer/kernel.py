@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .exactlp import LinearSystem, vertex_enumerate
 from .ratio import ONE, ZERO, Rational, as_ratio, format_ratio
-from .vecs import affine_rank, combine, dot, qvec, rank, vadd, vscale, vzero
+from .vecs import affine_rank, combine, dot, qvec, rank, vzero
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,13 @@ class Effect:
         object.__setattr__(self, "coeffs", qvec(self.coeffs))
 
     def __add__(self, other: "Effect") -> "Effect":
-        return Effect(vadd(self.coeffs, other.coeffs))
+        return Effect(combine((ONE, ONE), (self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Effect") -> "Effect":
-        return Effect(tuple(a - b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
+        return Effect(combine((ONE, -ONE), (self.coeffs, other.coeffs)))
 
     def __rmul__(self, factor) -> "Effect":
-        return Effect(vscale(factor, self.coeffs))
+        return Effect(combine((as_ratio(factor),), (self.coeffs,)))
 
 
 def unit_effect(ambient_dim: int) -> Effect:
@@ -112,8 +112,7 @@ def barycenter(space: StateSpace) -> State:
 
 def probability(effect: Effect, state: State) -> Rational:
     """Exact outcome probability; effect and state must share a space."""
-    coeffs = effect.coeffs if isinstance(effect, Effect) else qvec(effect)
-    coords = state.coords if isinstance(state, State) else qvec(state)
+    coeffs, coords = _coeffs(effect), _coords(state)
     if len(coeffs) != len(coords):
         raise ValueError("effect and state dimensions differ")
     return dot(coeffs, coords)
@@ -177,7 +176,7 @@ def state_cone_facets(space: StateSpace) -> tuple[tuple[Rational, ...], ...]:
     """
     polar = LinearSystem(space.ambient_dim, ((barycenter(space).coords, ONE),),
                          tuple((v, ZERO) for v in space.vertices))
-    return tuple(sorted(vscale(ONE / max(dot(f, v) for v in space.vertices), f)
+    return tuple(sorted(combine((ONE / max(dot(f, v) for v in space.vertices),), (f,))
                         for f in vertex_enumerate(polar)))
 
 
@@ -234,12 +233,18 @@ def mix_effects(effects: Sequence[Effect], weights) -> Effect:
 
 
 def _mix(vectors, weights) -> tuple[Rational, ...]:
+    return combine(_mixture_weights(weights, len(vectors)), vectors)
+
+
+def _mixture_weights(weights, count: int) -> tuple[Rational, ...]:
+    """The weights of a mixture of count > 0 parts, checked to be a
+    probability vector of that length."""
     w = qvec(weights)
-    if len(w) != len(vectors) or not vectors:
+    if len(w) != count or not count:
         raise ValueError("weights and vectors differ in length")
     if any(x < 0 for x in w) or sum(w) != 1:
         raise ValueError("weights must be nonnegative and sum to one")
-    return combine(w, vectors)
+    return w
 
 
 def depolarize_observable(obs: Observable, visibility) -> Observable:

@@ -72,12 +72,18 @@ def random_observable_set(space: StateSpace, rng: random.Random,
 
 def random_state(space: StateSpace, rng: random.Random, denominator: int = 8) -> State:
     """Random vertex mixture with rational weights."""
+    return State(combine(_random_weights(rng, len(space.vertices), denominator),
+                         space.vertices))
+
+
+def _random_weights(rng: random.Random, count: int, denominator: int) -> list:
+    """count numerators drawn from 0..denominator, redrawn until one is
+    nonzero, then normalized to sum to one."""
     while True:
-        raw = [rng.randint(0, denominator) for _ in space.vertices]
+        raw = [rng.randint(0, denominator) for _ in range(count)]
         total = sum(raw)
         if total:
-            break
-    return State(combine([as_ratio(n, total) for n in raw], space.vertices))
+            return [as_ratio(n, total) for n in raw]
 
 
 def random_product_state(space_a: StateSpace, space_b: StateSpace,
@@ -93,13 +99,7 @@ def random_separable_state(space_a: StateSpace, space_b: StateSpace,
     count = rng.randint(2, max_terms)
     parts = [random_product_state(space_a, space_b, rng, denominator)
              for _ in range(count)]
-    while True:
-        raw = [rng.randint(0, denominator) for _ in range(count)]
-        total = sum(raw)
-        if total:
-            break
-    weights = [as_ratio(n, total) for n in raw]
-    return mix_bipartite_states(parts, weights)
+    return mix_bipartite_states(parts, _random_weights(rng, count, denominator))
 
 
 def random_max_tensor_state(space_a: StateSpace, space_b: StateSpace,

@@ -346,16 +346,11 @@ def conditioning_system(state: BipartiteState,
     inequality rows are effect validity on A's vertices, all the
     0 <= e(v) rows first, then the e(v) <= 1 rows.
     """
-    dim_a = state.space_a.ambient_dim
-    dim_b = state.space_b.ambient_dim
     target = qvec(target)
-    if len(target) != dim_b:
+    if len(target) != state.space_b.ambient_dim:
         raise ValueError("target dimension mismatch")
-    equalities = []
-    for j in range(dim_b):
-        column = tuple(state.matrix[i][j] for i in range(dim_a))
-        equalities.append((column, target[j]))
-    return LinearSystem(dim_a, tuple(equalities), _effect_rows(state.space_a))
+    equalities = tuple(zip(zip(*state.matrix), target, strict=True))
+    return LinearSystem(state.space_a.ambient_dim, equalities, _effect_rows(state.space_a))
 
 
 def find_conditioning_effect(state: BipartiteState,
@@ -431,8 +426,10 @@ def is_steerable_state(state: BipartiteState,
     A model found here is a local model for the given settings; if the
     family is the full set of observables one cares about, unsteerable
     verdicts extend to every coarse-graining and mixture of them, since
-    responses may be stochastic.
+    responses may be stochastic. The family is validated first, against
+    the state's A side.
     """
+    _check_family(observables, state.space_a)
     return check_lhs(assemblage_from(state, observables))
 
 

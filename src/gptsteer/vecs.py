@@ -33,23 +33,11 @@ def dot(a: Sequence, b: Sequence) -> Rational:
     return total
 
 
-def vadd(a: Sequence, b: Sequence) -> tuple[Rational, ...]:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vsub(a: Sequence, b: Sequence) -> tuple[Rational, ...]:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vscale(factor, a: Sequence) -> tuple[Rational, ...]:
-    f = as_ratio(factor)
-    return tuple(f * x for x in a)
-
-
 def combine(weights: Sequence, vectors: Sequence[Sequence]) -> tuple[Rational, ...]:
     """sum_i weights[i] * vectors[i], skipping zero weights and zero entries.
 
-    Needs at least one vector, whose length is the result's."""
+    The only weighted sum of vectors here; row times matrix is
+    combine(row, matrix). Needs at least one vector, whose length is the result's."""
     if not vectors:
         raise ValueError("need at least one vector")
     n = len(vectors[0])
@@ -70,11 +58,6 @@ def outer(a: Sequence, b: Sequence) -> tuple[tuple[Rational, ...], ...]:
 
 def transpose(matrix: Sequence[Sequence]) -> tuple[tuple[Rational, ...], ...]:
     return tuple(zip(*matrix, strict=True))
-
-
-def row_times_matrix(row: Sequence, matrix: Sequence[Sequence]) -> tuple[Rational, ...]:
-    """row (length m) times an m-by-n matrix, as a length-n tuple."""
-    return tuple(dot(row, col) for col in zip(*matrix, strict=True))
 
 
 def matrix_times_col(matrix: Sequence[Sequence], col: Sequence) -> tuple[Rational, ...]:
@@ -131,7 +114,7 @@ def affine_rank(points: Sequence[Sequence]) -> int:
     if len(points) <= 1:
         return 0
     base = points[0]
-    return rank([vsub(p, base) for p in points[1:]])
+    return rank([combine((ONE, -ONE), (p, base)) for p in points[1:]])
 
 
 def solve_unique(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Rational, ...] | None:

@@ -5,6 +5,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import gptsteer
@@ -122,6 +123,24 @@ def test_every_import_in_package_modules_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert sorted(unused) == []
+
+
+def test_private_helpers_and_vecs_functions_are_used():
+    # A private module-level function, or any function of vecs, must be
+    # referenced somewhere in the package outside its own body.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE_DIR.rglob("*.py"))}
+
+    def names(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    everywhere = Counter(name for tree in trees.values() for name in names(tree))
+    dead = [f"{file}:{node.name}" for file, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and (node.name.startswith("_") or file == "vecs.py")
+            and everywhere[node.name] == names(node).count(node.name)]
+    assert dead == []
 
 
 def _run_optimized(script):

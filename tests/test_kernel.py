@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gptsteer.composites import mix_bipartite_states
 from gptsteer.exactlp import convex_member
 from gptsteer.kernel import (Effect, Observable, State, StateSpace, barycenter,
                              depolarize_observable, dichotomic_observable,
@@ -18,7 +19,7 @@ from gptsteer.kernel import (Effect, Observable, State, StateSpace, barycenter,
                              zoo_by_name, zoo_classical, zoo_gbit, zoo_names,
                              zoo_polygon)
 from gptsteer.ratio import as_ratio, format_ratio
-from gptsteer.vecs import dot, row_times_matrix
+from gptsteer.vecs import combine, dot
 
 from oracles import effect_polytope_vertices
 
@@ -235,7 +236,7 @@ def test_geometry_never_enumerates_the_effect_polytope(monkeypatch):
         for i, a in enumerate(polygon.vertices[1])))
     assert not in_max_tensor(stretched)
     ea, eb = max_tensor_violation(stretched)
-    assert dot(row_times_matrix(ea.coeffs, stretched.matrix), eb.coeffs) < 0
+    assert dot(combine(ea.coeffs, stretched.matrix), eb.coeffs) < 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -313,6 +314,26 @@ def test_mixing(gbit, fiducials):
         mix_states([State((1, 0, 0))], (r(1, 2),))
     with pytest.raises(ValueError):
         mix_effects([X.effect("+")], (r(-1),))
+
+
+MIXTURES = {
+    "mix_states": lambda gbit, phi: (mix_states, State((1, 0, 0))),
+    "mix_effects": lambda gbit, phi: (mix_effects, gbit.unit),
+    "mix_bipartite_states": lambda gbit, phi: (mix_bipartite_states, phi),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MIXTURES))
+@pytest.mark.parametrize("parts, weights, message", [
+    (2, (r(1),), "weights and vectors differ in length"),
+    (0, (), "weights and vectors differ in length"),
+    (2, (r(-1, 2), r(3, 2)), "weights must be nonnegative and sum to one"),
+    (2, (r(1, 2), r(1, 4)), "weights must be nonnegative and sum to one"),
+], ids=["length", "empty", "negative", "sum"])
+def test_mixtures_share_the_weight_check(gbit, phi, kind, parts, weights, message):
+    mix, part = MIXTURES[kind](gbit, phi)
+    with pytest.raises(ValueError, match=message):
+        mix([part] * parts, weights)
 
 
 def test_depolarize(gbit, fiducials):

@@ -25,8 +25,8 @@ from gptsteer.kernel import (Effect, Observable, depolarize_observable,
 from gptsteer.ratio import ONE, ZERO, as_ratio
 from gptsteer.sampler import (SamplerConfig, random_max_tensor_state,
                               random_observable_set)
-from gptsteer.steering import (assemblage_from, check_lhs, lhs_critical_visibility,
-                               lhs_noise_threshold)
+from gptsteer.steering import (assemblage_from, check_lhs, is_steerable_state,
+                               lhs_critical_visibility, lhs_noise_threshold)
 
 r = as_ratio
 
@@ -182,6 +182,23 @@ def test_lhs_threshold_validates_the_family_first(gbit, phi, fiducials):
         lhs_noise_threshold((fiducials[0], bad), phi, r(1, 8))
     with pytest.raises(ValueError, match="observable 'bad' is not valid"):
         jm_noise_threshold((fiducials[0], bad), gbit, r(1, 8))
+    with pytest.raises(ValueError, match="observable 'bad' is not valid"):
+        is_steerable_state(phi, (fiducials[0], bad))
     other = dichotomic_observable("c", zoo_classical(3), Effect((1, 0, 0)))
     with pytest.raises(ValueError, match="'c' lives on a different space"):
         lhs_noise_threshold((other,), phi, r(1, 8))
+
+
+def test_critical_visibilities_validate_the_family_once_per_build(gbit, phi, fiducials,
+                                                                  monkeypatch):
+    # the JM builder checks the sharp family, then its depolarized copy;
+    # the LHS side checks the family once before its two builds
+    checked = []
+    valid = compatibility.is_valid_observable
+    monkeypatch.setattr(compatibility, "is_valid_observable",
+                        lambda obs: checked.append(obs.label) or valid(obs))
+    jm_critical_visibility(fiducials, gbit)
+    assert checked == ["X", "Y", "depol(X,0/1)", "depol(Y,0/1)"]
+    checked.clear()
+    lhs_critical_visibility(fiducials, phi)
+    assert checked == ["X", "Y"]
