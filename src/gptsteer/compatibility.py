@@ -118,12 +118,12 @@ def jm_linear_system(observables: Sequence[Observable], space: StateSpace) -> Li
     tuples = _index_tuples(outcomes)
     units = [(ZERO,) * c + (ONE,) + (ZERO,) * (dim - 1 - c) for c in range(dim)]
     columns = [e_c + _slot_stack(t, e_c, outcomes) for t in tuples for e_c in units]
-    target = space.unit.coeffs + tuple(c for obs in observables
-                                       for e in obs.effects for c in e.coeffs)
-    inequalities = tuple((_slot_stack((t,), v, (tuples,)), ZERO)
-                         for t in range(len(tuples)) for v in space.vertices)
-    return LinearSystem(len(columns), tuple(zip(zip(*columns), target, strict=True)),
-                        inequalities)
+    target = space.unit.coeffs + tuple([c for obs in observables
+                                        for e in obs.effects for c in e.coeffs])
+    inequalities = tuple([(_slot_stack((t,), v, (tuples,)), ZERO)
+                          for t in range(len(tuples)) for v in space.vertices])
+    equalities = tuple([*zip(zip(*columns), target, strict=True)])  # a list first: see vecs
+    return LinearSystem(len(columns), equalities, inequalities)
 
 
 def check_joint_measurability(observables: Sequence[Observable],
@@ -172,7 +172,8 @@ def jm_critical_visibility(observables: Sequence[Observable], space: StateSpace)
     Exact, from one LP (``_critical_level``); 1 for a family that is
     jointly measurable even sharp. The sharp build validates the family.
     """
-    return _critical_level(observables, lambda noisy: jm_linear_system(noisy, space))
+    return _critical_level(jm_linear_system(observables, space), observables,
+                           lambda noisy: jm_linear_system(noisy, space))
 
 
 def jm_noise_threshold(observables: Sequence[Observable], space: StateSpace,
@@ -191,7 +192,8 @@ def jm_noise_threshold(observables: Sequence[Observable], space: StateSpace,
     return _level_bracket(jm_critical_visibility(observables, space), eps, "JM")
 
 
-def _critical_level(observables: Sequence[Observable], system_of) -> Rational:
+def _critical_level(sharp: LinearSystem, observables: Sequence[Observable],
+                    system_of) -> Rational:
     """Largest level in [0, 1] at which system_of(depolarized family) is feasible.
 
     The coefficient rows of the system do not depend on the level and
@@ -200,11 +202,11 @@ def _critical_level(observables: Sequence[Observable], system_of) -> Rational:
     >=) b0 over (x, eta), with eta >= 0 and -eta >= -1 appended. One
     lp_optimize maximizes eta; it audits the optimal point and the dual
     multipliers that bound eta from above. Level 0 is always feasible,
-    so the feasible levels form the interval [0, optimum]. The sharp
-    system is built first, so a builder that validates the family
-    names a bad observable, not its depolarized copy.
+    so the feasible levels form the interval [0, optimum]. The caller
+    builds sharp, the system at level 1, first, so a builder that
+    validates the family names a bad observable, not its depolarized
+    copy.
     """
-    sharp = system_of(tuple(observables))
     base = system_of(tuple(depolarize_observable(o, ZERO) for o in observables))
     n = base.variable_count
 
@@ -217,7 +219,7 @@ def _critical_level(observables: Sequence[Observable], system_of) -> Rational:
         return tuple(out)
 
     level = (ZERO,) * n + (ONE,)
-    bounds = ((level, ZERO), (tuple(-c for c in level), -ONE))
+    bounds = ((level, ZERO), (combine((-ONE,), (level,)), -ONE))
     system = LinearSystem(n + 1, with_level(base.equalities, sharp.equalities),
                           with_level(base.inequalities, sharp.inequalities) + bounds)
     result = lp_optimize(level, system, "max")

@@ -1,9 +1,12 @@
 """Exact rational linear programming and polytope vertex enumeration.
 
-Feasibility and optimization run a two-phase primal simplex over exact
-rationals with Bland's smallest-index pivot rule, so every run
-terminates and identical inputs give identical answers. Its pivot is
+Feasibility and optimization run a two-phase primal simplex, exact and
+with Bland's smallest-index pivot rule, so every run terminates and
+identical inputs give identical answers. Its tableau is fraction-free:
+integer rows, each over one positive denominator, pivoted by
 ``vecs.pivot``, the Gauss-Jordan step of ``vecs`` elimination too.
+Rationals are built only where values leave the tableau: the witness
+or optimal point, the multipliers and the optimum.
 A row x_j >= 0 is a bound on column j, not a tableau row of its own,
 and only variables without one are split into two nonnegative parts.
 Infeasible systems always come back with a Farkas certificate that
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 from .errors import UnboundedRegionError, VerificationError
 from .ratio import ONE, ZERO, Rational, as_ratio
-from .vecs import combine, dot, pivot, qvec, rank, solve_unique, vzero
+from .vecs import combine, dot, pivot, primitive_row, qvec, rank, solve_unique, vzero
 
 log = logging.getLogger(__name__)
 
@@ -150,7 +153,7 @@ def certifies_optimum(system: LinearSystem, objective, value, certificate,
         return False
     coeffs, rhs = combination
     sign = -ONE if sense == "max" else ONE
-    return coeffs == tuple(sign * c for c in qvec(objective)) and rhs == sign * as_ratio(value)
+    return coeffs == combine((sign,), (qvec(objective),)) and rhs == sign * as_ratio(value)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +163,18 @@ def certifies_optimum(system: LinearSystem, objective, value, certificate,
 # variable is split x = xp - xm, every other inequality gets a slack, rows
 # are flipped to nonnegative rhs, and rows that still lack a basic column get
 # an artificial variable for phase one. Columns run x (xp for split ones),
-# xm, slacks, artificials. The rhs is each row's last column, and a pivot is
-# one vecs.pivot over rows + objrow. The artificial columns stay after phase
-# one, never entering again: with the ready-made slacks they are the unit
-# columns that row multipliers are read off.
+# xm, slacks, artificials. The rhs is each row's last column. The artificial
+# columns stay after phase one, never entering again: with the ready-made
+# slacks they are the unit columns that row multipliers are read off.
+#
+# The tableau is fraction-free, as in lrs (Avis 2000; Edmonds 1967): each
+# row, the objective row too, is a list of ints over one positive
+# denominator, kept primitive (vecs.primitive_row), and a pivot is one
+# vecs.pivot over rows + objective. Bland's entering rule reads only signs,
+# and the ratio test compares rhs_i a_k with rhs_k a_i; both are invariant
+# under positive row scaling, so the pivots are those of the same simplex
+# over rationals. Values become rationals only where they leave the
+# tableau: the point (extract_point), the multipliers and the optimum.
 
 
 def _bound_rows(system: LinearSystem) -> dict[int, int]:
@@ -189,7 +200,12 @@ class _Tableau:
         self.minus_col = {j: n + k for k, j in enumerate(free)}
         kept = [i for i in range(len(system.inequalities)) if i not in bound_ineq]
         self.struct_cols = n + len(free) + len(kept)
-        self.rows: list[list[Rational]] = []
+        # Row i stands for rows[i][j] / dens[i]; the objective row of the
+        # phase that runs for obj[j] / obj_den.
+        self.rows: list[list[int]] = []
+        self.dens: list[int] = []
+        self.obj: list[int] = []
+        self.obj_den = 1
         # Per initial row, kept when redundant rows are dropped: its index in
         # system row order, its sign flip, and its unit column (artificial,
         # or the slack when that is a ready-made basis column).
@@ -202,15 +218,16 @@ class _Tableau:
         all_rows += [(*system.inequalities[i], n_eq + i, n + len(free) + k)
                      for k, i in enumerate(kept)]
         for coeffs, b, origin, slack in all_rows:
-            row = [ZERO] * self.struct_cols + [b]
-            for j, c in enumerate(coeffs):
+            ints, den = primitive_row((*coeffs, b))
+            row = [0] * self.struct_cols + [ints[-1]]
+            for j, c in enumerate(ints[:-1]):
                 if c:
                     row[j] = c
                     m = self.minus_col.get(j)
                     if m is not None:
                         row[m] = -c
             if slack is not None:
-                row[slack] = -ONE
+                row[slack] = -den
             # Flip to nonnegative rhs; flipping an inequality row turns its
             # slack coefficient to +1, making the slack a ready-made basis
             # column, so flip on b == 0 too.
@@ -220,9 +237,10 @@ class _Tableau:
             else:
                 sign = ONE
             self.rows.append(row)
+            self.dens.append(den)
             self.origin.append(origin)
             self.flip.append(sign)
-            self.unit_col.append(slack if slack is not None and row[slack] == ONE else None)
+            self.unit_col.append(slack if slack is not None and row[slack] > 0 else None)
         self.row_count = len(self.rows)
 
         pending_art = [r for r, col in enumerate(self.unit_col) if col is None]
@@ -230,62 +248,79 @@ class _Tableau:
         for k, r in enumerate(pending_art):
             self.unit_col[r] = self.struct_cols + k
         self.basis: list[int] = list(self.unit_col)
-        for row, col in zip(self.rows, self.unit_col):
-            row[-1:-1] = [ZERO] * len(pending_art)
+        for row, den, col in zip(self.rows, self.dens, self.unit_col):
+            row[-1:-1] = [0] * len(pending_art)
             if col >= self.struct_cols:
-                row[col] = ONE
+                row[col] = den
 
     # -- pivoting ----------------------------------------------------------
 
-    def step(self, objrow: list[Rational], r: int, c: int):
-        pivot(self.rows + [objrow], r, c)
+    def _pivot(self, r: int, c: int):
+        """One vecs.pivot over the rows and the objective row."""
+        dens = self.dens + [self.obj_den]
+        pivot(self.rows + [self.obj], dens, r, c)
+        *self.dens, self.obj_den = dens
+
+    def step(self, r: int, c: int):
+        self._pivot(r, c)
         self.basis[r] = c
         self.pivots += 1
 
-    def run_bland(self, objrow: list[Rational], allowed_cols: int) -> str:
+    def _start_phase(self, cost: list[int], cost_den: int):
+        """Make cost / cost_den, one entry per column and a zero rhs, the
+        objective row, priced out: a pivot on each basic position with a
+        nonzero cost zeroes that column in the objective and leaves the
+        rows, whose basic entry is already one, as they are."""
+        self.obj, self.obj_den = cost, cost_den
+        for r, b in enumerate(self.basis):
+            if self.obj[b]:
+                self._pivot(r, b)
+
+    def run_bland(self, allowed_cols: int) -> str:
         """Minimize until no negative reduced cost; returns OPTIMAL|UNBOUNDED."""
+        obj = self.obj
         while True:
-            enter = next((j for j in range(allowed_cols) if objrow[j] < 0), None)
+            enter = next((j for j in range(allowed_cols) if obj[j] < 0), None)
             if enter is None:
                 return OPTIMAL
             leave = None
-            best = None
             for i, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    t = row[-1] / a
-                    if best is None or t < best or (t == best and self.basis[i] < self.basis[leave]):
-                        best = t
-                        leave = i
+                    # rhs / a against the best rhs / a; denominators cancel
+                    if leave is None:
+                        leave, best_rhs, best_a = i, row[-1], a
+                        continue
+                    t, best = row[-1] * best_a, best_rhs * a
+                    if t < best or (t == best and self.basis[i] < self.basis[leave]):
+                        leave, best_rhs, best_a = i, row[-1], a
             if leave is None:
                 return UNBOUNDED
-            self.step(objrow, leave, enter)
+            self.step(leave, enter)
 
     # -- phases ------------------------------------------------------------
 
     def phase_one(self) -> tuple[Rational, ...] | None:
         """None when feasible, else a Farkas certificate that is checked
         here by substitution (VerificationError if it fails)."""
-        art_rows = [r for r, col in enumerate(self.unit_col) if col >= self.struct_cols]
-        objrow = [ZERO] * (self.total_cols + 1)
-        for r in art_rows:
-            for j, x in enumerate(self.rows[r]):
-                if x:
-                    objrow[j] -= x
-        for r in art_rows:
-            objrow[self.unit_col[r]] += ONE
-        if self.run_bland(objrow, self.total_cols) != OPTIMAL:
+        cost = [0] * (self.total_cols + 1)
+        cost[self.struct_cols:self.total_cols] = [1] * (self.total_cols - self.struct_cols)
+        self._start_phase(cost, 1)
+        if self.run_bland(self.total_cols) != OPTIMAL:
             raise VerificationError("phase one objective is bounded below by zero")
         # The objective row's last entry is minus the artificials' total.
-        if objrow[-1] < 0:
-            certificate = self.multipliers(objrow, ONE)
+        if self.obj[-1] < 0:
+            certificate = self.multipliers(ONE)
             if not refutes(self.system, certificate):
                 raise VerificationError("Farkas certificate fails substitution")
             return certificate
-        self._drive_out_artificials(objrow)
+        self._drive_out_artificials()
         return None
 
-    def multipliers(self, objrow: list[Rational], art_cost: Rational) -> tuple[Rational, ...]:
+    def _objective_entry(self, j: int) -> Rational:
+        return as_ratio(self.obj[j], self.obj_den)
+
+    def multipliers(self, art_cost: Rational) -> tuple[Rational, ...]:
         """Simplex multipliers in system row order, read off reduced costs.
 
         The unit column of initial row r is e_r, with cost art_cost if it
@@ -298,13 +333,13 @@ class _Tableau:
         mults = [ZERO] * self.system.row_count
         for origin, sign, col in zip(self.origin, self.flip, self.unit_col):
             cost = art_cost if col >= self.struct_cols else ZERO
-            mults[origin] = sign * (cost - objrow[col])
+            mults[origin] = sign * (cost - self._objective_entry(col))
         n_eq = len(self.system.equalities)
         for j, i in self.bound_row.items():
-            mults[n_eq + i] = objrow[j]
+            mults[n_eq + i] = self._objective_entry(j)
         return tuple(mults)
 
-    def _drive_out_artificials(self, objrow: list[Rational]):
+    def _drive_out_artificials(self):
         drop: list[int] = []
         for r in range(len(self.rows)):
             if self.basis[r] < self.struct_cols:
@@ -313,38 +348,33 @@ class _Tableau:
             if col is None:
                 drop.append(r)  # redundant row
             else:
-                self.step(objrow, r, col)
+                self.step(r, col)
         for r in reversed(drop):
-            del self.rows[r], self.basis[r]
+            del self.rows[r], self.dens[r], self.basis[r]
 
     def phase_two(self, objective) -> tuple[str, Rational | None, tuple[Rational, ...] | None]:
         """Minimize objective (over original free variables) after phase one.
 
         Returns the status, the optimum and its multipliers, which combine
         the rows into objective . x >= optimum."""
-        cost = [ZERO] * (self.total_cols + 1)
-        for j, c in enumerate(objective):
+        ints, den = primitive_row(objective)
+        cost = [0] * (self.total_cols + 1)
+        for j, c in enumerate(ints):
             cost[j] = c
             m = self.minus_col.get(j)
             if m is not None:
                 cost[m] = -c
-        objrow = list(cost)
-        for r, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb:
-                for j, x in enumerate(self.rows[r]):
-                    if x:
-                        objrow[j] -= cb * x
-        status = self.run_bland(objrow, self.struct_cols)
+        self._start_phase(cost, den)
+        status = self.run_bland(self.struct_cols)
         if status == UNBOUNDED:
             return UNBOUNDED, None, None
         # The objective row's last entry is minus the objective value.
-        return OPTIMAL, -objrow[-1], self.multipliers(objrow, ZERO)
+        return OPTIMAL, -self._objective_entry(-1), self.multipliers(ZERO)
 
     def extract_point(self) -> tuple[Rational, ...]:
         values = [ZERO] * self.struct_cols
-        for r, b in enumerate(self.basis):
-            values[b] += self.rows[r][-1]  # adding to ZERO keeps int rhs rational
+        for row, den, b in zip(self.rows, self.dens, self.basis):
+            values[b] = as_ratio(row[-1], den)  # the basic entry is one
         point = values[:self.n]
         for j, m in self.minus_col.items():
             point[j] -= values[m]
@@ -389,7 +419,7 @@ def lp_optimize(objective, system: LinearSystem, sense: str = "max") -> Optimiza
     if certificate is not None:
         tableau.log_solve("lp_optimize", phase_one_pivots)
         return OptimizationResult(INFEASIBLE, certificate=certificate)
-    internal = tuple(-c for c in obj) if sense == "max" else obj
+    internal = combine((-ONE,), (obj,)) if sense == "max" else obj
     status, value, certificate = tableau.phase_two(internal)
     tableau.log_solve("lp_optimize", phase_one_pivots)
     if status == UNBOUNDED:

@@ -22,6 +22,11 @@ from .exactlp import LinearSystem, vertex_enumerate
 from .ratio import ONE, ZERO, Rational, as_ratio, format_ratio
 from .vecs import affine_rank, combine, dot, qvec, rank, vzero
 
+# extremal_effects and state_cone_facets keep the geometry of this many
+# spaces, the most recently used, so that a process building model after
+# model does not keep every one of them alive.
+GEOMETRY_CACHE_SIZE = 16
+
 
 @dataclass(frozen=True)
 class State:
@@ -146,13 +151,14 @@ def is_valid_state(state, space: StateSpace) -> bool:
     return coords[0] == 1 and in_state_cone(coords, space)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def extremal_effects(space: StateSpace) -> tuple[Effect, ...]:
     """Extreme points of the effect polytope, in sorted coefficient order.
 
     The effect polytope is cut out by 0 <= e(v) <= 1 over the vertices;
     its extreme points are enumerated exactly over C(2V, d) active sets
-    and cached per space. Only ``gptsteer zoo show`` needs them.
+    and cached per space (the last GEOMETRY_CACHE_SIZE spaces). Only
+    ``gptsteer zoo show`` needs them.
     """
     system = LinearSystem(space.ambient_dim, (), _effect_rows(space))
     return tuple(Effect(point) for point in vertex_enumerate(system))
@@ -162,10 +168,10 @@ def _effect_rows(space: StateSpace) -> tuple:
     """Effect validity as inequality rows over the coefficients: every
     0 <= e.v row in vertex order, then every e.v <= 1 row (as -e.v >= -1)."""
     return (tuple((v, ZERO) for v in space.vertices)
-            + tuple((tuple(-c for c in v), -ONE) for v in space.vertices))
+            + tuple((combine((-ONE,), (v,)), -ONE) for v in space.vertices))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def state_cone_facets(space: StateSpace) -> tuple[tuple[Rational, ...], ...]:
     """Facet normals of the state cone, which generate the effect cone.
 
@@ -401,7 +407,7 @@ def mother_outcome_tuples(observables: Sequence[Observable]) -> tuple[tuple[str,
 def _index_tuples(outcomes) -> tuple[tuple[int, ...], ...]:
     """Outcome-index tuples in ``mother_outcome_tuples`` order; outcomes[x]
     lists the outcomes of setting x."""
-    return tuple(itertools.product(*(range(len(row)) for row in outcomes)))
+    return tuple([*itertools.product(*[range(len(row)) for row in outcomes])])
 
 
 def _slot_stack(strategy, vector, outcomes) -> tuple:

@@ -2,9 +2,10 @@
 
 All coordinates, probabilities and LP data are rationals, never floats:
 the decision procedures are exact, and a tolerance anywhere would turn
-their yes/no answers into guesses. gmpy2's mpq is used when present (it
-is much faster under heavy simplex pivoting); fractions.Fraction is a
-drop-in fallback with identical semantics.
+their yes/no answers into guesses. gmpy2's mpq is used when present;
+fractions.Fraction is a drop-in fallback with identical semantics. The
+simplex and elimination pivot on Python ints (``vecs.pivot``) with
+either backend, reading values through .numerator and .denominator.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ Rational = Any
 
 ZERO = _make(0)
 ONE = _make(1)
+_RATIONAL_TYPE = type(ONE)
 
 _RATIO_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
@@ -36,11 +38,15 @@ def as_ratio(value, denominator=None) -> Rational:
     rejected outright; they would smuggle rounding into code whose whole
     point is exactness.
     """
+    if denominator is None and type(value) is _RATIONAL_TYPE:
+        return value  # already exact, and immutable
     if isinstance(value, float) or isinstance(denominator, float):
         raise TypeError(f"floats are not exact rationals: {value!r}")
     if denominator is not None:
         if denominator == 0:
             raise ValueError("zero denominator")
+        if type(value) is int and type(denominator) is int:
+            return _make(value, denominator)
         return _make(value) / _make(denominator)
     if isinstance(value, str):
         return parse_ratio(value)

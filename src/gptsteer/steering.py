@@ -123,6 +123,11 @@ def assemblage_from(state: BipartiteState,
     for obs in observables:
         if obs.space is not state.space_a and obs.space != state.space_a:
             raise ValueError("observables must act on the A side of the state")
+    return _steered(state, observables)
+
+
+def _steered(state: BipartiteState, observables: tuple[Observable, ...]) -> Assemblage:
+    """The body of assemblage_from, for inputs it has already checked."""
     elements = tuple(
         tuple(subnormalized_conditional(state, eff, "A")
               for eff in obs.effects)
@@ -229,7 +234,7 @@ def lhs_linear_system(assemblage: Assemblage) -> LinearSystem:
     (x, strategy[x]) for each setting x and zeros in every other slot.
     Its weights are the variables c[strategy][vertex].
     """
-    target = tuple(c for row in assemblage.elements for e in row for c in e)
+    target = tuple([c for row in assemblage.elements for e in row for c in e])
     return membership_system(target, _generators(assemblage.space, assemblage.outcomes),
                              convex=False)
 
@@ -391,7 +396,7 @@ def lhs_to_mother(model: LhsModel, state: BipartiteState) -> MotherObservable:
         raise ValueError("model must live on the B side of the state")
     prepared = []
     for i, lam in enumerate(model.lambdas):
-        target = tuple(lam.weight * c for c in lam.state.coords)
+        target = combine((lam.weight,), (lam.state.coords,))
         try:
             prepared.append(find_conditioning_effect(state, target))
         except NotRemotelyPreparableError as err:
@@ -469,7 +474,7 @@ def is_strongly_steerable_for(state: BipartiteState,
         effects = []
         report = None
         for i, (w, s) in enumerate(pairs):
-            target = tuple(w * c for c in s.coords)
+            target = combine((w,), (s.coords,))
             try:
                 effects.append(find_conditioning_effect(state, target))
             except NotRemotelyPreparableError as err:
@@ -491,10 +496,13 @@ def lhs_critical_visibility(observables: tuple[Observable, ...],
     (``compatibility._critical_level``); 1 for a family that steers
     nothing even sharp. On the canonical maximally entangled state it
     equals the family's critical visibility for joint measurability.
+    The sharp assemblage is checked; its depolarized copy is built from
+    the same state and family, so it is not checked again.
     """
     _check_family(observables, state.space_a)
-    return _critical_level(observables,
-                           lambda noisy: lhs_linear_system(assemblage_from(state, noisy)))
+    return _critical_level(lhs_linear_system(assemblage_from(state, observables)),
+                           observables,
+                           lambda noisy: lhs_linear_system(_steered(state, noisy)))
 
 
 def lhs_noise_threshold(observables: tuple[Observable, ...],

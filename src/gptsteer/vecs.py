@@ -2,19 +2,28 @@
 
 Everything here is immutable-in, immutable-out, except ``pivot``, the
 in-place Gauss-Jordan step that elimination shares with the ``exactlp``
-simplex; matrices are tuples of row tuples. Gaussian elimination uses
-first-nonzero pivoting, which is all exact arithmetic needs.
+simplex; matrices are tuples of row tuples. ``pivot`` works fraction-free,
+on rows of Python ints over one positive denominator per row
+(``primitive_row``), so no rational is built while a matrix is reduced;
+values become rationals again only where they leave it. Gaussian
+elimination uses first-nonzero pivoting, which is all exact arithmetic
+needs.
+
+Hot paths build tuples from lists (``tuple([...])``), not generators:
+CPython sizes a generator's tuple by resizing, and its tuple free lists
+keep the resized blocks, which over a long run shows as peak memory.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from .ratio import ONE, ZERO, Rational, as_ratio
 
 
 def qvec(values: Iterable) -> tuple[Rational, ...]:
-    return tuple(as_ratio(v) for v in values)
+    return tuple([as_ratio(v) for v in values])
 
 
 def qmat(rows: Iterable[Iterable]) -> tuple[tuple[Rational, ...], ...]:
@@ -64,27 +73,59 @@ def matrix_times_col(matrix: Sequence[Sequence], col: Sequence) -> tuple[Rationa
     return tuple(dot(row, col) for row in matrix)
 
 
-def pivot(rows: list[list], r: int, c: int) -> None:
-    """Gauss-Jordan step in place: rows[r][c] becomes one and column c of
-    every other row zero, touching only the columns where row r is nonzero."""
+def primitive_row(values: Iterable) -> tuple[list[int], int]:
+    """Rationals as (ints, den): integers over their least common
+    denominator, the row form of ``pivot``. Each value is read through
+    .numerator and .denominator only, and is in lowest terms, so the row
+    is primitive: math.gcd(den, *ints) == 1."""
+    values = list(values)
+    den = math.lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def pivot(rows: list[list[int]], dens: list[int], r: int, c: int) -> None:
+    """Integer Gauss-Jordan step in place: afterwards rows[r][c] / dens[r]
+    is one and column c of every other row zero.
+
+    Row i stands for the rationals rows[i][j] / dens[i], with dens[i] > 0
+    and the row primitive (math.gcd(dens[i], *rows[i]) == 1). With p =
+    rows[r][c], row r becomes row_r / p, p's sign moved into the row so
+    that its denominator stays positive; every other row i with f =
+    rows[i][c] != 0 becomes (p row_i - f row_r) over dens[i] p. Each
+    changed row is divided by its gcd with its denominator, so every row
+    stays primitive and one value has one representation. Rows change
+    in place (callers may pass a fresh list of their rows); the
+    subtraction touches only the columns where row r is nonzero.
+    """
     prow = rows[r]
-    piv = prow[c]
-    if piv != ONE:
-        inv = ONE / piv
-        for j, x in enumerate(prow):
-            if x:
-                prow[j] = x * inv
+    if prow[c] < 0:
+        prow[:] = [-b for b in prow]
+    g = math.gcd(*prow)
+    if g != 1:
+        prow[:] = [b // g for b in prow]
+    p = dens[r] = prow[c]
     entries = [(j, b) for j, b in enumerate(prow) if b]
     for i, row in enumerate(rows):
         if i != r:
             f = row[c]
             if f:
+                g = math.gcd(p, f)
+                scale, f = p // g, f // g
+                if scale != 1:
+                    row[:] = [scale * x for x in row]
                 for j, b in entries:
                     row[j] -= f * b
+                den = dens[i] * scale
+                g = math.gcd(den, *row)
+                if g != 1:
+                    row[:] = [x // g for x in row]
+                    den //= g
+                dens[i] = den
 
 
-def _eliminate(work: list[list], ncols: int) -> int:
-    """Gauss-Jordan elimination of work, in place, over its first ncols columns.
+def _eliminate(work: list[list[int]], dens: list[int], ncols: int) -> int:
+    """Gauss-Jordan elimination of the integer rows work / dens, in place,
+    over their first ncols columns.
 
     Returns the rank r. Rows 0..r-1 then have a one in their own pivot
     column, pivot columns increasing with the row, and a zero in every
@@ -96,17 +137,24 @@ def _eliminate(work: list[list], ncols: int) -> int:
         if found is None:
             continue
         work[r], work[found] = work[found], work[r]
-        pivot(work, r, col)
+        dens[r], dens[found] = dens[found], dens[r]
+        pivot(work, dens, r, col)
         r += 1
         if r == len(work):
             break
     return r
 
 
+def _integer_rows(rows: Iterable[Iterable]) -> tuple[list[list[int]], list[int]]:
+    """The rows in ``primitive_row`` form, as the work and dens of _eliminate."""
+    pairs = [primitive_row(row) for row in rows]
+    return [ints for ints, _ in pairs], [den for _, den in pairs]
+
+
 def rank(rows: Sequence[Sequence]) -> int:
     if not rows:
         return 0
-    return _eliminate([list(r) for r in rows], len(rows[0]))
+    return _eliminate(*_integer_rows(rows), len(rows[0]))
 
 
 def affine_rank(points: Sequence[Sequence]) -> int:
@@ -122,11 +170,11 @@ def solve_unique(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Rational, .
     if not matrix:
         return None
     n = len(matrix[0])
-    aug = [list(row) + [r] for row, r in zip(matrix, rhs, strict=True)]
-    if _eliminate(aug, n) < n:
+    aug, dens = _integer_rows((*row, r) for row, r in zip(matrix, rhs, strict=True))
+    if _eliminate(aug, dens, n) < n:
         return None  # underdetermined
     for row in aug[n:]:
         if row[n] != 0:
             return None  # inconsistent
     # Every column is a pivot column, so row i holds x_i.
-    return qvec(row[n] for row in aug[:n])
+    return tuple([as_ratio(row[n], den) for row, den in zip(aug[:n], dens)])

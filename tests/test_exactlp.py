@@ -6,7 +6,9 @@ witness/certificate contract on arbitrary small systems against the
 same independent verifiers.
 """
 
+import hashlib
 import logging
+import math
 import re
 from fractions import Fraction
 
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptsteer.compatibility import jm_linear_system
+import gptsteer.compatibility as compatibility
+from gptsteer.compatibility import jm_critical_visibility, jm_linear_system
 from gptsteer.composites import canonical_max_entangled, separability_system
 from gptsteer.errors import UnboundedRegionError, VerificationError
 from gptsteer.exactlp import (ACTIVE_SET_CAP, FEASIBLE, INFEASIBLE, OPTIMAL,
@@ -22,13 +25,14 @@ from gptsteer.exactlp import (ACTIVE_SET_CAP, FEASIBLE, INFEASIBLE, OPTIMAL,
                               cone_member, convex_member, lp_feasible,
                               lp_optimize, membership_system, refutes,
                               satisfies, vertex_enumerate)
-from gptsteer.kernel import (Observable, depolarize_observable, extremal_effects,
-                             zoo_classical, zoo_gbit, zoo_polygon)
+from gptsteer.kernel import (Observable, depolarize_observable, dichotomic_observable,
+                             extremal_effects, state_cone_facets, zoo_classical,
+                             zoo_gbit, zoo_polygon)
 from gptsteer.ratio import as_ratio, format_ratio, parse_ratio
 from gptsteer.sampler import (SamplerConfig, make_rng, random_observable_set,
                               random_separable_state)
-from gptsteer.steering import assemblage_from, lhs_linear_system
-from gptsteer.vecs import combine
+from gptsteer.steering import assemblage_from, lhs_critical_visibility, lhs_linear_system
+from gptsteer.vecs import combine, pivot, primitive_row
 
 from oracles import (brute_force_vertices, check_farkas, check_optimum,
                      check_point, jm_rows, lhs_rows, separability_rows)
@@ -271,6 +275,72 @@ def test_debug_line_per_solve(caplog, phi, fiducials):
     assert feasible and optimize
     assert int(feasible[1]) > 0 and feasible[2] == "0"
     assert optimize[1] == feasible[1]  # phase one runs the same pivots
+
+
+# --- the integer pivot -----------------------------------------------------
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(small_rationals, min_size=4, max_size=4), min_size=1, max_size=4),
+       st.integers(0, 3), st.integers(0, 3))
+def test_pivot_is_the_rational_gauss_jordan_step(matrix, r, c):
+    r %= len(matrix)
+    if matrix[r][c] == 0:
+        matrix[r][c] = Fraction(-3, 2)
+    pairs = [primitive_row(row) for row in matrix]
+    rows, dens = [ints for ints, _ in pairs], [den for _, den in pairs]
+    assert all(math.gcd(den, *ints) == 1 for ints, den in pairs)
+    pivot(rows, dens, r, c)
+    prow = [x / matrix[r][c] for x in matrix[r]]
+    expected = [prow if i == r else [x - row[c] * y for x, y in zip(row, prow)]
+                for i, row in enumerate(matrix)]
+    assert [[Fraction(x, den) for x in ints] for ints, den in zip(rows, dens)] == expected
+    assert all(den > 0 and math.gcd(den, *ints) == 1 for ints, den in zip(rows, dens))
+
+
+def test_pivot_sequence_and_evidence_are_frozen(gbit, phi, fiducials, monkeypatch):
+    # The (row, column) of every simplex pivot and every result, witnesses
+    # and certificates included, of a fixed set of solves: the gbit X/Y JM
+    # and LHS systems sharp (infeasible phase ones) and at visibility 1/2,
+    # the X/Y JM and LHS critical-level LPs, and one polygon-8 critical
+    # level. Both digests were taken from the rational (Fraction) tableau
+    # that the integer one replaced; its pivots must be the same.
+    pivots, results = [], []
+    step = _Tableau.step
+    monkeypatch.setattr(_Tableau, "step",
+                        lambda self, *args: pivots.append(args[-2:]) or step(self, *args))
+    optimize = compatibility.lp_optimize
+    monkeypatch.setattr(compatibility, "lp_optimize",
+                        lambda *args: results.append(optimize(*args)) or results[-1])
+    half = tuple(depolarize_observable(o, r(1, 2)) for o in fiducials)
+    for family in (fiducials, half):
+        results.append(lp_feasible(jm_linear_system(family, gbit)))
+        results.append(lp_feasible(lhs_linear_system(assemblage_from(phi, family))))
+    jm_critical_visibility(fiducials, gbit)
+    lhs_critical_visibility(fiducials, phi)
+    octagon = zoo_polygon(8)
+    facets = state_cone_facets(octagon)
+    jm_critical_visibility((dichotomic_observable("a", octagon, facets[0]),
+                            dichotomic_observable("b", octagon, facets[2])), octagon)
+
+    def ratios(values):
+        if values is None:
+            return "-"
+        return ",".join(map(format_ratio, values if isinstance(values, tuple) else (values,)))
+
+    text = "\n".join(f"{res.status} {ratios(getattr(res, 'witness', None))} "
+                     f"{ratios(getattr(res, 'value', None))} "
+                     f"{ratios(getattr(res, 'point', None))} {ratios(res.certificate)}"
+                     for res in results)
+    assert [res.status for res in results] == [INFEASIBLE, INFEASIBLE, FEASIBLE, FEASIBLE,
+                                               OPTIMAL, OPTIMAL, OPTIMAL]
+    assert len(pivots) == 113
+    assert hashlib.sha256(repr(pivots).encode()).hexdigest() == \
+        "eac80a9a71bf7f6db5b9598d1598cdf4bae621d4bba0176783a7e7163bdd78cf"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "aa5550a072f14daacecbc3a05103deac277eac54071eee9f5eefc1cabd7cb07e"
 
 
 # --- vertex enumeration -----------------------------------------------------

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from gptsteer.composites import mix_bipartite_states
 from gptsteer.exactlp import convex_member
-from gptsteer.kernel import (Effect, Observable, State, StateSpace, barycenter,
+from gptsteer.kernel import (GEOMETRY_CACHE_SIZE, Effect, Observable, State,
+                             StateSpace, barycenter,
                              depolarize_observable, dichotomic_observable,
                              extremal_effects, in_state_cone, is_valid_effect,
                              is_valid_observable, is_valid_state, mix_effects,
@@ -172,6 +173,25 @@ def test_zoo_geometry_is_pinned():
     assert len(lines) == 191
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "3e24fba2ecb351290453f5817826bdd993c13851d5d450fbd73ff3241ea917f1"
+
+
+def test_geometry_caches_are_bounded():
+    # segments (1, k)..(1, k + 1): more distinct spaces than the caches keep
+    for k in range(GEOMETRY_CACHE_SIZE + 4):
+        extremal_effects(StateSpace(f"segment-{k}", 2, ((1, k), (1, k + 1))))
+    for cached in (extremal_effects, state_cone_facets):
+        assert cached.cache_info().maxsize == GEOMETRY_CACHE_SIZE
+        assert cached.cache_info().currsize <= GEOMETRY_CACHE_SIZE
+
+
+def test_geometry_caches_hit_on_an_equal_space():
+    extremal_effects(zoo_gbit())
+    facets, effects = state_cone_facets.cache_info(), extremal_effects.cache_info()
+    extremal_effects(zoo_gbit())  # a new, equal StateSpace
+    assert state_cone_facets.cache_info().hits == facets.hits + 1
+    assert state_cone_facets.cache_info().misses == facets.misses
+    assert extremal_effects.cache_info().hits == effects.hits + 1
+    assert extremal_effects.cache_info().misses == effects.misses
 
 
 def test_state_cone_facets_and_membership(gbit, classical2):

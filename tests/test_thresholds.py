@@ -202,3 +202,14 @@ def test_critical_visibilities_validate_the_family_once_per_build(gbit, phi, fid
     checked.clear()
     lhs_critical_visibility(fiducials, phi)
     assert checked == ["X", "Y"]
+
+
+def test_lhs_critical_visibility_tests_the_state_once(phi, fiducials, monkeypatch):
+    # the sharp assemblage checks max-tensor membership; its depolarized
+    # copy is steered out of the same state and is not checked again
+    tested = []
+    member = steering.in_max_tensor
+    monkeypatch.setattr(steering, "in_max_tensor",
+                        lambda state: tested.append(state) or member(state))
+    lhs_critical_visibility(fiducials, phi)
+    assert tested == [phi]
