@@ -186,10 +186,16 @@ def jm_noise_threshold(observables: Sequence[Observable], space: StateSpace,
     it comes from the exact critical visibility by arithmetic alone, not
     from an LP per probed level (``_level_bracket``).
     """
-    eps = as_ratio(precision)
-    if eps <= 0:
-        raise ValueError("precision must be positive")
+    eps = _positive_precision(precision)
     return _level_bracket(jm_critical_visibility(observables, space), eps, "JM")
+
+
+def _positive_precision(precision) -> Rational:
+    """The bracket width as a rational; ValueError unless it is positive."""
+    eps = as_ratio(precision)
+    if eps <= ZERO:
+        raise ValueError("precision must be positive")
+    return eps
 
 
 def _critical_level(sharp: LinearSystem, observables: Sequence[Observable],

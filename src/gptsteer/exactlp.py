@@ -139,6 +139,15 @@ def refutes(system: LinearSystem, certificate) -> bool:
     return not any(coeffs) and rhs > 0
 
 
+def _sense_sign(sense: str) -> Rational:
+    """-1 to maximize (the simplex minimizes -objective), 1 to minimize."""
+    if sense == "max":
+        return -ONE
+    if sense == "min":
+        return ONE
+    raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
+
+
 def certifies_optimum(system: LinearSystem, objective, value, certificate,
                       sense: str = "max") -> bool:
     """Exact substitution check of an optimality certificate.
@@ -146,13 +155,14 @@ def certifies_optimum(system: LinearSystem, objective, value, certificate,
     Multipliers follow row order, the inequality part nonnegative, as for
     refutes. When maximizing they must combine the rows into exactly
     -objective . x >= -value, so no feasible point exceeds value; when
-    minimizing into objective . x >= value.
+    minimizing into objective . x >= value. Any other sense raises
+    ValueError, as in lp_optimize.
     """
+    sign = _sense_sign(sense)
     combination = _combination(system, qvec(certificate))
     if combination is None:
         return False
     coeffs, rhs = combination
-    sign = -ONE if sense == "max" else ONE
     return coeffs == combine((sign,), (qvec(objective),)) and rhs == sign * as_ratio(value)
 
 
@@ -408,8 +418,7 @@ def lp_optimize(objective, system: LinearSystem, sense: str = "max") -> Optimiza
     optimal outcome carries its point and an optimality certificate,
     both checked here by substitution (VerificationError if one fails).
     """
-    if sense not in ("max", "min"):
-        raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
+    sign = _sense_sign(sense)
     obj = qvec(objective)
     if len(obj) != system.variable_count:
         raise ValueError("objective length does not match variable count")
@@ -419,16 +428,14 @@ def lp_optimize(objective, system: LinearSystem, sense: str = "max") -> Optimiza
     if certificate is not None:
         tableau.log_solve("lp_optimize", phase_one_pivots)
         return OptimizationResult(INFEASIBLE, certificate=certificate)
-    internal = combine((-ONE,), (obj,)) if sense == "max" else obj
-    status, value, certificate = tableau.phase_two(internal)
+    status, value, certificate = tableau.phase_two(combine((sign,), (obj,)))
     tableau.log_solve("lp_optimize", phase_one_pivots)
     if status == UNBOUNDED:
         return OptimizationResult(UNBOUNDED)
     point = tableau.extract_point()
     if not satisfies(system, point):
         raise VerificationError("optimizer left the feasible set")
-    if sense == "max":
-        value = -value
+    value = sign * value
     if dot(obj, point) != value:
         raise VerificationError("optimal point does not attain the optimal value")
     if not certifies_optimum(system, obj, value, certificate, sense):

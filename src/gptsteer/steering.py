@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass, field
 
 from .compatibility import (JmResult, MotherObservable, _check_family, _critical_level,
-                            _level_bracket, _marginal_effects, check_joint_measurability)
+                            _level_bracket, _marginal_effects, _positive_precision,
+                            check_joint_measurability)
 from .composites import (BipartiteState, canonical_max_entangled, in_max_tensor,
                          marginal, subnormalized_conditional)
 from .errors import ConstructionError, NotRemotelyPreparableError, VerificationError
@@ -518,10 +519,8 @@ def lhs_noise_threshold(observables: tuple[Observable, ...],
     bisection LPs. The family is validated first, against the state's
     A side.
     """
-    precision = as_ratio(precision)
-    if precision <= ZERO:
-        raise ValueError("precision must be positive")
-    return _level_bracket(lhs_critical_visibility(observables, state), precision, "LHS")
+    eps = _positive_precision(precision)
+    return _level_bracket(lhs_critical_visibility(observables, state), eps, "LHS")
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,54 @@ def test_private_helpers_and_vecs_functions_are_used():
     assert dead == []
 
 
+def test_only_ratio_imports_fractions():
+    # Fraction is the package's one rational type, and ratio.py its one owner
+    importers = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names]
+        modules += [node.module or "" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)]
+        if any(module.split(".")[0] == "fractions" for module in modules):
+            importers.append(path.name)
+    assert importers == ["ratio.py"]
+
+
+# With a module named gmpy2 that exposes mpq importable, report which
+# rational type the package hands out.
+STUB_GMPY2 = """
+from fractions import Fraction
+
+
+class mpq(Fraction):
+    pass
+"""
+
+RATIONAL_TYPE_SCRIPT = """
+import fractions
+
+import gmpy2
+import gptsteer
+from gptsteer.ratio import as_ratio
+
+print(gmpy2.__file__)
+print(gptsteer.RATIONAL_BACKEND, type(as_ratio(1)) is fractions.Fraction)
+"""
+
+
+def test_an_importable_gmpy2_does_not_change_the_rational_type(tmp_path):
+    (tmp_path / "gmpy2.py").write_text(STUB_GMPY2, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path),
+                                                      str(PACKAGE_DIR.parent)]))
+    proc = subprocess.run([sys.executable, "-c", RATIONAL_TYPE_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    stub_path, verdict = proc.stdout.splitlines()
+    assert Path(stub_path).parent == tmp_path
+    assert verdict == "fractions True"
+
+
 def _run_optimized(script):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     proc = subprocess.run([sys.executable, "-O", "-c", script],

@@ -28,7 +28,7 @@ from gptsteer.exactlp import (ACTIVE_SET_CAP, FEASIBLE, INFEASIBLE, OPTIMAL,
 from gptsteer.kernel import (Observable, depolarize_observable, dichotomic_observable,
                              extremal_effects, state_cone_facets, zoo_classical,
                              zoo_gbit, zoo_polygon)
-from gptsteer.ratio import as_ratio, format_ratio, parse_ratio
+from gptsteer.ratio import RATIONAL_BACKEND, Rational, as_ratio, format_ratio, parse_ratio
 from gptsteer.sampler import (SamplerConfig, make_rng, random_observable_set,
                               random_separable_state)
 from gptsteer.steering import assemblage_from, lhs_critical_visibility, lhs_linear_system
@@ -68,6 +68,34 @@ def test_ratio_rejects_floats_and_bad_literals():
 def test_ratio_quotient_form():
     assert r(3, 6) == r(1, 2)
     assert r(-1, 2) + r(1, 2) == 0
+
+
+def test_ratio_quotient_coerces_each_side_like_one_argument():
+    assert r("1/2", "3") == r(1, 6)
+    assert r(r(1, 2), r(1, 3)) == r(3, 2)
+    assert r(-4, r(2, 3)) == r(-6)
+    # what the one-argument form refuses, the quotient refuses too
+    for literal in ("0.5", "1e-3"):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            r(literal)
+        with pytest.raises(ValueError, match="not a rational literal"):
+            r(literal, 1)
+        with pytest.raises(ValueError, match="not a rational literal"):
+            r(1, literal)
+    with pytest.raises(TypeError, match="floats"):
+        r(1, 0.5)
+    # a zero denominator is caught after coercion, whatever its form
+    for zero in (0, "0", "0/5", r(0)):
+        with pytest.raises(ValueError, match="zero denominator"):
+            r(1, zero)
+
+
+def test_fraction_is_the_rational_type():
+    assert Rational is Fraction
+    assert type(r(1)) is Fraction
+    assert type(r(1, 2)) is Fraction
+    assert type(parse_ratio("3/4")) is Fraction
+    assert RATIONAL_BACKEND == "fractions"
 
 
 # --- feasibility and Farkas certificates ------------------------------------
@@ -200,6 +228,19 @@ def test_optimize_rejects_bad_sense():
     system = LinearSystem.build(1, (), (((1,), 0),))
     with pytest.raises(ValueError):
         lp_optimize((1,), system, "maximize")
+
+
+@pytest.mark.parametrize("sense", ["maximum", "Max", "minimize", ""])
+def test_optimality_check_rejects_unknown_sense(sense):
+    # the minimum certificate of x + y (value 0) must not pass as anything
+    # else; the true maximum is 2
+    square = LinearSystem.build(2, (), UNIT_SQUARE_ROWS)
+    minimum = (r(1), r(1), r(0), r(0))
+    assert certifies_optimum(square, (1, 1), 0, minimum, "min")
+    with pytest.raises(ValueError, match="sense must be 'max' or 'min'"):
+        certifies_optimum(square, (1, 1), 0, minimum, sense)
+    with pytest.raises(ValueError, match="sense must be 'max' or 'min'"):
+        lp_optimize((1, 1), square, sense)
 
 
 # --- bound rows x_j >= 0 ---------------------------------------------------

@@ -213,3 +213,18 @@ def test_lhs_critical_visibility_tests_the_state_once(phi, fiducials, monkeypatc
                         lambda state: tested.append(state) or member(state))
     lhs_critical_visibility(fiducials, phi)
     assert tested == [phi]
+
+
+@pytest.mark.parametrize("precision", [0, r(-1, 2), "0/3"])
+def test_both_thresholds_check_the_precision_first(gbit, phi, fiducials, precision,
+                                                   monkeypatch):
+    # one precision rule, applied before any LP is built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a threshold ran before checking its precision")
+
+    monkeypatch.setattr(compatibility, "jm_critical_visibility", forbidden)
+    monkeypatch.setattr(steering, "lhs_critical_visibility", forbidden)
+    with pytest.raises(ValueError, match="precision must be positive"):
+        jm_noise_threshold(fiducials, gbit, precision)
+    with pytest.raises(ValueError, match="precision must be positive"):
+        lhs_noise_threshold(fiducials, phi, precision)
