@@ -15,7 +15,10 @@ rows included; feasible ones carry an exact witness point. Optimal
 results carry the optimal point and an optimality certificate, dual
 multipliers that are checked by substitution before the result is
 returned (``certifies_optimum``).
-Vertex enumeration solves active sets and runs one feasibility LP.
+Vertex enumeration is an exact double description over primitive
+integer rays, started from a nonsingular row submatrix; it runs one
+feasibility LP only when the rows have rank below the dimension, and
+refuses up front a system whose rays could pass RAY_CAP.
 
 A ``LinearSystem`` holds equality rows (coeffs . x == rhs) and
 inequality rows (coeffs . x >= rhs) over free variables. Certificates
@@ -30,9 +33,9 @@ when minimizing), a bound that the optimal point attains.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import UnboundedRegionError, VerificationError
@@ -48,9 +51,9 @@ UNBOUNDED = "unbounded"
 
 Row = tuple[tuple[Rational, ...], Rational]
 
-# vertex_enumerate refuses systems with more active sets than this, rather
-# than run for hours.
-ACTIVE_SET_CAP = 10 ** 5
+# vertex_enumerate refuses systems whose double description could hold more
+# rays than this, rather than run for hours.
+RAY_CAP = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -447,46 +450,109 @@ def lp_optimize(objective, system: LinearSystem, sense: str = "max") -> Optimiza
 # Polytopes and membership.
 
 
+def _ray_bound(rows: int, dim: int) -> int:
+    """McMullen's upper bound on the vertices of a dim-polytope with the
+    given number of facets (McMullen, Mathematika 17, 1970): a cyclic
+    polytope's dual has the most. Below dimension one, or with fewer than
+    dim + 2 rows, the row count bounds it."""
+    if dim < 1 or rows < dim + 2:
+        return rows
+    return (math.comb(rows - (dim + 1) // 2, dim // 2)
+            + math.comb(rows - dim // 2 - 1, (dim + 1) // 2 - 1))
+
+
+def _primitive_ray(values) -> list[int]:
+    """The positive multiple of a nonzero rational vector whose entries are
+    integers with no common factor."""
+    ints = primitive_row(values)[0]
+    g = math.gcd(*ints)
+    return [x // g for x in ints]
+
+
 def vertex_enumerate(system: LinearSystem) -> tuple[tuple[Rational, ...], ...]:
     """All vertices of the polytope described by the system, sorted.
 
-    Equalities are active at every point, so a vertex is the unique
-    common solution of all the equalities and n - rank(equalities)
-    inequality rows. Every such choice of inequality rows is solved and
-    the solution kept when it satisfies the inequalities: active-set
-    enumeration (Avis & Fukuda, Discrete Comput. Geom. 8, 1992).
+    Exact incremental double description (Motzkin, Raiffa, Thompson &
+    Thrall 1953; Fukuda & Prodon, LNCS 1120, 1996) of the homogenized
+    cone over y = (t, x): the row t >= 0, each inequality c . x >= b as
+    the primitive integer row (-b, c) with (-b, c) . y >= 0, and each
+    equality as (-b, c) . y == 0. The vertices are the extreme rays
+    with t > 0, read as x / t.
 
-    One feasibility LP decides boundedness. Without a vertex the region
-    is empty, which returns (), or contains a line. With one, the rows
-    have full rank, and the region is unbounded exactly when some
-    recession direction d has (sum of the inequality rows) . d = 1.
-    Unbounded regions raise UnboundedRegionError. A system with more than
-    ACTIVE_SET_CAP active sets raises ValueError before any is solved.
+    The starting pair comes from a nonsingular square submatrix, its
+    rows chosen in order from the equalities, t >= 0 and the
+    inequalities: its rays solve the submatrix against a unit vector,
+    one per inequality row in it (vecs.solve_unique), and every
+    equality outside it is implied. Each remaining inequality then
+    keeps the rays on its side and joins each adjacent pair across it,
+    p on the positive and q on the negative side, into the integer ray
+    (a . p) q - (a . q) p. Rays carry the bitmask of the rows they are
+    tight on; a pair is adjacent when no third ray is tight on all of
+    their common rows, which must number at least D - 2, D the
+    dimension of the equalities' null space.
+
+    Without a nonsingular submatrix the rows have rank below n, and one
+    feasibility LP decides: an empty region returns (), a nonempty one
+    contains a line. Otherwise no LP runs. No ray with t > 0 means the
+    region is empty, which returns (); any ray with t = 0 beside one is
+    a recession ray. Unbounded regions raise UnboundedRegionError.
+    Before any row is cut, a system whose cones could have more rays
+    than RAY_CAP, by McMullen's bound for the inequality rows and t >= 0
+    in D - 1 dimensions, raises ValueError.
     """
     n = system.variable_count
-    equalities, inequalities = system.equalities, system.inequalities
-    size = n - rank([c for c, _ in equalities])
-    count = math.comb(len(inequalities), size)
-    if count > ACTIVE_SET_CAP:
-        raise ValueError(f"vertex enumeration needs {count} active sets, "
-                         f"more than the cap of {ACTIVE_SET_CAP}")
-    found: set[tuple[Rational, ...]] = set()
-    for subset in itertools.combinations(inequalities, size):
-        rows = (*equalities, *subset)
-        point = solve_unique([c for c, _ in rows], [b for _, b in rows])
-        if point is not None and all(dot(c, point) >= b for c, b in inequalities):
-            found.add(point)
-    log.debug("vertex_enumerate: %d rows -> %d vertices", system.row_count, len(found))
-    if not found:
+    equalities = [primitive_row((-b, *c))[0] for c, b in system.equalities]
+    inequalities = [[1] + [0] * n]
+    inequalities += [primitive_row((-b, *c))[0] for c, b in system.inequalities]
+    dim = n + 1 - rank(equalities)
+    bound = _ray_bound(len(inequalities), dim - 1)
+    if bound > RAY_CAP:
+        raise ValueError(f"vertex enumeration needs up to {bound} rays, "
+                         f"more than the cap of {RAY_CAP}")
+    basis: list[list[int]] = []
+    bits: list[int | None] = []  # each basis row's bit among the inequalities
+    for bit, row in [(None, row) for row in equalities] + list(enumerate(inequalities)):
+        if rank(basis + [row]) > len(basis):
+            basis.append(row)
+            bits.append(bit)
+            if len(basis) == n + 1:
+                break
+    if len(basis) <= n:
         if lp_feasible(system).feasible:
             raise UnboundedRegionError("region is nonempty but has no vertex: it contains a line")
         return ()
-    total = tuple(sum((c[j] for c, _ in inequalities), ZERO) for j in range(n))
-    recession = LinearSystem(n, tuple((c, ZERO) for c, _ in equalities) + ((total, ONE),),
-                             tuple((c, ZERO) for c, _ in inequalities))
-    if lp_feasible(recession).feasible:
+    in_basis = sum(1 << bit for bit in bits if bit is not None)
+    rays = [_primitive_ray(solve_unique(basis, [int(i == k) for i in range(n + 1)]))
+            for k, bit in enumerate(bits) if bit is not None]
+    masks = [in_basis ^ (1 << bit) for bit in bits if bit is not None]
+    for bit, row in enumerate(inequalities):
+        if (in_basis >> bit) & 1:
+            continue
+        cut = 1 << bit
+        values = [sum(map(operator.mul, row, ray)) for ray in rays]
+        negative = [k for k, v in enumerate(values) if v < 0]
+        joined_rays, joined_masks = [], []
+        for p in [k for k, v in enumerate(values) if v > 0]:
+            vp, mp = values[p], masks[p]
+            for q in negative:
+                mq = masks[q]
+                common = mp & mq
+                if common.bit_count() < dim - 2 or any(
+                        m & common == common and m != mp and m != mq for m in masks):
+                    continue
+                joined_rays.append(_primitive_ray(
+                    [vp * y - values[q] * x for x, y in zip(rays[p], rays[q])]))
+                joined_masks.append(common | cut)
+        kept = [k for k, v in enumerate(values) if v >= 0]
+        rays = [rays[k] for k in kept] + joined_rays
+        masks = [masks[k] | cut if values[k] == 0 else masks[k] for k in kept] + joined_masks
+    vertices = sorted(tuple([as_ratio(x, ray[0]) for x in ray[1:]]) for ray in rays if ray[0])
+    log.debug("vertex_enumerate: %d rows -> %d vertices", system.row_count, len(vertices))
+    if not vertices:
+        return ()
+    if len(vertices) < len(rays):
         raise UnboundedRegionError("region has a vertex and a recession ray: it is unbounded")
-    return tuple(sorted(found))
+    return tuple(vertices)
 
 
 def cone_member(point, generators) -> FeasibilityResult:

@@ -156,9 +156,10 @@ def extremal_effects(space: StateSpace) -> tuple[Effect, ...]:
     """Extreme points of the effect polytope, in sorted coefficient order.
 
     The effect polytope is cut out by 0 <= e(v) <= 1 over the vertices;
-    its extreme points are enumerated exactly over C(2V, d) active sets
-    and cached per space (the last GEOMETRY_CACHE_SIZE spaces). Only
-    ``gptsteer zoo show`` needs them.
+    its extreme points are enumerated exactly by double description over
+    those 2V rows (``vertex_enumerate``, which refuses a space whose
+    bound on the rays passes its cap) and cached per space (the last
+    GEOMETRY_CACHE_SIZE spaces). Only ``gptsteer zoo show`` needs them.
     """
     system = LinearSystem(space.ambient_dim, (), _effect_rows(space))
     return tuple(Effect(point) for point in vertex_enumerate(system))

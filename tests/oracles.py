@@ -40,6 +40,23 @@ def gauss_solve(rows, rhs):
     return tuple(aug[r][n] for r in range(n))
 
 
+def rank_of(rows):
+    """Rank of a list of rows, by dense Fraction elimination."""
+    work = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(len(work)):
+            if r != rank and work[r][col] != 0:
+                factor = work[r][col] / work[rank][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
 def brute_force_vertices(inequalities, dim):
     """All basic feasible points of {x : coeffs . x >= rhs rows}.
 

@@ -129,8 +129,8 @@ def test_zoo_show_refuses_huge_enumeration(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert status == 2
     assert captured.out == ""
-    assert captured.err == ("error: vertex enumeration needs 118264581564861424 "
-                            "active sets, more than the cap of 100000\n")
+    assert captured.err == ("error: vertex enumeration needs up to 678610095504 "
+                            "rays, more than the cap of 100000\n")
 
 
 def test_check_jm_compatible(docs):

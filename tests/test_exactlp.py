@@ -20,7 +20,7 @@ import gptsteer.compatibility as compatibility
 from gptsteer.compatibility import jm_critical_visibility, jm_linear_system
 from gptsteer.composites import canonical_max_entangled, separability_system
 from gptsteer.errors import UnboundedRegionError, VerificationError
-from gptsteer.exactlp import (ACTIVE_SET_CAP, FEASIBLE, INFEASIBLE, OPTIMAL,
+from gptsteer.exactlp import (FEASIBLE, INFEASIBLE, OPTIMAL, RAY_CAP,
                               UNBOUNDED, LinearSystem, _Tableau, certifies_optimum,
                               cone_member, convex_member, lp_feasible,
                               lp_optimize, membership_system, refutes,
@@ -346,8 +346,14 @@ def test_pivot_sequence_and_evidence_are_frozen(gbit, phi, fiducials, monkeypatc
     # and certificates included, of a fixed set of solves: the gbit X/Y JM
     # and LHS systems sharp (infeasible phase ones) and at visibility 1/2,
     # the X/Y JM and LHS critical-level LPs, and one polygon-8 critical
-    # level. Both digests were taken from the rational (Fraction) tableau
-    # that the integer one replaced; its pivots must be the same.
+    # level. The evidence digest was taken from the rational (Fraction)
+    # tableau that the integer one replaced. The octagon is built before
+    # the recording starts, so only the listed solves are frozen, not
+    # whatever LP its geometry runs; the pivot count and digest were taken
+    # with that order on the integer tableau of the active-set enumeration
+    # (147a1a9), and the double description gives the same.
+    octagon = zoo_polygon(8)
+    facets = state_cone_facets(octagon)
     pivots, results = [], []
     step = _Tableau.step
     monkeypatch.setattr(_Tableau, "step",
@@ -361,8 +367,6 @@ def test_pivot_sequence_and_evidence_are_frozen(gbit, phi, fiducials, monkeypatc
         results.append(lp_feasible(lhs_linear_system(assemblage_from(phi, family))))
     jm_critical_visibility(fiducials, gbit)
     lhs_critical_visibility(fiducials, phi)
-    octagon = zoo_polygon(8)
-    facets = state_cone_facets(octagon)
     jm_critical_visibility((dichotomic_observable("a", octagon, facets[0]),
                             dichotomic_observable("b", octagon, facets[2])), octagon)
 
@@ -377,9 +381,9 @@ def test_pivot_sequence_and_evidence_are_frozen(gbit, phi, fiducials, monkeypatc
                      for res in results)
     assert [res.status for res in results] == [INFEASIBLE, INFEASIBLE, FEASIBLE, FEASIBLE,
                                                OPTIMAL, OPTIMAL, OPTIMAL]
-    assert len(pivots) == 113
+    assert len(pivots) == 112
     assert hashlib.sha256(repr(pivots).encode()).hexdigest() == \
-        "eac80a9a71bf7f6db5b9598d1598cdf4bae621d4bba0176783a7e7163bdd78cf"
+        "66f0727fa9a88a1a7c7ba0e7ca345741ad25dae71fcaa0bb8a88f81690d32322"
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "aa5550a072f14daacecbc3a05103deac277eac54071eee9f5eefc1cabd7cb07e"
 
@@ -454,6 +458,8 @@ def test_vertex_enumeration_of_equalities_alone():
 
 
 def test_vertex_enumeration_solves_one_lp(monkeypatch):
+    # A bounded polytope solves no LP; rows of rank below n solve exactly
+    # one feasibility LP, here for a strip, which contains a line.
     import gptsteer.exactlp as exactlp
     calls = []
     clean = exactlp.lp_feasible
@@ -471,6 +477,10 @@ def test_vertex_enumeration_solves_one_lp(monkeypatch):
         3, (((1, 1, 1), 1),),
         (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)))
     assert len(vertex_enumerate(simplex)) == 3
+    assert calls == []
+    strip = LinearSystem.build(2, (), (((1, 0), 0), ((-1, 0), -1)))
+    with pytest.raises(UnboundedRegionError, match="contains a line"):
+        vertex_enumerate(strip)
     assert calls == ["lp_feasible"]
 
 
@@ -480,13 +490,80 @@ def test_vertex_enumeration_refuses_too_many_active_sets(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the enumeration ran")
 
-    # classical-30's effect polytope: 60 rows in ambient 30, C(60, 30) sets.
+    # classical-30's effect polytope: 60 rows and t >= 0 in ambient 30,
+    # McMullen's bound C(46, 15) + C(45, 14) on the rays of a 30-polytope
+    # with 61 facets.
     space = zoo_classical(30)
     monkeypatch.setattr(exactlp, "solve_unique", forbidden)
     monkeypatch.setattr(exactlp, "lp_feasible", forbidden)
-    count = "118264581564861424"
-    with pytest.raises(ValueError, match=f"{count} active sets.*cap of {ACTIVE_SET_CAP}"):
+    count = math.comb(46, 15) + math.comb(45, 14)
+    assert count == 678610095504
+    with pytest.raises(ValueError, match=f"up to {count} rays.*cap of {RAY_CAP}"):
         extremal_effects(space)
+
+
+def _oracle_vertices(n, eqs, ineqs):
+    """brute_force_vertices of the system, each equality as two opposite rows."""
+    rows = [(tuple(map(Fraction, c)), Fraction(b)) for c, b in ineqs]
+    for c, b in eqs:
+        rows.append((tuple(map(Fraction, c)), Fraction(b)))
+        rows.append((tuple(-Fraction(x) for x in c), -Fraction(b)))
+    return brute_force_vertices(rows, n)
+
+
+def _enumerated(n, eqs, ineqs):
+    return tuple(tuple(Fraction(format_ratio(c)) for c in point)
+                 for point in vertex_enumerate(LinearSystem.build(n, eqs, ineqs)))
+
+
+SQUARE_ROWS = (((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1))
+
+
+@pytest.mark.parametrize("extra", [
+    (((1, 0), 0), ((1, 0), 0)),            # a row twice more
+    (((2, 0), 0), ((0, 3), 0)),            # positive multiples of rows
+    (((-3, 0), -3), ((-1, 0), -1)),        # a multiple and a repeat of x <= 1
+    (((1, 1), 0), ((-2, -2), -4)),         # rows tight only at a corner
+])
+def test_vertex_enumeration_of_repeated_and_scaled_rows(extra):
+    ineqs = SQUARE_ROWS + extra
+    assert _enumerated(2, (), ineqs) == _oracle_vertices(2, (), ineqs)
+    assert len(_enumerated(2, (), ineqs)) == 4
+
+
+@pytest.mark.parametrize("eqs, extra, count", [
+    ((), (((0, 0), -1),), 4),              # 0 . x >= -1 holds everywhere
+    ((), (((0, 0), 1),), 0),               # 0 . x >= 1 holds nowhere
+    ((((0, 0), 0),), (), 4),               # 0 . x == 0 holds everywhere
+    ((((0, 0), 1),), (), 0),               # 0 . x == 1 holds nowhere
+])
+def test_vertex_enumeration_of_zero_rows(eqs, extra, count):
+    ineqs = SQUARE_ROWS + extra
+    assert _enumerated(2, eqs, ineqs) == _oracle_vertices(2, eqs, ineqs)
+    assert len(_enumerated(2, eqs, ineqs)) == count
+
+
+def test_vertex_enumeration_with_more_than_d_facets_at_a_vertex():
+    # the apex of a square pyramid lies on its four side facets
+    pyramid = (((0, 0, 1), 0), ((1, 0, -1), 0), ((0, 1, -1), 0),
+               ((-1, 0, -1), -2), ((0, -1, -1), -2))
+    assert _enumerated(3, (), pyramid) == _oracle_vertices(3, (), pyramid)
+    assert (1, 1, 1) in _enumerated(3, (), pyramid)
+    # each vertex of the octahedron |x| + |y| + |z| <= 1 lies on four facets
+    octahedron = tuple(((-a, -b, -c), -1) for a in (1, -1) for b in (1, -1) for c in (1, -1))
+    assert _enumerated(3, (), octahedron) == _oracle_vertices(3, (), octahedron)
+    assert len(_enumerated(3, (), octahedron)) == 6
+
+
+def test_vertex_enumeration_of_an_equality_slice_of_the_cube():
+    cube = tuple((tuple(s * int(i == j) for j in range(3)), min(s, 0))
+                 for i in range(3) for s in (1, -1))
+    hexagon = (((2, 2, 2), 3),)  # x + y + z == 3/2
+    points = _enumerated(3, hexagon, cube)
+    assert points == _oracle_vertices(3, hexagon, cube)
+    assert len(points) == 6 and (0, Fraction(1, 2), 1) in points
+    # a slice through one corner only is that corner
+    assert _enumerated(3, (((1, 1, 1), 3),), cube) == ((1, 1, 1),)
 
 
 # --- cone and convex membership ---------------------------------------------

@@ -22,7 +22,7 @@ from gptsteer.kernel import (GEOMETRY_CACHE_SIZE, Effect, Observable, State,
 from gptsteer.ratio import as_ratio, format_ratio
 from gptsteer.vecs import combine, dot
 
-from oracles import effect_polytope_vertices
+from oracles import effect_polytope_vertices, fdot, rank_of
 
 r = as_ratio
 
@@ -173,6 +173,23 @@ def test_zoo_geometry_is_pinned():
     assert len(lines) == 191
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "3e24fba2ecb351290453f5817826bdd993c13851d5d450fbd73ff3241ea917f1"
+
+
+def test_minimal_tensor_product_of_two_gbits_builds(gbit):
+    # The 16 product vertices va (x) vb span ambient 9. Its state cone has
+    # 24 facets: the 16 products fa (x) fb and 8 more, each checked here by
+    # substitution alone.
+    vertices = [tuple(x * y for x in a for y in b) for a in gbit.vertices for b in gbit.vertices]
+    space = StateSpace("gbit-min-gbit", 9, vertices)
+    facets = [tuple(Fraction(format_ratio(x)) for x in f) for f in state_cone_facets(space)]
+    assert len(facets) == 24
+    for facet in facets:
+        values = [fdot(facet, v) for v in vertices]
+        assert min(values) == 0 and max(values) == 1
+        assert rank_of([v for v, value in zip(vertices, values) if value == 0]) == 8
+    gbit_facets = [tuple(Fraction(format_ratio(x)) for x in f) for f in state_cone_facets(gbit)]
+    products = {tuple(x * y for x in fa for y in fb) for fa in gbit_facets for fb in gbit_facets}
+    assert len(products) == 16 and products <= set(facets)
 
 
 def test_geometry_caches_are_bounded():
