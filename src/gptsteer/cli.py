@@ -283,6 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -293,8 +296,7 @@ def main(argv=None) -> int:
             level=level if isinstance(level, int) else logging.INFO,
             stream=sys.stderr,
             format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     args.echo = list(argv)
     args.digest = None
     try:

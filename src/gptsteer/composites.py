@@ -20,7 +20,7 @@ from typing import Sequence
 from .errors import NullConditioningError, UnsupportedModelError, VerificationError
 from .exactlp import INFEASIBLE, LinearSystem, lp_feasible, membership_system, refutes
 from .kernel import (Effect, State, StateSpace, _coeffs, _mixture_weights, barycenter,
-                     is_square_model, is_valid_state, state_cone_facets)
+                     is_square_model, is_valid_state)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .vecs import combine, dot, matrix_times_col, outer, qmat, rank, transpose
 
@@ -94,10 +94,9 @@ def max_tensor_violation(state: BipartiteState) -> tuple[Effect, Effect] | None:
     """A witnessing facet pair (each an extremal effect) with negative value, if any."""
     if not state.is_normalized:
         return None
-    facets_b = state_cone_facets(state.space_b)
-    for fa in state_cone_facets(state.space_a):
+    for fa in state.space_a.facets:
         partial = combine(fa, state.matrix)
-        for fb in facets_b:
+        for fb in state.space_b.facets:
             if dot(partial, fb) < 0:
                 return (Effect(fa), Effect(fb))
     return None

@@ -14,18 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .exactlp import LinearSystem, vertex_enumerate
 from .ratio import ONE, ZERO, Rational, as_ratio, format_ratio
-from .vecs import affine_rank, combine, dot, qvec, rank, vzero
-
-# extremal_effects and state_cone_facets keep the geometry of this many
-# spaces, the most recently used, so that a process building model after
-# model does not keep every one of them alive.
-GEOMETRY_CACHE_SIZE = 16
+from .vecs import affine_rank, combine, dot, qvec, vzero
 
 
 @dataclass(frozen=True)
@@ -77,12 +71,13 @@ class StateSpace:
     everywhere), that the vertices affinely span the normalization slice
     (so effect coefficient vectors are uniquely determined by their
     values on states), and that no listed vertex is a convex combination
-    of the others.
+    of the others. It keeps the state-cone facets as ``facets``.
     """
 
     label: str
     ambient_dim: int
     vertices: tuple[tuple[Rational, ...], ...]
+    facets: tuple[tuple[Rational, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(qvec(v) for v in self.vertices))
@@ -99,10 +94,19 @@ class StateSpace:
             raise ValueError("duplicate vertices")
         if affine_rank(self.vertices) != self.ambient_dim - 1:
             raise ValueError("vertices do not affinely span the normalization slice")
-        facets = state_cone_facets(self)
-        for v in self.vertices:
-            if rank([f for f in facets if dot(f, v) == 0]) < self.ambient_dim - 1:
+        # Facets: the vertices of the polar slice {f : f.v >= 0, f.barycenter = 1}.
+        # A point is a convex combination of the others iff another lies on all its facets.
+        polar = LinearSystem(self.ambient_dim, ((barycenter(self).coords, ONE),),
+                             tuple((v, ZERO) for v in self.vertices))
+        normals = vertex_enumerate(polar)
+        values = [[dot(f, v) for v in self.vertices] for f in normals]
+        masks = [sum(1 << k for k, row in enumerate(values) if row[i] == 0)
+                 for i in range(len(self.vertices))]
+        for v, mask in zip(self.vertices, masks):
+            if sum(other & mask == mask for other in masks) > 1:
                 raise ValueError(f"vertex {v} is a convex combination of the others")
+        object.__setattr__(self, "facets", tuple(sorted(
+            combine((ONE / max(row),), (f,)) for f, row in zip(normals, values))))
 
     @property
     def unit(self) -> Effect:
@@ -151,15 +155,14 @@ def is_valid_state(state, space: StateSpace) -> bool:
     return coords[0] == 1 and in_state_cone(coords, space)
 
 
-@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def extremal_effects(space: StateSpace) -> tuple[Effect, ...]:
     """Extreme points of the effect polytope, in sorted coefficient order.
 
     The effect polytope is cut out by 0 <= e(v) <= 1 over the vertices;
     its extreme points are enumerated exactly by double description over
     those 2V rows (``vertex_enumerate``, which refuses a space whose
-    bound on the rays passes its cap) and cached per space (the last
-    GEOMETRY_CACHE_SIZE spaces). Only ``gptsteer zoo show`` needs them.
+    bound on the rays passes its cap), anew on each call. Only
+    ``gptsteer zoo show`` needs them.
     """
     system = LinearSystem(space.ambient_dim, (), _effect_rows(space))
     return tuple(Effect(point) for point in vertex_enumerate(system))
@@ -172,26 +175,21 @@ def _effect_rows(space: StateSpace) -> tuple:
             + tuple((combine((-ONE,), (v,)), -ONE) for v in space.vertices))
 
 
-@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def state_cone_facets(space: StateSpace) -> tuple[tuple[Rational, ...], ...]:
     """Facet normals of the state cone, which generate the effect cone.
 
-    The vertices of the polar slice {f : f.v >= 0 for every vertex v,
-    f.c = 1}, c the barycenter, each rescaled to an extremal effect
-    (largest value 1 on a vertex) and sorted. Dot products with them
-    decide state validity, vertex extremeness and max-tensor membership.
+    Each is an extremal effect (largest value 1 on a vertex), sorted.
+    The space computes them once, when built, as ``space.facets``. Dot
+    products with them decide state validity and max-tensor membership.
     """
-    polar = LinearSystem(space.ambient_dim, ((barycenter(space).coords, ONE),),
-                         tuple((v, ZERO) for v in space.vertices))
-    return tuple(sorted(combine((ONE / max(dot(f, v) for v in space.vertices),), (f,))
-                        for f in vertex_enumerate(polar)))
+    return space.facets
 
 
 def in_state_cone(coords, space: StateSpace) -> bool:
     vec = _coords(coords)
     if len(vec) != space.ambient_dim:
         raise ValueError("vector dimension does not match space")
-    return all(dot(f, vec) >= 0 for f in state_cone_facets(space))
+    return all(dot(f, vec) >= 0 for f in space.facets)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ def random_effect(space: StateSpace, rng: random.Random, denominator: int = 8) -
                    for _ in range(space.ambient_dim - 1)]
         if is_valid_effect(coeffs, space):
             return Effect(coeffs)
-    raise RuntimeError("rejection sampling failed to find a valid effect")
+    raise ValueError(f"rejection sampling found no valid effect in {_REJECTION_CAP} draws")
 
 
 def random_dichotomic(space: StateSpace, rng: random.Random,
@@ -127,4 +127,4 @@ def random_decomposition(space: StateSpace, target: State, rng: random.Random,
             pairs = tuple((w, s) for w, s in zip(membership.witness, states) if w != 0)
             if pairs:
                 return pairs
-    raise RuntimeError("rejection sampling failed to decompose the target state")
+    raise ValueError(f"rejection sampling found no decomposition in {_REJECTION_CAP} draws")

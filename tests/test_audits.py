@@ -157,6 +157,26 @@ def test_only_ratio_imports_fractions():
     assert importers == ["ratio.py"]
 
 
+def test_no_module_caches_with_functools():
+    # Geometry is kept on the objects it describes and the CLI parser is a
+    # module constant, so no function needs lru_cache or cache.
+    caches = {"lru_cache", "cache"}
+    offenders = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "functools"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                offenders += [f"{path.name}:{node.lineno} {alias.name}"
+                              for alias in node.names if alias.name in caches]
+            elif (isinstance(node, ast.Attribute) and node.attr in caches
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                offenders.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert offenders == []
+
+
 # With a module named gmpy2 that exposes mpq importable, report which
 # rational type the package hands out.
 STUB_GMPY2 = """

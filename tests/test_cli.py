@@ -12,7 +12,8 @@ from gptsteer import exactlp
 from gptsteer.cli import EXIT_INTERNAL, main
 from gptsteer.composites import BipartiteState, product_state
 from gptsteer.kernel import (Effect, Observable, State, barycenter,
-                             depolarize_observable, zoo_classical)
+                             depolarize_observable, extremal_effects, zoo_classical,
+                             zoo_names)
 from gptsteer.ratio import as_ratio
 from gptsteer.serialize import (assemblage_doc_to_json, bipartite_doc_to_json,
                                 dumps_canonical, observables_doc_to_json)
@@ -123,14 +124,38 @@ def test_zoo_show_refuses_huge_enumeration(capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the enumeration ran")
 
-    zoo_classical(30)  # caches its state-cone facets, so only the effects are left
-    monkeypatch.setattr(exactlp, "solve_unique", forbidden)
+    message = "vertex enumeration needs up to 678610095504 rays, more than the cap of 100000"
+    space = zoo_classical(30)
+    with monkeypatch.context() as patch:
+        patch.setattr(exactlp, "solve_unique", forbidden)
+        with pytest.raises(ValueError) as excinfo:
+            extremal_effects(space)
+    assert str(excinfo.value) == message
     status = main(["zoo", "show", "classical-30"])
     captured = capsys.readouterr()
     assert status == 2
     assert captured.out == ""
-    assert captured.err == ("error: vertex enumeration needs up to 678610095504 "
-                            "rays, more than the cap of 100000\n")
+    assert captured.err == f"error: {message}\n"
+
+
+def test_no_option_leaks_between_calls(capsys):
+    assert main(["zoo", "list", "--out", "text"]) == 0
+    assert capsys.readouterr().out == "".join(f"{name}\n" for name in zoo_names())
+    assert main(["zoo", "list"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert report["command"] == ["gptsteer", "zoo", "list"]
+    assert out == dumps_canonical(report)
+
+
+def test_sampler_giving_up_is_a_usage_error(capsys):
+    # a random effect in eighths is valid on classical-20 with probability
+    # about 10^-5, and at seed 0 none of the sampler's 10,000 draws is
+    status = main(["theorem-verify", "--model", "classical-20", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "error: rejection sampling found no valid effect in 10000 draws\n"
 
 
 def test_check_jm_compatible(docs):

@@ -1,6 +1,9 @@
 """State spaces, effects, observables, the zoo and noise."""
 
+import gc
 import hashlib
+import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from gptsteer.composites import mix_bipartite_states
 from gptsteer.exactlp import convex_member
-from gptsteer.kernel import (GEOMETRY_CACHE_SIZE, Effect, Observable, State,
+from gptsteer.kernel import (Effect, Observable, State,
                              StateSpace, barycenter,
                              depolarize_observable, dichotomic_observable,
                              extremal_effects, in_state_cone, is_valid_effect,
@@ -22,7 +25,7 @@ from gptsteer.kernel import (GEOMETRY_CACHE_SIZE, Effect, Observable, State,
 from gptsteer.ratio import as_ratio, format_ratio
 from gptsteer.vecs import combine, dot
 
-from oracles import effect_polytope_vertices, fdot, rank_of
+from oracles import brute_force_vertices, effect_polytope_vertices, fdot, rank_of
 
 r = as_ratio
 
@@ -192,23 +195,45 @@ def test_minimal_tensor_product_of_two_gbits_builds(gbit):
     assert len(products) == 16 and products <= set(facets)
 
 
-def test_geometry_caches_are_bounded():
-    # segments (1, k)..(1, k + 1): more distinct spaces than the caches keep
-    for k in range(GEOMETRY_CACHE_SIZE + 4):
-        extremal_effects(StateSpace(f"segment-{k}", 2, ((1, k), (1, k + 1))))
-    for cached in (extremal_effects, state_cone_facets):
-        assert cached.cache_info().maxsize == GEOMETRY_CACHE_SIZE
-        assert cached.cache_info().currsize <= GEOMETRY_CACHE_SIZE
+def test_a_space_enumerates_its_facets_once(monkeypatch):
+    import gptsteer.kernel
+    from gptsteer.composites import max_tensor_violation, product_state
+
+    enumerations = []
+    enumerate_vertices = gptsteer.kernel.vertex_enumerate
+
+    def counted(system):
+        enumerations.append(system)
+        return enumerate_vertices(system)
+
+    vertices = zoo_polygon(6).vertices
+    monkeypatch.setattr(gptsteer.kernel, "vertex_enumerate", counted)
+    space = StateSpace("counted-polygon-6", 3, vertices)
+    assert len(enumerations) == 1
+    center = barycenter(space)
+    assert in_state_cone(center.coords, space)
+    assert is_valid_state(center, space)
+    assert not is_valid_state((1, 2, 0), space)
+    assert max_tensor_violation(product_state(space, center, space, center)) is None
+    assert state_cone_facets(space) is space.facets
+    assert len(enumerations) == 1
 
 
-def test_geometry_caches_hit_on_an_equal_space():
-    extremal_effects(zoo_gbit())
-    facets, effects = state_cone_facets.cache_info(), extremal_effects.cache_info()
-    extremal_effects(zoo_gbit())  # a new, equal StateSpace
-    assert state_cone_facets.cache_info().hits == facets.hits + 1
-    assert state_cone_facets.cache_info().misses == facets.misses
-    assert extremal_effects.cache_info().hits == effects.hits + 1
-    assert extremal_effects.cache_info().misses == effects.misses
+def test_a_dropped_space_is_freed():
+    space = StateSpace("dropped-polygon-5", 3, zoo_polygon(5).vertices)
+    assert is_valid_state(barycenter(space), space)
+    extremal_effects(space)
+    ref = weakref.ref(space)
+    del space
+    gc.collect()
+    assert ref() is None
+
+
+def test_facets_stay_out_of_equality_hash_and_repr(gbit):
+    again = zoo_gbit()
+    assert again == gbit and hash(again) == hash(gbit)
+    assert "facets" not in repr(gbit)
+    assert repr(again) == repr(gbit)
 
 
 def test_state_cone_facets_and_membership(gbit, classical2):
@@ -247,6 +272,39 @@ def test_non_extreme_point_is_rejected(weights, position):
     assert str(excinfo.value) == f"vertex {point} is a convex combination of the others"
 
 
+# A square pyramid (its apex lies on 4 facets) and the 3-cube, each as
+# its corners, its facet rows c.x >= b over (x, y, z), and non-extreme
+# points keyed by how many facets they lie on: 2 on an edge, 1 on a
+# facet, 0 inside.
+PYRAMID = ([(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)],
+           [((0, 0, 1), 0), ((-1, 0, -1), -1), ((1, 0, -1), -1),
+            ((0, -1, -1), -1), ((0, 1, -1), -1)],
+           {2: (r(1, 2), r(1, 2), r(1, 2)), 1: (r(2, 3), 0, r(1, 3)), 0: (0, 0, r(1, 4))})
+CUBE = ([tuple(p) for p in itertools.product((1, -1), repeat=3)],
+        [(tuple(s if k == axis else 0 for k in range(3)), -1)
+         for axis in range(3) for s in (1, -1)],
+        {2: (1, 1, 0), 1: (0, 0, -1), 0: (r(1, 2), 0, 0)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((PYRAMID, CUBE)), st.data())
+def test_non_extreme_point_is_rejected_in_3d(shape, data):
+    corners, inequalities, extras = shape
+    rows = [(tuple(map(Fraction, c)), Fraction(b)) for c, b in inequalities]
+    oracle = set(brute_force_vertices(rows, 3))
+    assert oracle == {tuple(map(Fraction, c)) for c in corners}
+    for tight, point in extras.items():
+        values = [fdot(c, point) - b for c, b in rows]
+        assert min(values) >= 0 and values.count(0) == tight
+    chosen = data.draw(st.lists(st.sampled_from(sorted(extras)), min_size=1, unique=True))
+    points = [(1,) + tuple(p) for p in corners + [extras[tight] for tight in chosen]]
+    listed = [tuple(r(x) for x in p) for p in data.draw(st.permutations(points))]
+    first = next(p for p in listed if p[1:] not in oracle)
+    with pytest.raises(ValueError) as excinfo:
+        StateSpace("pyramid-or-cube-plus", 4, listed)
+    assert str(excinfo.value) == f"vertex {first} is a convex combination of the others"
+
+
 def test_geometry_never_enumerates_the_effect_polytope(monkeypatch):
     import gptsteer.composites
     import gptsteer.kernel
@@ -257,7 +315,6 @@ def test_geometry_never_enumerates_the_effect_polytope(monkeypatch):
 
     for module in (gptsteer.kernel, gptsteer.composites):
         monkeypatch.setattr(module, "extremal_effects", forbidden, raising=False)
-    # fresh labels, so that no geometry cache holds these spaces yet
     polygon = StateSpace("cold-polygon-7", 3, zoo_polygon(7).vertices)
     classical = StateSpace("cold-classical-5", 5, zoo_classical(5).vertices)
     for space in (polygon, classical):

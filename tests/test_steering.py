@@ -460,3 +460,13 @@ def test_theorem_verify_builds_each_assemblage_once(monkeypatch, gbit, fiducials
     assert report.trials[0].extra_all_reconstructed is True
     # one for the family on the canonical state, one per extra state
     assert len(calls) == 3
+
+
+def test_rejection_sampling_gives_up_with_a_value_error(gbit, monkeypatch):
+    from gptsteer import sampler
+    monkeypatch.setattr(sampler, "_REJECTION_CAP", 3)
+    rng = random.Random(5)
+    with pytest.raises(ValueError, match="no decomposition in 3 draws"):
+        random_decomposition(gbit, State((1, 2, 0)), rng)
+    with pytest.raises(ValueError, match="no valid effect in 3 draws"):
+        sampler.random_effect(zoo_classical(20), rng)
