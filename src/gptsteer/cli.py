@@ -158,12 +158,8 @@ def _cmd_theorem_verify(args) -> int:
     return _emit(args, sz.theorem_report_to_json(report), status, lines)
 
 
-def _load_bipartite(args):
-    return sz.bipartite_doc_from_json(_read_json(args.state_file))
-
-
 def _cmd_tensor(args) -> int:
-    state = _load_bipartite(args)
+    state = sz.bipartite_doc_from_json(_read_json(args.state_file))
     args.digest = _digest({"state": sz.bipartite_doc_to_json(state),
                            "tensor": args.tensor_command,
                            "side": getattr(args, "side", None),

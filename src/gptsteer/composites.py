@@ -22,7 +22,7 @@ from .exactlp import INFEASIBLE, LinearSystem, lp_feasible, membership_system, r
 from .kernel import (Effect, State, StateSpace, _coeffs, _mixture_weights, barycenter,
                      is_square_model, is_valid_state)
 from .ratio import ONE, ZERO, Rational, as_ratio
-from .vecs import combine, dot, matrix_times_col, outer, qmat, rank, transpose
+from .vecs import combine, dot, matrix_times_col, outer, qmat, transpose
 
 log = logging.getLogger(__name__)
 
@@ -179,17 +179,13 @@ def verify_entanglement_certificate(state: BipartiteState, certificate) -> bool:
 
 
 def marginal(state: BipartiteState, side: str) -> State:
-    """Contract one side with the partner's unit effect.
-
-    With coordinate 0 carrying normalization this is the first column
-    (side A) or first row (side B) of the matrix.
-    """
+    """Contract the partner side with its unit effect."""
     if not state.is_normalized:
         raise ValueError("marginals are defined for normalized states")
     if side == "A":
-        return State(tuple(row[0] for row in state.matrix))
+        return State(subnormalized_conditional(state, state.space_b.unit, "B"))
     if side == "B":
-        return State(state.matrix[0])
+        return State(subnormalized_conditional(state, state.space_a.unit, "A"))
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
@@ -239,6 +235,10 @@ def effect_to_state_isomorphism(space: StateSpace) -> tuple[tuple[Rational, ...]
     the vertex count, and the square, where coordinate 0 is fixed and
     (b, c) maps to (b - c, b + c). Anything else raises
     UnsupportedModelError.
+
+    A simplex's J is invertible without a check: StateSpace makes its n
+    vertices affinely independent with first coordinate 1, so V is
+    invertible and so is V V^T / n.
     """
     if is_square_model(space):
         return qmat(((1, 0, 0), (0, 1, -1), (0, 1, 1)))
@@ -250,8 +250,6 @@ def effect_to_state_isomorphism(space: StateSpace) -> tuple[tuple[Rational, ...]
             tuple(sum((v[i] * v[j] for v in space.vertices), ZERO) / n
                   for j in range(space.ambient_dim))
             for i in range(space.ambient_dim))
-        if rank(j_matrix) < space.ambient_dim:
-            raise UnsupportedModelError("degenerate simplex embedding")
         return j_matrix
     raise UnsupportedModelError(
         f"no canonical effect-to-state isomorphism for {space.label!r}")

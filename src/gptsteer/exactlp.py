@@ -224,15 +224,22 @@ class _Tableau:
         # or the slack when that is a ready-made basis column).
         self.origin: list[int] = []
         self.flip: list[Rational] = []
-        self.unit_col: list[int | None] = []
+        self.unit_col: list[int] = []
         self.pivots = 0
 
         all_rows = [(c, b, r, None) for r, (c, b) in enumerate(system.equalities)]
         all_rows += [(*system.inequalities[i], n_eq + i, n + len(free) + k)
                      for k, i in enumerate(kept)]
-        for coeffs, b, origin, slack in all_rows:
+        # Each row is flipped to a nonnegative rhs. Flipping an inequality
+        # row turns its slack coefficient to +1, making the slack a
+        # ready-made basis column, so an inequality with b <= 0 flips and
+        # keeps its slack; every other row takes the next artificial.
+        ready = [slack is not None and b <= 0 for _, b, _, slack in all_rows]
+        self.total_cols = self.struct_cols + ready.count(False)
+        artificials = iter(range(self.struct_cols, self.total_cols))
+        for (coeffs, b, origin, slack), is_ready in zip(all_rows, ready):
             ints, den = primitive_row((*coeffs, b))
-            row = [0] * self.struct_cols + [ints[-1]]
+            row = [0] * self.total_cols + [ints[-1]]
             for j, c in enumerate(ints[:-1]):
                 if c:
                     row[j] = c
@@ -241,30 +248,20 @@ class _Tableau:
                         row[m] = -c
             if slack is not None:
                 row[slack] = -den
-            # Flip to nonnegative rhs; flipping an inequality row turns its
-            # slack coefficient to +1, making the slack a ready-made basis
-            # column, so flip on b == 0 too.
-            if b < 0 or (b == 0 and slack is not None):
+            if b < 0 or is_ready:
                 row = [-x for x in row]
                 sign = -ONE
             else:
                 sign = ONE
+            col = slack if is_ready else next(artificials)
+            row[col] = den
             self.rows.append(row)
             self.dens.append(den)
             self.origin.append(origin)
             self.flip.append(sign)
-            self.unit_col.append(slack if slack is not None and row[slack] > 0 else None)
+            self.unit_col.append(col)
         self.row_count = len(self.rows)
-
-        pending_art = [r for r, col in enumerate(self.unit_col) if col is None]
-        self.total_cols = self.struct_cols + len(pending_art)
-        for k, r in enumerate(pending_art):
-            self.unit_col[r] = self.struct_cols + k
         self.basis: list[int] = list(self.unit_col)
-        for row, den, col in zip(self.rows, self.dens, self.unit_col):
-            row[-1:-1] = [0] * len(pending_art)
-            if col >= self.struct_cols:
-                row[col] = den
 
     # -- pivoting ----------------------------------------------------------
 

@@ -270,13 +270,13 @@ def depolarize_observable(obs: Observable, visibility) -> Observable:
     return Observable(label, obs.space, obs.outcomes, noisy)
 
 
-def dichotomic_observable(label: str, space: StateSpace, effect: Effect,
-                          outcomes: tuple[str, str] = ("+", "-")) -> Observable:
-    """Two-outcome observable from one effect and its complement."""
+def dichotomic_observable(label: str, space: StateSpace, effect: Effect) -> Observable:
+    """Two-outcome observable, outcomes "+" and "-", from one effect and
+    its complement."""
     e = effect if isinstance(effect, Effect) else Effect(effect)
     if not is_valid_effect(e, space):
         raise ValueError("effect is not valid on this space")
-    return Observable(label, space, outcomes, (e, space.unit - e))
+    return Observable(label, space, ("+", "-"), (e, space.unit - e))
 
 
 def trivial_observable(space: StateSpace) -> Observable:

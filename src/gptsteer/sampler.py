@@ -93,10 +93,10 @@ def random_product_state(space_a: StateSpace, space_b: StateSpace,
 
 
 def random_separable_state(space_a: StateSpace, space_b: StateSpace,
-                           rng: random.Random, denominator: int = 8,
-                           max_terms: int = 4) -> BipartiteState:
-    """Random mixture of random product states (a minimal-tensor element)."""
-    count = rng.randint(2, max_terms)
+                           rng: random.Random, denominator: int = 8) -> BipartiteState:
+    """Random mixture of two to four random product states (a
+    minimal-tensor element)."""
+    count = rng.randint(2, 4)
     parts = [random_product_state(space_a, space_b, rng, denominator)
              for _ in range(count)]
     return mix_bipartite_states(parts, _random_weights(rng, count, denominator))
@@ -110,18 +110,18 @@ def random_max_tensor_state(space_a: StateSpace, space_b: StateSpace,
     return random_separable_state(space_a, space_b, rng, denominator)
 
 
-def random_decomposition(space: StateSpace, target: State, rng: random.Random,
-                         max_components: int = 4,
-                         denominator: int = 8) -> tuple[tuple, ...]:
+def random_decomposition(space: StateSpace, target: State,
+                         rng: random.Random) -> tuple[tuple, ...]:
     """Random finite decomposition target = sum of weight * state.
 
-    Draws candidate states until the target lies in their convex hull,
-    then reads exact weights off the membership LP; zero-weight
-    components are dropped. Returns ((weight, State), ...).
+    Draws two to four candidate states, denominator 8, until the target
+    lies in their convex hull, then reads exact weights off the
+    membership LP; zero-weight components are dropped. Returns
+    ((weight, State), ...).
     """
     for _ in range(_REJECTION_CAP):
-        count = rng.randint(2, max_components)
-        states = [random_state(space, rng, denominator) for _ in range(count)]
+        count = rng.randint(2, 4)
+        states = [random_state(space, rng, 8) for _ in range(count)]
         membership = convex_member(target.coords, [s.coords for s in states])
         if membership.feasible:
             pairs = tuple((w, s) for w, s in zip(membership.witness, states) if w != 0)

@@ -13,7 +13,7 @@ import json
 from .composites import BipartiteState, SeparabilityResult
 from .compatibility import JmResult, MotherObservable
 from .errors import SchemaError
-from .kernel import Effect, Observable, State, StateSpace, zoo_by_name
+from .kernel import Observable, State, StateSpace, zoo_by_name
 from .ratio import Rational, as_ratio, format_ratio, parse_ratio
 from .steering import (Assemblage, LhsLambda, LhsModel, LhsResult,
                        TheoremReport)
@@ -120,9 +120,8 @@ def observable_from_json(obj, space: StateSpace) -> Observable:
     if not isinstance(outcomes, list) or not isinstance(effects, list):
         raise SchemaError("outcomes and effects must be lists")
     try:
-        return Observable(label=str(label), space=space,
-                          outcomes=tuple(str(k) for k in outcomes),
-                          effects=tuple(Effect(vec_from_json(e)) for e in effects))
+        return Observable(label=str(label), space=space, outcomes=outcomes,
+                          effects=[vec_from_json(e) for e in effects])
     except ValueError as err:
         raise SchemaError(f"invalid observable: {err}") from err
 
@@ -197,12 +196,8 @@ def assemblage_doc_from_json(obj, space: StateSpace | None = None) -> Assemblage
     if not all(isinstance(x, list) for x in (settings, outcomes, elements)):
         raise SchemaError("settings, outcomes and elements must be lists")
     try:
-        return Assemblage(
-            space=space,
-            settings=tuple(str(s) for s in settings),
-            outcomes=tuple(tuple(str(k) for k in row) for row in outcomes),
-            elements=tuple(tuple(vec_from_json(e) for e in row)
-                           for row in elements))
+        return Assemblage(space=space, settings=settings, outcomes=outcomes,
+                          elements=[[vec_from_json(e) for e in row] for row in elements])
     except (ValueError, TypeError) as err:
         raise SchemaError(f"invalid assemblage: {err}") from err
 

@@ -382,6 +382,21 @@ def find_conditioning_effect(state: BipartiteState,
     return effect
 
 
+def _prepare(state: BipartiteState, parts):
+    """Remotely prepare weight * state for each (weight, State) part, in order.
+
+    Returns (effects, None), or (the effects found so far, (i, err)) where
+    part i is the first that no valid effect prepares.
+    """
+    effects = []
+    for i, (w, s) in enumerate(parts):
+        try:
+            effects.append(find_conditioning_effect(state, combine((w,), (s.coords,))))
+        except NotRemotelyPreparableError as err:
+            return tuple(effects), (i, err)
+    return tuple(effects), None
+
+
 def lhs_to_mother(model: LhsModel, state: BipartiteState) -> MotherObservable:
     """Turn a local model for the state's assemblage into a mother observable.
 
@@ -395,15 +410,12 @@ def lhs_to_mother(model: LhsModel, state: BipartiteState) -> MotherObservable:
     model.validate()
     if model.space != state.space_b:
         raise ValueError("model must live on the B side of the state")
-    prepared = []
-    for i, lam in enumerate(model.lambdas):
-        target = combine((lam.weight,), (lam.state.coords,))
-        try:
-            prepared.append(find_conditioning_effect(state, target))
-        except NotRemotelyPreparableError as err:
-            raise NotRemotelyPreparableError(
-                f"hidden state {i} is not remotely preparable: {err}",
-                err.certificate) from err
+    prepared, failure = _prepare(state, [(lam.weight, lam.state) for lam in model.lambdas])
+    if failure is not None:
+        i, err = failure
+        raise NotRemotelyPreparableError(
+            f"hidden state {i} is not remotely preparable: {err}",
+            err.certificate) from err
     space_a = state.space_a
     combos = _index_tuples(model.outcomes)
     prepared_coeffs = [e.coeffs for e in prepared]
@@ -472,20 +484,14 @@ def is_strongly_steerable_for(state: BipartiteState,
             raise ValueError("decomposition component outside the state space")
         if combine([w for w, _ in pairs], [s.coords for _, s in pairs]) != mu.coords:
             raise ValueError("decomposition does not mix to the B marginal")
-        effects = []
-        report = None
-        for i, (w, s) in enumerate(pairs):
-            target = combine((w,), (s.coords,))
-            try:
-                effects.append(find_conditioning_effect(state, target))
-            except NotRemotelyPreparableError as err:
-                report = PreparationReport(prepared=False, failed_component=i,
-                                           certificate=err.certificate)
-                strongly = True
-                break
-        if report is None:
-            report = PreparationReport(prepared=True, effects=tuple(effects))
-        reports.append(report)
+        effects, failure = _prepare(state, pairs)
+        if failure is None:
+            reports.append(PreparationReport(prepared=True, effects=effects))
+        else:
+            i, err = failure
+            reports.append(PreparationReport(prepared=False, failed_component=i,
+                                             certificate=err.certificate))
+            strongly = True
     return strongly, tuple(reports)
 
 

@@ -1,6 +1,7 @@
 """Assemblages, local models, steering certificates, and the two constructions."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from gptsteer.compatibility import check_joint_measurability
 from gptsteer.composites import (BipartiteState, canonical_max_entangled,
                                  product_state, subnormalized_conditional)
 from gptsteer.errors import NotRemotelyPreparableError
+from gptsteer.exactlp import refutes
 from gptsteer.kernel import (Effect, Observable, State, barycenter,
                              depolarize_observable, zoo_classical)
 from gptsteer.ratio import ONE, ZERO, as_ratio, format_ratio
@@ -344,6 +346,37 @@ def test_product_state_fails_some_decomposition(gbit):
     assert not report.prepared
     assert report.failed_component == 0
     assert report.certificate is not None
+
+
+def _lhs_to_mother_failure(state, parts):
+    lambdas = tuple(LhsLambda(w, s, ((ONE, ZERO),)) for w, s in parts)
+    model = LhsModel(state.space_b, ("X",), (("+", "-"),), lambdas)
+    with pytest.raises(NotRemotelyPreparableError) as exc:
+        lhs_to_mother(model, state)
+    assert isinstance(exc.value.__cause__, NotRemotelyPreparableError)
+    index = re.match(r"hidden state (\d+) is not remotely preparable: ", str(exc.value))
+    return int(index.group(1)), exc.value.certificate
+
+
+def _strong_steering_failure(state, parts):
+    strongly, (report,) = is_strongly_steerable_for(state, (parts,))
+    assert strongly is True
+    assert not report.prepared and report.effects == ()
+    return report.failed_component, report.certificate
+
+
+@pytest.mark.parametrize("failure", [_lhs_to_mother_failure, _strong_steering_failure])
+def test_preparation_failure_names_the_second_part(gbit, failure):
+    # Conditioning a product state only prepares multiples of Bob's
+    # marginal: part 0 is that marginal, part 1 a vertex.
+    prod = product_state(gbit, barycenter(gbit), gbit, barycenter(gbit))
+    parts = ((r(1, 2), barycenter(gbit)),
+             (r(1, 4), State((1, 1, 1))),
+             (r(1, 4), State((1, -1, -1))))
+    index, certificate = failure(prod, parts)
+    assert index == 1
+    target = tuple(r(1, 4) * c for c in parts[1][1].coords)
+    assert refutes(conditioning_system(prod, target), certificate)
 
 
 def test_strong_steering_input_validation(gbit, phi):
