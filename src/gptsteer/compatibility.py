@@ -23,8 +23,8 @@ from typing import Sequence
 
 from .errors import VerificationError
 from .exactlp import INFEASIBLE, OPTIMAL, LinearSystem, lp_feasible, lp_optimize, refutes
-from .kernel import (Effect, Observable, StateSpace, _index_tuples, _slot_stack,
-                     depolarize_observable, is_valid_effect, is_valid_observable,
+from .kernel import (Effect, Observable, StateSpace, _check_lp_size, _index_tuples,
+                     _slot_stack, depolarize_observable, is_valid_effect, is_valid_observable,
                      mother_outcome_tuples)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .vecs import combine
@@ -111,10 +111,12 @@ def jm_linear_system(observables: Sequence[Observable], space: StateSpace) -> Li
     (``kernel._slot_stack``). Inequalities: for each tuple, for each
     vertex, nonnegativity of the tuple effect on it, that is the vertex in
     the tuple's block. Certificates align with this order, equalities first.
+    A family past ``kernel.LP_SIZE_CAP`` raises ValueError.
     """
     _check_family(observables, space)
     dim = space.ambient_dim
     outcomes = [obs.outcomes for obs in observables]
+    _check_lp_size(outcomes, space)
     tuples = _index_tuples(outcomes)
     units = [(ZERO,) * c + (ONE,) + (ZERO,) * (dim - 1 - c) for c in range(dim)]
     columns = [e_c + _slot_stack(t, e_c, outcomes) for t in tuples for e_c in units]

@@ -403,6 +403,21 @@ def mother_outcome_tuples(observables: Sequence[Observable]) -> tuple[tuple[str,
     return tuple(itertools.product(*(obs.outcomes for obs in observables)))
 
 
+# jm_linear_system and lhs_linear_system refuse a family whose outcome tuples
+# times the space's vertices pass this, rather than solve for minutes.
+LP_SIZE_CAP = 256
+
+
+def _check_lp_size(outcomes, space: StateSpace) -> None:
+    """Refuse, before any row is built, a JM or LHS LP with more than
+    LP_SIZE_CAP (outcome tuple, vertex) pairs: one nonnegativity row each
+    in the JM LP, one generator column each in the LHS LP."""
+    size = math.prod([len(row) for row in outcomes]) * len(space.vertices)
+    if size > LP_SIZE_CAP:
+        raise ValueError(f"the LP has {size} (outcome tuple, vertex) pairs, "
+                         f"more than the cap of {LP_SIZE_CAP}")
+
+
 def _index_tuples(outcomes) -> tuple[tuple[int, ...], ...]:
     """Outcome-index tuples in ``mother_outcome_tuples`` order; outcomes[x]
     lists the outcomes of setting x."""

@@ -33,8 +33,9 @@ from .composites import (BipartiteState, canonical_max_entangled, in_max_tensor,
                          marginal, subnormalized_conditional)
 from .errors import ConstructionError, NotRemotelyPreparableError, VerificationError
 from .exactlp import LinearSystem, lp_feasible, membership_system
-from .kernel import (Effect, Observable, State, StateSpace, _effect_rows, _index_tuples,
-                     _slot_stack, in_state_cone, is_valid_state, mother_outcome_tuples)
+from .kernel import (Effect, Observable, State, StateSpace, _check_lp_size, _effect_rows,
+                     _index_tuples, _slot_stack, in_state_cone, is_valid_state,
+                     mother_outcome_tuples)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .sampler import SamplerConfig, make_rng, random_max_tensor_state, random_observable_set
 from .vecs import combine, dot, qvec
@@ -233,8 +234,10 @@ def lhs_linear_system(assemblage: Assemblage) -> LinearSystem:
     ``kernel.mother_outcome_tuples`` (as outcome indices), vertices in
     space order: ``kernel._slot_stack`` puts the vertex in slot
     (x, strategy[x]) for each setting x and zeros in every other slot.
-    Its weights are the variables c[strategy][vertex].
+    Its weights are the variables c[strategy][vertex]. An assemblage past
+    ``kernel.LP_SIZE_CAP`` raises ValueError.
     """
+    _check_lp_size(assemblage.outcomes, assemblage.space)
     target = tuple([c for row in assemblage.elements for e in row for c in e])
     return membership_system(target, _generators(assemblage.space, assemblage.outcomes),
                              convex=False)
@@ -267,9 +270,16 @@ def functional_value(functional, assemblage: Assemblage) -> Rational:
 
 def functional_strategy_bound(functional, space: StateSpace,
                               outcomes: tuple[tuple[str, ...], ...]) -> Rational:
-    """Largest pairing any deterministic strategy and vertex can reach."""
-    flat = tuple(c for row in functional for f in row for c in f)
-    return max(dot(flat, gen) for gen in _generators(space, outcomes))
+    """Largest pairing any deterministic strategy and vertex can reach.
+
+    A strategy picks each setting's outcome independently, so its best
+    pairing with vertex v is sum_x max_a functional[x][a].v: one dot per
+    (vertex, setting, outcome), not one per (strategy, vertex) generator.
+    """
+    if [len(row) for row in functional] != [len(row) for row in outcomes]:
+        raise ValueError("functional and outcomes differ in shape")
+    return max(sum([max([dot(f, v) for f in row]) for row in functional], ZERO)
+               for v in space.vertices)
 
 
 def check_lhs(assemblage: Assemblage) -> LhsResult:

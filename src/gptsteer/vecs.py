@@ -5,9 +5,12 @@ in-place Gauss-Jordan step that elimination shares with the ``exactlp``
 simplex; matrices are tuples of row tuples. ``pivot`` works fraction-free,
 on rows of Python ints over one positive denominator per row
 (``primitive_row``), so no rational is built while a matrix is reduced;
-values become rationals again only where they leave it. Gaussian
-elimination uses first-nonzero pivoting, which is all exact arithmetic
-needs.
+values become rationals again only where they leave it. The two sums,
+``dot`` and the weighted sum ``combine``, work the same way: they read
+each value's .numerator and .denominator, accumulate an int numerator
+over one running positive denominator per result, and build one
+normalized rational per result. Gaussian elimination uses first-nonzero
+pivoting, which is all exact arithmetic needs.
 
 Hot paths build tuples from lists (``tuple([...])``), not generators:
 CPython sizes a generator's tuple by resizing, and its tuple free lists
@@ -35,30 +38,55 @@ def vzero(n: int) -> tuple[Rational, ...]:
 
 
 def dot(a: Sequence, b: Sequence) -> Rational:
-    total = ZERO
+    """sum_i a[i] * b[i], skipping zero entries; a and b must have the
+    same length. Rational or int entries, read through .numerator and
+    .denominator only; the sum is kept as one int numerator over the
+    least common multiple of the terms' denominators and normalized once."""
+    num, den = 0, 1
     for x, y in zip(a, b, strict=True):
         if x and y:
-            total += x * y
-    return total
+            n = x.numerator * y.numerator
+            d = x.denominator * y.denominator
+            q, rem = divmod(den, d)
+            if rem:
+                g = math.gcd(den, d)
+                num = num * (d // g) + n * (den // g)
+                den = den // g * d
+            else:
+                num += n * q
+    return as_ratio(num, den)
 
 
 def combine(weights: Sequence, vectors: Sequence[Sequence]) -> tuple[Rational, ...]:
     """sum_i weights[i] * vectors[i], skipping zero weights and zero entries.
 
     The only weighted sum of vectors here; row times matrix is
-    combine(row, matrix). Needs at least one vector, whose length is the result's."""
+    combine(row, matrix). Needs at least one vector, whose length is the
+    result's. Accumulates each coordinate as ``dot`` does, one int
+    numerator over its own running denominator, and normalizes each once."""
     if not vectors:
         raise ValueError("need at least one vector")
     n = len(vectors[0])
-    total = [ZERO] * n
+    nums = [0] * n
+    dens = [1] * n
     for w, vec in zip(weights, vectors, strict=True):
         if len(vec) != n:
             raise ValueError("vectors differ in length")
         if w:
+            wn, wd = w.numerator, w.denominator
             for j, x in enumerate(vec):
                 if x:
-                    total[j] += w * x
-    return tuple(total)
+                    t = wn * x.numerator
+                    d = wd * x.denominator
+                    den = dens[j]
+                    q, rem = divmod(den, d)
+                    if rem:
+                        g = math.gcd(den, d)
+                        nums[j] = nums[j] * (d // g) + t * (den // g)
+                        dens[j] = den // g * d
+                    else:
+                        nums[j] += t * q
+    return tuple([as_ratio(p, q) for p, q in zip(nums, dens)])
 
 
 def outer(a: Sequence, b: Sequence) -> tuple[tuple[Rational, ...], ...]:

@@ -11,7 +11,7 @@ import pytest
 from gptsteer import exactlp
 from gptsteer.cli import EXIT_INTERNAL, main
 from gptsteer.composites import BipartiteState, product_state
-from gptsteer.kernel import (Effect, Observable, State, barycenter,
+from gptsteer.kernel import (LP_SIZE_CAP, Effect, Observable, State, barycenter,
                              depolarize_observable, extremal_effects, zoo_classical,
                              zoo_names)
 from gptsteer.ratio import as_ratio
@@ -361,3 +361,25 @@ def test_failed_audit_exits_internal(docs, capsys, monkeypatch):
     assert status == EXIT_INTERNAL == 3
     assert captured.out == ""
     assert captured.err.startswith("error: internal audit failed: ")
+
+
+def test_oversized_family_is_refused_before_solving(gbit, phi, fiducials, tmp_path, capsys,
+                                                     monkeypatch):
+    # seven alternating X/Y copies at visibility 1/2: 2^7 outcome tuples
+    # times 4 vertices is 512 pairs; solved, the JM LP takes about a minute
+    monkeypatch.delenv("GPTSTEER_LOG", raising=False)
+    X, Y = fiducials
+    family = tuple(depolarize_observable((X, Y)[i % 2], r(1, 2)) for i in range(7))
+    obs = tmp_path / "xy7-obs.json"
+    obs.write_text(dumps_canonical(observables_doc_to_json(gbit, family)))
+    asm = tmp_path / "xy7-asm.json"
+    asm.write_text(dumps_canonical(assemblage_doc_to_json(assemblage_from(phi, family))))
+    for argv in (["check-jm", "--obs-file", str(obs)],
+                 ["jm-threshold", "--obs-file", str(obs), "--precision", "1/8"],
+                 ["check-lhs", "--asm-file", str(asm)]):
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == ("error: the LP has 512 (outcome tuple, vertex) pairs, "
+                                f"more than the cap of {LP_SIZE_CAP}\n")

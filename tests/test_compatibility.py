@@ -11,11 +11,12 @@ from gptsteer.compatibility import (INCOMPATIBLE, JOINTLY_MEASURABLE,
                                     jm_linear_system, jm_noise_threshold,
                                     marginalize_mother, subset_jm_scan,
                                     verify_incompatibility_certificate)
-from gptsteer.kernel import (Effect, Observable, depolarize_observable,
+from gptsteer.kernel import (LP_SIZE_CAP, Effect, Observable, depolarize_observable,
                              dichotomic_observable, mother_outcome_tuples,
                              trivial_observable)
 from gptsteer.ratio import as_ratio, format_ratio
 from gptsteer.sampler import random_dichotomic
+from gptsteer.steering import assemblage_from, lhs_linear_system
 
 from oracles import (ansatz_is_valid, ansatz_mother, check_farkas,
                      product_mother_effects,
@@ -104,6 +105,20 @@ def test_jm_system_shape(gbit, fiducials):
     with pytest.raises(ValueError):
         jm_linear_system((), gbit)
 
+
+def test_lp_size_cap_refuses_before_building(gbit, phi, fiducials):
+    # k alternating X/Y copies have 2^k outcome tuples, times 4 gbit vertices
+    X, Y = fiducials
+    copies = [depolarize_observable((X, Y)[i % 2], r(1, 2)) for i in range(7)]
+    assert 2 ** 6 * 4 == LP_SIZE_CAP
+    system = jm_linear_system(copies[:6], gbit)
+    assert len(system.inequalities) == LP_SIZE_CAP
+    assert len(lhs_linear_system(assemblage_from(phi, copies[:6])).inequalities) == LP_SIZE_CAP
+    message = f"512 \\(outcome tuple, vertex\\) pairs, more than the cap of {LP_SIZE_CAP}"
+    with pytest.raises(ValueError, match=message):
+        jm_linear_system(copies, gbit)
+    with pytest.raises(ValueError, match=message):
+        lhs_linear_system(assemblage_from(phi, copies))
 
 def test_family_validation(gbit, classical2, fiducials):
     X, _ = fiducials

@@ -9,6 +9,7 @@ same independent verifiers.
 import hashlib
 import logging
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -32,10 +33,10 @@ from gptsteer.ratio import RATIONAL_BACKEND, Rational, as_ratio, format_ratio, p
 from gptsteer.sampler import (SamplerConfig, make_rng, random_observable_set,
                               random_separable_state)
 from gptsteer.steering import assemblage_from, lhs_critical_visibility, lhs_linear_system
-from gptsteer.vecs import combine, pivot, primitive_row
+from gptsteer.vecs import combine, dot, pivot, primitive_row
 
 from oracles import (brute_force_vertices, check_farkas, check_optimum,
-                     check_point, jm_rows, lhs_rows, separability_rows)
+                     check_point, fdot, jm_rows, lhs_rows, separability_rows)
 
 r = as_ratio
 
@@ -837,15 +838,89 @@ def test_convex_membership_hull_property(points, target):
         assert result.certificate is not None
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=1, max_value=4).flatmap(
-    lambda n: st.lists(st.tuples(small_int, st.lists(small_int, min_size=n, max_size=n)),
-                       min_size=1, max_size=5)))
+# Scalars as the kernels meet them: ints, zeros of both types, and
+# Fractions over mixed denominators or over pairwise-coprime (prime) ones.
+PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+scalars = st.one_of(
+    st.integers(min_value=-1000, max_value=1000),
+    st.just(0), st.just(Fraction(0)),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
+    st.builds(Fraction, st.integers(min_value=-999, max_value=999), st.sampled_from(PRIMES)))
+
+
+def _long_row(rng, length):
+    """A seeded row over prime denominators up to 997, with ints and zeros mixed in."""
+    row = []
+    for _ in range(length):
+        kind = rng.random()
+        if kind < 0.1:
+            row.append(0)
+        elif kind < 0.2:
+            row.append(rng.randint(-999, 999))
+        else:
+            row.append(Fraction(rng.randint(-999, 999), rng.choice(PRIMES)))
+    return row
+
+
+def _naive_combine(weights, vectors):
+    return tuple(sum((Fraction(w) * Fraction(vec[j]) for w, vec in zip(weights, vectors)),
+                     Fraction(0)) for j in range(len(vectors[0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.tuples(st.lists(scalars, min_size=n, max_size=n),
+                        st.lists(scalars, min_size=n, max_size=n))))
+def test_dot_is_the_fraction_sum(pair):
+    a, b = pair
+    result = dot(a, b)
+    assert type(result) is Fraction
+    assert result == fdot(a, b)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=500, max_value=700))
+def test_dot_on_long_rows_with_coprime_denominators(seed, length):
+    rng = random.Random(seed)
+    a, b = _long_row(rng, length), _long_row(rng, length)
+    result = dot(a, b)
+    assert type(result) is Fraction
+    assert result == fdot(a, b)
+
+
+def test_dot_and_combine_types_and_length_errors():
+    assert type(dot((), ())) is Fraction and dot((), ()) == 0
+    assert type(dot((2, 3), (4, 0))) is Fraction and dot((2, 3), (4, 0)) == 8
+    assert [type(x) for x in combine((2,), ((1, 0),))] == [Fraction, Fraction]
+    with pytest.raises(ValueError):
+        dot((1, 2), (1,))
+    with pytest.raises(ValueError):
+        dot((r(1, 2),), (r(1, 3), 0))
+    with pytest.raises(ValueError, match="at least one vector"):
+        combine((), ())
+    with pytest.raises(ValueError, match="differ in length"):
+        combine((1, 1), ((1, 2), (1,)))
+    with pytest.raises(ValueError):
+        combine((1, 1, 1), ((1, 2), (3, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.tuples(scalars, st.lists(scalars, min_size=n, max_size=n)),
+                       min_size=1, max_size=8)))
 def test_combine_is_the_weighted_sum(terms):
-    weights = [r(w, 3) for w, _ in terms]
-    vectors = [tuple(r(x) for x in vec) for _, vec in terms]
-    naive = tuple(sum((w * vec[j] for w, vec in zip(weights, vectors)), r(0))
-                  for j in range(len(vectors[0])))
+    weights = [w for w, _ in terms]
+    vectors = [tuple(vec) for _, vec in terms]
+    naive = _naive_combine(weights, vectors)
     assert combine(weights, vectors) == naive
     assert combine([0] * len(vectors), vectors) == (r(0),) * len(vectors[0])
-    assert [type(x) for x in combine(weights, vectors)] == [type(r(0))] * len(naive)
+    assert [type(x) for x in combine(weights, vectors)] == [Fraction] * len(naive)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_combine_on_long_vectors_with_coprime_denominators(seed):
+    rng = random.Random(seed)
+    weights = _long_row(rng, 8)
+    vectors = [_long_row(rng, 500) for _ in weights]
+    assert combine(weights, vectors) == _naive_combine(weights, vectors)

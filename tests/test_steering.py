@@ -1,10 +1,13 @@
 """Assemblages, local models, steering certificates, and the two constructions."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptsteer.compatibility import check_joint_measurability
 from gptsteer.composites import (BipartiteState, canonical_max_entangled,
@@ -12,7 +15,7 @@ from gptsteer.composites import (BipartiteState, canonical_max_entangled,
 from gptsteer.errors import NotRemotelyPreparableError
 from gptsteer.exactlp import refutes
 from gptsteer.kernel import (Effect, Observable, State, barycenter,
-                             depolarize_observable, zoo_classical)
+                             depolarize_observable, zoo_by_name, zoo_classical)
 from gptsteer.ratio import ONE, ZERO, as_ratio, format_ratio
 from gptsteer.sampler import SamplerConfig, random_decomposition
 from gptsteer.steering import (STEERABLE, UNSTEERABLE, Assemblage, LhsLambda,
@@ -24,7 +27,7 @@ from gptsteer.steering import (STEERABLE, UNSTEERABLE, Assemblage, LhsLambda,
                                lhs_noise_threshold, lhs_to_mother,
                                reconstruct_assemblage, theorem_verify)
 
-from oracles import assemblage_of_model, check_farkas
+from oracles import assemblage_of_model, check_farkas, fdot
 
 r = as_ratio
 
@@ -143,6 +146,33 @@ def test_sharp_pair_steers_with_audited_certificate(gbit, phi, fiducials):
     assert functional_strategy_bound(result.functional, gbit,
                                      asm.outcomes) <= ZERO
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("gbit", "classical-3", "polygon-5")),
+       st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_strategy_bound_is_the_generator_maximum(model, shape, seed):
+    # max over (strategy, vertex) generators, enumerated with plain Fractions
+    space = zoo_by_name(model)
+    rng = random.Random(seed)
+    functional = tuple(tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                                   for _ in range(space.ambient_dim))
+                             for _ in range(count))
+                       for count in shape)
+    outcomes = tuple(tuple(str(a) for a in range(count)) for count in shape)
+    expected = max(sum(fdot(functional[x][a], v) for x, a in enumerate(strategy))
+                   for strategy in itertools.product(*[range(count) for count in shape])
+                   for v in space.vertices)
+    assert _fr(functional_strategy_bound(functional, space, outcomes)) == expected
+
+
+def test_strategy_bound_checks_the_shape(gbit):
+    row = ((ONE, ZERO, ZERO),) * 2
+    with pytest.raises(ValueError, match="differ in shape"):
+        functional_strategy_bound((row,), gbit, (("+", "-"), ("+", "-")))
+    with pytest.raises(ValueError, match="differ in shape"):
+        functional_strategy_bound((row, row[:1]), gbit, (("+", "-"), ("+", "-")))
 
 def test_noisy_pair_has_local_model_frozen(gbit, phi, fiducials):
     noisy = _depolarized_pair(fiducials, r(1, 2))
