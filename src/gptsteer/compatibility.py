@@ -8,10 +8,12 @@ Existence of such a mother is a rational LP; infeasibility comes with a
 Farkas certificate and feasibility with the mother itself, so either
 verdict can be re-checked by substitution.
 
-Depolarizing noise moves only the LP's right-hand sides, and affinely, so
-the critical visibility, the largest level at which the noisy family is
-still jointly measurable, is the optimum of one LP over the mother and
-the level together (``_critical_level``, shared with the steering side).
+Depolarizing noise keeps every coefficient row and moves only the
+equalities' right-hand side, affinely, so the critical visibility, the
+largest level at which the noisy family is still jointly measurable, is
+the optimum of one LP over the mother and the level, built from the sharp
+system and the level-0 right-hand side (``_critical_level``, shared with
+the steering side).
 """
 
 from __future__ import annotations
@@ -120,12 +122,17 @@ def jm_linear_system(observables: Sequence[Observable], space: StateSpace) -> Li
     tuples = _index_tuples(outcomes)
     units = [(ZERO,) * c + (ONE,) + (ZERO,) * (dim - 1 - c) for c in range(dim)]
     columns = [e_c + _slot_stack(t, e_c, outcomes) for t in tuples for e_c in units]
-    target = space.unit.coeffs + tuple([c for obs in observables
-                                        for e in obs.effects for c in e.coeffs])
+    target = _jm_target(observables, space)
     inequalities = tuple([(_slot_stack((t,), v, (tuples,)), ZERO)
                           for t in range(len(tuples)) for v in space.vertices])
     equalities = tuple([*zip(zip(*columns), target, strict=True)])  # a list first: see vecs
     return LinearSystem(len(columns), equalities, inequalities)
+
+
+def _jm_target(observables: Sequence[Observable], space: StateSpace) -> tuple[Rational, ...]:
+    """The JM equalities' right-hand side: the unit, then each effect."""
+    return space.unit.coeffs + tuple([c for obs in observables
+                                      for e in obs.effects for c in e.coeffs])
 
 
 def check_joint_measurability(observables: Sequence[Observable],
@@ -172,10 +179,11 @@ def jm_critical_visibility(observables: Sequence[Observable], space: StateSpace)
     """The largest depolarizing level at which the family is jointly measurable.
 
     Exact, from one LP (``_critical_level``); 1 for a family that is
-    jointly measurable even sharp. The sharp build validates the family.
+    jointly measurable even sharp. One JM build validates the family.
     """
-    return _critical_level(jm_linear_system(observables, space), observables,
-                           lambda noisy: jm_linear_system(noisy, space))
+    system = jm_linear_system(observables, space)
+    noise = [depolarize_observable(o, ZERO) for o in observables]
+    return _critical_level(system, _jm_target(noise, space))
 
 
 def jm_noise_threshold(observables: Sequence[Observable], space: StateSpace,
@@ -200,36 +208,28 @@ def _positive_precision(precision) -> Rational:
     return eps
 
 
-def _critical_level(sharp: LinearSystem, observables: Sequence[Observable],
-                    system_of) -> Rational:
-    """Largest level in [0, 1] at which system_of(depolarized family) is feasible.
+def _critical_level(sharp: LinearSystem, rhs_at_zero: Sequence[Rational]) -> Rational:
+    """Largest level in [0, 1] at which the depolarized system is feasible.
 
-    The coefficient rows of the system do not depend on the level and
-    its right-hand sides are affine in it, so rows A x (==, >=) b0 + eta
-    (b1 - b0), built at levels 0 and 1, become A x - eta (b1 - b0) (==,
-    >=) b0 over (x, eta), with eta >= 0 and -eta >= -1 appended. One
-    lp_optimize maximizes eta; it audits the optimal point and the dual
-    multipliers that bound eta from above. Level 0 is always feasible,
-    so the feasible levels form the interval [0, optimum]. The caller
-    builds sharp, the system at level 1, first, so a builder that
-    validates the family names a bad observable, not its depolarized
-    copy.
+    sharp is the system at level 1 and rhs_at_zero its equalities'
+    right-hand side at level 0. Depolarizing moves nothing else: the
+    coefficient rows depend only on the space and the outcome lists, and
+    every inequality's right-hand side is the same at each level. Each
+    equality A x == b1 thus holds at level eta as A x == b0 + eta (b1 -
+    b0), so it becomes A x + eta (b0 - b1) == b0 over (x, eta); each
+    inequality gets a zero in the eta column; eta >= 0 and -eta >= -1
+    are appended. One lp_optimize maximizes eta; it audits the optimal
+    point and the dual multipliers that bound eta from above. Level 0
+    is always feasible, so the feasible levels form the interval
+    [0, optimum].
     """
-    base = system_of(tuple(depolarize_observable(o, ZERO) for o in observables))
-    n = base.variable_count
-
-    def with_level(rows, rows_at_one):
-        out = []
-        for (coeffs, b0), (coeffs_at_one, b1) in zip(rows, rows_at_one, strict=True):
-            if coeffs != coeffs_at_one:
-                raise VerificationError("a constraint row changes with the noise level")
-            out.append((coeffs + (b0 - b1,), b0))
-        return tuple(out)
-
+    n = sharp.variable_count
     level = (ZERO,) * n + (ONE,)
     bounds = ((level, ZERO), (combine((-ONE,), (level,)), -ONE))
-    system = LinearSystem(n + 1, with_level(base.equalities, sharp.equalities),
-                          with_level(base.inequalities, sharp.inequalities) + bounds)
+    equalities = tuple([(coeffs + (b0 - b1,), b0) for (coeffs, b1), b0
+                        in zip(sharp.equalities, rhs_at_zero, strict=True)])
+    inequalities = tuple([(coeffs + (ZERO,), b) for coeffs, b in sharp.inequalities])
+    system = LinearSystem(n + 1, equalities, inequalities + bounds)
     result = lp_optimize(level, system, "max")
     if result.status != OPTIMAL:
         raise VerificationError(f"critical-level LP is {result.status}, "

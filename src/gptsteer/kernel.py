@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .exactlp import LinearSystem, vertex_enumerate
+from .exactlp import LinearSystem, _primitive_ray, vertex_enumerate
 from .ratio import ONE, ZERO, Rational, as_ratio, format_ratio
 from .vecs import affine_rank, combine, dot, qvec, vzero
 
@@ -94,11 +94,12 @@ class StateSpace:
             raise ValueError("duplicate vertices")
         if affine_rank(self.vertices) != self.ambient_dim - 1:
             raise ValueError("vertices do not affinely span the normalization slice")
-        # Facets: the vertices of the polar slice {f : f.v >= 0, f.barycenter = 1}.
+        # Facets: the vertices of the polar slice {f : f.v >= 0, f.barycenter = 1},
+        # as primitive integer directions, so the N^2 dots below stay short.
         # A point is a convex combination of the others iff another lies on all its facets.
         polar = LinearSystem(self.ambient_dim, ((barycenter(self).coords, ONE),),
                              tuple((v, ZERO) for v in self.vertices))
-        normals = vertex_enumerate(polar)
+        normals = [_primitive_ray(f) for f in vertex_enumerate(polar)]
         values = [[dot(f, v) for v in self.vertices] for f in normals]
         masks = [sum(1 << k for k, row in enumerate(values) if row[i] == 0)
                  for i in range(len(self.vertices))]

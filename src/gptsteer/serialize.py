@@ -290,3 +290,5 @@ def load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise SchemaError(f"malformed JSON: {err}") from err
+    except RecursionError as err:
+        raise SchemaError("malformed JSON: nested too deeply") from err

@@ -34,8 +34,8 @@ from .composites import (BipartiteState, canonical_max_entangled, in_max_tensor,
 from .errors import ConstructionError, NotRemotelyPreparableError, VerificationError
 from .exactlp import LinearSystem, lp_feasible, membership_system
 from .kernel import (Effect, Observable, State, StateSpace, _check_lp_size, _effect_rows,
-                     _index_tuples, _slot_stack, in_state_cone, is_valid_state,
-                     mother_outcome_tuples)
+                     _index_tuples, _slot_stack, depolarize_observable, in_state_cone,
+                     is_valid_state, mother_outcome_tuples)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .sampler import SamplerConfig, make_rng, random_max_tensor_state, random_observable_set
 from .vecs import combine, dot, qvec
@@ -125,11 +125,6 @@ def assemblage_from(state: BipartiteState,
     for obs in observables:
         if obs.space is not state.space_a and obs.space != state.space_a:
             raise ValueError("observables must act on the A side of the state")
-    return _steered(state, observables)
-
-
-def _steered(state: BipartiteState, observables: tuple[Observable, ...]) -> Assemblage:
-    """The body of assemblage_from, for inputs it has already checked."""
     elements = tuple(
         tuple(subnormalized_conditional(state, eff, "A")
               for eff in obs.effects)
@@ -513,13 +508,13 @@ def lhs_critical_visibility(observables: tuple[Observable, ...],
     (``compatibility._critical_level``); 1 for a family that steers
     nothing even sharp. On the canonical maximally entangled state it
     equals the family's critical visibility for joint measurability.
-    The sharp assemblage is checked; its depolarized copy is built from
-    the same state and family, so it is not checked again.
+    The LHS system is built once, from the checked sharp assemblage.
     """
     _check_family(observables, state.space_a)
-    return _critical_level(lhs_linear_system(assemblage_from(state, observables)),
-                           observables,
-                           lambda noisy: lhs_linear_system(_steered(state, noisy)))
+    system = lhs_linear_system(assemblage_from(state, observables))
+    noise = [depolarize_observable(o, ZERO) for o in observables]
+    return _critical_level(system, [c for o in noise for e in o.effects
+                                    for c in subnormalized_conditional(state, e, "A")])
 
 
 def lhs_noise_threshold(observables: tuple[Observable, ...],

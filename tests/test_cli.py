@@ -363,6 +363,16 @@ def test_failed_audit_exits_internal(docs, capsys, monkeypatch):
     assert captured.err.startswith("error: internal audit failed: ")
 
 
+def test_deeply_nested_json_is_a_usage_error(tmp_path):
+    # the JSON parser recurses once per level; depth is a bad input, not a refutation
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    proc = run_cli("check-jm", "--model", "gbit", "--obs-file", str(deep))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: malformed JSON: nested too deeply\n"
+
+
 def test_oversized_family_is_refused_before_solving(gbit, phi, fiducials, tmp_path, capsys,
                                                      monkeypatch):
     # seven alternating X/Y copies at visibility 1/2: 2^7 outcome tuples

@@ -219,6 +219,27 @@ def test_a_space_enumerates_its_facets_once(monkeypatch):
     assert len(enumerations) == 1
 
 
+def test_polygon_build_dots_stay_as_short_as_its_vertices(monkeypatch):
+    # the polar slice's normals carry the lcm of every vertex denominator;
+    # scaled to primitive integer directions first, the N^2 facet-vertex dots
+    # see no entry longer than a vertex entry (unscaled: 289 bits against 21)
+    import gptsteer.kernel
+
+    def bits(vec):
+        return max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+                   for x in vec)
+
+    widest = []
+    clean = gptsteer.kernel.dot
+    monkeypatch.setattr(gptsteer.kernel, "dot",
+                        lambda a, b: widest.append(max(bits(a), bits(b))) or clean(a, b))
+    space = zoo_polygon(64)
+    vertex_bits = max(bits(v) for v in space.vertices)
+    assert vertex_bits == 21
+    assert len(widest) == 64 * 64
+    assert max(widest) <= 2 * vertex_bits
+
+
 def test_a_dropped_space_is_freed():
     space = StateSpace("dropped-polygon-5", 3, zoo_polygon(5).vertices)
     assert is_valid_state(barycenter(space), space)

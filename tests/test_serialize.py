@@ -239,3 +239,5 @@ def test_load_json():
     assert load_json('{"a": 1}') == {"a": 1}
     with pytest.raises(SchemaError):
         load_json("{nope")
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        load_json("[" * 100_000 + "]" * 100_000)

@@ -8,6 +8,7 @@ the exact critical visibility without probing, so every case here must
 come out identical.
 """
 
+import hashlib
 import logging
 import math
 import random
@@ -22,7 +23,7 @@ from gptsteer.composites import canonical_max_entangled
 from gptsteer.kernel import (Effect, Observable, depolarize_observable,
                              dichotomic_observable, extremal_effects, zoo_classical,
                              zoo_polygon)
-from gptsteer.ratio import ONE, ZERO, as_ratio
+from gptsteer.ratio import ONE, ZERO, as_ratio, format_ratio
 from gptsteer.sampler import (SamplerConfig, random_max_tensor_state,
                               random_observable_set)
 from gptsteer.steering import (assemblage_from, check_lhs, is_steerable_state,
@@ -191,17 +192,59 @@ def test_lhs_threshold_validates_the_family_first(gbit, phi, fiducials):
 
 def test_critical_visibilities_validate_the_family_once_per_build(gbit, phi, fiducials,
                                                                   monkeypatch):
-    # the JM builder checks the sharp family, then its depolarized copy;
-    # the LHS side checks the family once before its two builds
+    # each side builds its LP once, from the sharp family, and checks that
+    # family once; the level-0 right-hand side needs no second check
     checked = []
     valid = compatibility.is_valid_observable
     monkeypatch.setattr(compatibility, "is_valid_observable",
                         lambda obs: checked.append(obs.label) or valid(obs))
     jm_critical_visibility(fiducials, gbit)
-    assert checked == ["X", "Y", "depol(X,0/1)", "depol(Y,0/1)"]
+    assert checked == ["X", "Y"]
     checked.clear()
     lhs_critical_visibility(fiducials, phi)
     assert checked == ["X", "Y"]
+
+
+def test_each_critical_visibility_builds_its_lp_once(gbit, phi, fiducials, monkeypatch):
+    built = []
+    for module, name in ((compatibility, "jm_linear_system"), (steering, "lhs_linear_system")):
+        clean = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, clean=clean, name=name:
+                            built.append(name) or clean(*args))
+    assert jm_critical_visibility(fiducials, gbit) == r(1, 2)
+    assert built == ["jm_linear_system"]
+    built.clear()
+    assert lhs_critical_visibility(fiducials, phi) == r(1, 2)
+    assert built == ["lhs_linear_system"]
+
+
+def lp_digest(system):
+    """SHA-256 of the variable count, then each row's entries and rhs,
+    equalities first."""
+    lines = [str(system.variable_count)]
+    for sense, rows in (("==", system.equalities), (">=", system.inequalities)):
+        lines += [" ".join(map(format_ratio, coeffs)) + f" {sense} " + format_ratio(rhs)
+                  for coeffs, rhs in rows]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_critical_level_lps_are_frozen(gbit, phi, fiducials, monkeypatch):
+    # (variables, equalities, inequalities, digest) of each eta-LP, for the
+    # fiducials and the first seed-3 rotated pair, JM then LHS
+    seen = []
+    clean = compatibility.lp_optimize
+    monkeypatch.setattr(compatibility, "lp_optimize", lambda objective, system, sense:
+                        seen.append(system) or clean(objective, system, sense))
+    for family in (fiducials, rotated_pairs(gbit, 3, 1)[0]):
+        jm_critical_visibility(family, gbit)
+        lhs_critical_visibility(family, phi)
+    assert [(s.variable_count, len(s.equalities), len(s.inequalities), lp_digest(s))
+            for s in seen] == [
+        (13, 15, 18, "57d8322d6e883b551d12198a9ef45c503271b4b5c8336c17b89cdeee59075a40"),
+        (17, 12, 18, "843cc02cce5265c03bd54e16fe18838056bd862378f271ff9d0196459957ce66"),
+        (13, 15, 18, "4906908af2cab8b959bef5b76e5d77a7140f8632ecc8865d3bb865b43893b9e9"),
+        (17, 12, 18, "c14fca073a909d0fb30bc7b308a0529d526020c510ad4d126919134196c9a32f"),
+    ]
 
 
 def test_lhs_critical_visibility_tests_the_state_once(phi, fiducials, monkeypatch):
