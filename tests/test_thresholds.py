@@ -248,8 +248,8 @@ def test_critical_level_lps_are_frozen(gbit, phi, fiducials, monkeypatch):
 
 
 def test_lhs_critical_visibility_tests_the_state_once(phi, fiducials, monkeypatch):
-    # the sharp assemblage checks max-tensor membership; its depolarized
-    # copy is steered out of the same state and is not checked again
+    # the sharp assemblage checks max-tensor membership; the level-0
+    # right-hand side is steered out of the same state and not checked again
     tested = []
     member = steering.in_max_tensor
     monkeypatch.setattr(steering, "in_max_tensor",
