@@ -2,19 +2,24 @@
 
 Feasibility and optimization run a two-phase primal simplex, exact and
 with Bland's smallest-index pivot rule, so every run terminates and
-identical inputs give identical answers. Its tableau is fraction-free:
-integer rows, each over one positive denominator, pivoted by
+identical inputs give identical answers. Each ``LinearSystem`` is read
+once into sparse primitive integer rows (``LinearSystem.integer_rows``),
+and that one form builds the tableau, finds the bound rows and runs the
+substitution checks. The tableau is fraction-free and sparse: each row
+a dict of its nonzero ints over one positive denominator, pivoted by
 ``vecs.pivot``, the Gauss-Jordan step of ``vecs`` elimination too.
 Rationals are built only where values leave the tableau: the witness
 or optimal point, the multipliers and the optimum.
 A row x_j >= 0 is a bound on column j, not a tableau row of its own,
-and only variables without one are split into two nonnegative parts.
+and only variables without one are split into two nonnegative parts,
+x+ stored and x- read as its negation, never stored.
 Infeasible systems always come back with a Farkas certificate that
 re-verifies by substitution, with a multiplier for every row, bound
 rows included; feasible ones carry an exact witness point. Optimal
 results carry the optimal point and an optimality certificate, dual
 multipliers that are checked by substitution before the result is
-returned (``certifies_optimum``).
+returned (``certifies_optimum``). The checks substitute in integers and
+are exact.
 Vertex enumeration is an exact double description over primitive
 integer rays, started from a nonsingular row submatrix; it runs one
 feasibility LP only when the rows have rank below the dimension, and
@@ -37,10 +42,11 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnboundedRegionError, VerificationError
 from .ratio import ONE, ZERO, Rational, as_ratio
-from .vecs import combine, dot, pivot, primitive_row, qvec, rank, solve_unique, vzero
+from .vecs import combine, dot, pivot, primitive_row, qvec, rank, solve_unique, sparse_row
 
 log = logging.getLogger(__name__)
 
@@ -83,6 +89,22 @@ class LinearSystem:
     def row_count(self) -> int:
         return len(self.equalities) + len(self.inequalities)
 
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[dict[int, int], int, int], ...]:
+        """Every row, equalities then inequalities, read once as (coeffs,
+        rhs, den): the row stands for coeffs . x (==, >=) rhs over den > 0,
+        with coeffs the nonzero ints by column and math.gcd(den, rhs,
+        *coeffs.values()) == 1. The tableau, the bound rows and the
+        substitution checks all read this form, never the rationals."""
+        rows = []
+        for coeffs, b in self.equalities + self.inequalities:
+            # ZERO pads most rows, so it is skipped by identity first
+            nonzero = [(j, c) for j, c in enumerate(coeffs) if c is not ZERO and c]
+            den = math.lcm(b.denominator, *[c.denominator for _, c in nonzero])
+            rows.append(({j: c.numerator * (den // c.denominator) for j, c in nonzero},
+                         b.numerator * (den // b.denominator), den))
+        return tuple(rows)
+
 
 @dataclass(frozen=True)
 class FeasibilityResult:
@@ -106,26 +128,38 @@ class OptimizationResult:
 
 
 def satisfies(system: LinearSystem, point) -> bool:
-    """Exact substitution check of a candidate point."""
+    """Exact substitution check of a candidate point, in integers: with
+    the point as ints P over one denominator D, each row's coeffs . P
+    against rhs * D."""
     p = qvec(point)
     if len(p) != system.variable_count:
         return False
-    return all(dot(c, p) == b for c, b in system.equalities) and \
-        all(dot(c, p) >= b for c, b in system.inequalities)
+    ints, den = primitive_row(p)
+    excess = [sum([c * ints[j] for j, c in coeffs.items()]) - rhs * den
+              for coeffs, rhs, _ in system.integer_rows]
+    n_eq = len(system.equalities)
+    return not any(excess[:n_eq]) and all(x >= 0 for x in excess[n_eq:])
 
 
-def _combination(system: LinearSystem, mults) -> tuple[tuple[Rational, ...], Rational] | None:
-    """(coefficients, rhs) of the rows summed with the multipliers, or None
-    when the multipliers do not fit: a wrong count, or a negative one on an
-    inequality row."""
-    rows = system.equalities + system.inequalities
+def _combination(system: LinearSystem, mults) -> tuple[dict[int, int], int, int] | None:
+    """The rows summed with the multipliers, in integers: (coeffs, rhs,
+    den), the nonzero combined coefficients by column and the combined
+    right-hand side, both over den > 0. None when the multipliers do not
+    fit: a wrong count, or a negative one on an inequality row."""
+    rows = system.integer_rows
     if len(mults) != len(rows) or any(m < 0 for m in mults[len(system.equalities):]):
         return None
-    used = [(m, (*coeffs, rhs)) for m, (coeffs, rhs) in zip(mults, rows) if m]
-    if not used:
-        return vzero(system.variable_count), ZERO
-    *coeffs, rhs = combine([m for m, _ in used], [row for _, row in used])
-    return tuple(coeffs), rhs
+    used = [(m, row) for m, row in zip(mults, rows) if m]
+    # m times a row over d weighs the row's ints by m / d, that is w / den
+    den = math.lcm(*[m.denominator * d for m, (_, _, d) in used])
+    coeffs: dict[int, int] = {}
+    rhs = 0
+    for m, (row, b, d) in used:
+        w = m.numerator * (den // (m.denominator * d))
+        for j, c in row.items():
+            coeffs[j] = coeffs.get(j, 0) + w * c
+        rhs += w * b
+    return {j: c for j, c in coeffs.items() if c}, rhs, den
 
 
 def refutes(system: LinearSystem, certificate) -> bool:
@@ -138,16 +172,16 @@ def refutes(system: LinearSystem, certificate) -> bool:
     combination = _combination(system, qvec(certificate))
     if combination is None:
         return False
-    coeffs, rhs = combination
-    return not any(coeffs) and rhs > 0
+    coeffs, rhs, _ = combination
+    return not coeffs and rhs > 0
 
 
-def _sense_sign(sense: str) -> Rational:
+def _sense_sign(sense: str) -> int:
     """-1 to maximize (the simplex minimizes -objective), 1 to minimize."""
     if sense == "max":
-        return -ONE
+        return -1
     if sense == "min":
-        return ONE
+        return 1
     raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
 
 
@@ -163,10 +197,16 @@ def certifies_optimum(system: LinearSystem, objective, value, certificate,
     """
     sign = _sense_sign(sense)
     combination = _combination(system, qvec(certificate))
-    if combination is None:
+    obj = qvec(objective)
+    if combination is None or len(obj) != system.variable_count:
         return False
-    coeffs, rhs = combination
-    return coeffs == combine((sign,), (qvec(objective),)) and rhs == sign * as_ratio(value)
+    coeffs, rhs, den = combination
+    ints, obj_den = primitive_row(obj)
+    value = as_ratio(value)
+    # coeffs / den == sign * ints / obj_den and rhs / den == sign * value
+    return ({j: c * obj_den for j, c in coeffs.items()}
+            == {j: sign * den * x for j, x in enumerate(ints) if x}
+            and rhs * value.denominator == sign * den * value.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -176,28 +216,34 @@ def certifies_optimum(system: LinearSystem, objective, value, certificate,
 # variable is split x = xp - xm, every other inequality gets a slack, rows
 # are flipped to nonnegative rhs, and rows that still lack a basic column get
 # an artificial variable for phase one. Columns run x (xp for split ones),
-# xm, slacks, artificials. The rhs is each row's last column. The artificial
-# columns stay after phase one, never entering again: with the ready-made
-# slacks they are the unit columns that row multipliers are read off.
+# xm, slacks, artificials, then the rhs. The artificial columns stay after
+# phase one, never entering again: with the ready-made slacks they are the
+# unit columns that row multipliers are read off.
 #
-# The tableau is fraction-free, as in lrs (Avis 2000; Edmonds 1967): each
-# row, the objective row too, is a list of ints over one positive
-# denominator, kept primitive (vecs.primitive_row), and a pivot is one
-# vecs.pivot over rows + objective. Bland's entering rule reads only signs,
-# and the ratio test compares rhs_i a_k with rhs_k a_i; both are invariant
-# under positive row scaling, so the pivots are those of the same simplex
-# over rationals. Values become rationals only where they leave the
-# tableau: the point (extract_point), the multipliers and the optimum.
+# The tableau is fraction-free, as in lrs (Avis 2000; Edmonds 1967), and
+# sparse: each row, the objective row too, is a dict of its nonzero ints by
+# column over one positive denominator, kept primitive, built from the
+# system's integer_rows, and a pivot is one vecs.pivot over rows +
+# objective. An xm column is numbered but never stored: it is always -xp,
+# so the entering scan reads its reduced cost as -obj[xp], the ratio test
+# negates xp's column, and a pivot on it is the pivot on xp followed by
+# negating the pivot row. Bland's entering rule reads only signs, and the
+# ratio test compares rhs_i a_k with rhs_k a_i; both are invariant under
+# positive row scaling, so the pivots are those of the same simplex over
+# rationals. Values become rationals only where they leave the tableau:
+# the point (extract_point), the multipliers and the optimum.
 
 
 def _bound_rows(system: LinearSystem) -> dict[int, int]:
     """Column j -> index among the inequalities of its first row x_j >= 0."""
     bounds: dict[int, int] = {}
-    for i, (coeffs, b) in enumerate(system.inequalities):
-        if b == 0:
-            support = [j for j, c in enumerate(coeffs) if c]
-            if len(support) == 1 and coeffs[support[0]] == 1:
-                bounds.setdefault(support[0], i)
+    n_eq = len(system.equalities)
+    for i, (coeffs, b, den) in enumerate(system.integer_rows[n_eq:]):
+        # primitive, so a coefficient c / den of exactly 1 has c == den == 1
+        if b == 0 and den == 1 and len(coeffs) == 1:
+            (j, c), = coeffs.items()
+            if c == 1:
+                bounds.setdefault(j, i)
     return bounds
 
 
@@ -210,14 +256,16 @@ class _Tableau:
         self.bound_row = _bound_rows(system)
         bound_ineq = set(self.bound_row.values())
         free = [j for j in range(n) if j not in self.bound_row]
+        # The xm column of free variable j, and back; xm columns hold no entry.
         self.minus_col = {j: n + k for k, j in enumerate(free)}
+        self.plus_col = {m: j for j, m in self.minus_col.items()}
         kept = [i for i in range(len(system.inequalities)) if i not in bound_ineq]
         self.struct_cols = n + len(free) + len(kept)
-        # Row i stands for rows[i][j] / dens[i]; the objective row of the
-        # phase that runs for obj[j] / obj_den.
-        self.rows: list[list[int]] = []
+        # Row i stands for rows[i].get(j, 0) / dens[i]; the objective row of
+        # the phase that runs for obj.get(j, 0) / obj_den.
+        self.rows: list[dict[int, int]] = []
         self.dens: list[int] = []
-        self.obj: list[int] = []
+        self.obj: dict[int, int] = {}
         self.obj_den = 1
         # Per initial row, kept when redundant rows are dropped: its index in
         # system row order, its sign flip, and its unit column (artificial,
@@ -227,29 +275,27 @@ class _Tableau:
         self.unit_col: list[int] = []
         self.pivots = 0
 
-        all_rows = [(c, b, r, None) for r, (c, b) in enumerate(system.equalities)]
-        all_rows += [(*system.inequalities[i], n_eq + i, n + len(free) + k)
+        int_rows = system.integer_rows
+        all_rows = [(*int_rows[r], r, None) for r in range(n_eq)]
+        all_rows += [(*int_rows[n_eq + i], n_eq + i, n + len(free) + k)
                      for k, i in enumerate(kept)]
         # Each row is flipped to a nonnegative rhs. Flipping an inequality
         # row turns its slack coefficient to +1, making the slack a
         # ready-made basis column, so an inequality with b <= 0 flips and
         # keeps its slack; every other row takes the next artificial.
-        ready = [slack is not None and b <= 0 for _, b, _, slack in all_rows]
+        ready = [slack is not None and b <= 0 for _, b, _, _, slack in all_rows]
         self.total_cols = self.struct_cols + ready.count(False)
+        self.rhs = self.total_cols  # the rhs column
         artificials = iter(range(self.struct_cols, self.total_cols))
-        for (coeffs, b, origin, slack), is_ready in zip(all_rows, ready):
-            ints, den = primitive_row((*coeffs, b))
-            row = [0] * self.total_cols + [ints[-1]]
-            for j, c in enumerate(ints[:-1]):
-                if c:
-                    row[j] = c
-                    m = self.minus_col.get(j)
-                    if m is not None:
-                        row[m] = -c
+        for (coeffs, b, den, origin, slack), is_ready in zip(all_rows, ready):
+            row = dict(coeffs)
+            if b:
+                row[self.rhs] = b
             if slack is not None:
                 row[slack] = -den
             if b < 0 or is_ready:
-                row = [-x for x in row]
+                for j, x in row.items():
+                    row[j] = -x
                 sign = -ONE
             else:
                 sign = ONE
@@ -266,44 +312,55 @@ class _Tableau:
     # -- pivoting ----------------------------------------------------------
 
     def _pivot(self, r: int, c: int):
-        """One vecs.pivot over the rows and the objective row."""
+        """One vecs.pivot over the rows and the objective row; on an xm
+        column, xp's pivot with row r negated after."""
+        plus = self.plus_col.get(c)
         dens = self.dens + [self.obj_den]
-        pivot(self.rows + [self.obj], dens, r, c)
+        pivot(self.rows + [self.obj], dens, r, c if plus is None else plus)
         *self.dens, self.obj_den = dens
+        if plus is not None:
+            row = self.rows[r]
+            for j, x in row.items():
+                row[j] = -x
 
     def step(self, r: int, c: int):
         self._pivot(r, c)
         self.basis[r] = c
         self.pivots += 1
 
-    def _start_phase(self, cost: list[int], cost_den: int):
-        """Make cost / cost_den, one entry per column and a zero rhs, the
-        objective row, priced out: a pivot on each basic position with a
-        nonzero cost zeroes that column in the objective and leaves the
-        rows, whose basic entry is already one, as they are."""
+    def _start_phase(self, cost: dict[int, int], cost_den: int):
+        """Make cost / cost_den, the nonzero entries by column and a zero
+        rhs, the objective row, priced out: a pivot on each basic position
+        with a nonzero cost zeroes that column in the objective and leaves
+        the rows, whose basic entry is already one, as they are."""
         self.obj, self.obj_den = cost, cost_den
         for r, b in enumerate(self.basis):
-            if self.obj[b]:
+            if self.plus_col.get(b, b) in self.obj:
                 self._pivot(r, b)
 
     def run_bland(self, allowed_cols: int) -> str:
         """Minimize until no negative reduced cost; returns OPTIMAL|UNBOUNDED."""
-        obj = self.obj
+        obj, minus, rhs = self.obj, self.minus_col, self.rhs
         while True:
-            enter = next((j for j in range(allowed_cols) if obj[j] < 0), None)
-            if enter is None:
+            # The smallest column with a negative reduced cost; xm's is -xp's.
+            enter = min([j if v < 0 else minus.get(j, allowed_cols) for j, v in obj.items()],
+                        default=allowed_cols)
+            if enter >= allowed_cols:
                 return OPTIMAL
+            plus = self.plus_col.get(enter)
+            col = enter if plus is None else plus
             leave = None
             for i, row in enumerate(self.rows):
-                a = row[enter]
-                if a > 0:
+                a = row.get(col)
+                if a and (a > 0) == (plus is None):
+                    a = abs(a)
                     # rhs / a against the best rhs / a; denominators cancel
                     if leave is None:
-                        leave, best_rhs, best_a = i, row[-1], a
+                        leave, best_rhs, best_a = i, row.get(rhs, 0), a
                         continue
-                    t, best = row[-1] * best_a, best_rhs * a
+                    t, best = row.get(rhs, 0) * best_a, best_rhs * a
                     if t < best or (t == best and self.basis[i] < self.basis[leave]):
-                        leave, best_rhs, best_a = i, row[-1], a
+                        leave, best_rhs, best_a = i, row.get(rhs, 0), a
             if leave is None:
                 return UNBOUNDED
             self.step(leave, enter)
@@ -313,13 +370,11 @@ class _Tableau:
     def phase_one(self) -> tuple[Rational, ...] | None:
         """None when feasible, else a Farkas certificate that is checked
         here by substitution (VerificationError if it fails)."""
-        cost = [0] * (self.total_cols + 1)
-        cost[self.struct_cols:self.total_cols] = [1] * (self.total_cols - self.struct_cols)
-        self._start_phase(cost, 1)
+        self._start_phase({j: 1 for j in range(self.struct_cols, self.total_cols)}, 1)
         if self.run_bland(self.total_cols) != OPTIMAL:
             raise VerificationError("phase one objective is bounded below by zero")
-        # The objective row's last entry is minus the artificials' total.
-        if self.obj[-1] < 0:
+        # The objective row's rhs entry is minus the artificials' total.
+        if self.obj.get(self.rhs, 0) < 0:
             certificate = self.multipliers(ONE)
             if not refutes(self.system, certificate):
                 raise VerificationError("Farkas certificate fails substitution")
@@ -328,7 +383,7 @@ class _Tableau:
         return None
 
     def _objective_entry(self, j: int) -> Rational:
-        return as_ratio(self.obj[j], self.obj_den)
+        return as_ratio(self.obj.get(j, 0), self.obj_den)
 
     def multipliers(self, art_cost: Rational) -> tuple[Rational, ...]:
         """Simplex multipliers in system row order, read off reduced costs.
@@ -354,7 +409,8 @@ class _Tableau:
         for r in range(len(self.rows)):
             if self.basis[r] < self.struct_cols:
                 continue
-            col = next((j for j in range(self.struct_cols) if self.rows[r][j] != 0), None)
+            # an xm column is nonzero only where its xp, a smaller one, is
+            col = min([j for j in self.rows[r] if j < self.struct_cols], default=None)
             if col is None:
                 drop.append(r)  # redundant row
             else:
@@ -368,23 +424,17 @@ class _Tableau:
         Returns the status, the optimum and its multipliers, which combine
         the rows into objective . x >= optimum."""
         ints, den = primitive_row(objective)
-        cost = [0] * (self.total_cols + 1)
-        for j, c in enumerate(ints):
-            cost[j] = c
-            m = self.minus_col.get(j)
-            if m is not None:
-                cost[m] = -c
-        self._start_phase(cost, den)
+        self._start_phase(sparse_row(ints), den)
         status = self.run_bland(self.struct_cols)
         if status == UNBOUNDED:
             return UNBOUNDED, None, None
-        # The objective row's last entry is minus the objective value.
-        return OPTIMAL, -self._objective_entry(-1), self.multipliers(ZERO)
+        # The objective row's rhs entry is minus the objective value.
+        return OPTIMAL, -self._objective_entry(self.rhs), self.multipliers(ZERO)
 
     def extract_point(self) -> tuple[Rational, ...]:
         values = [ZERO] * self.struct_cols
         for row, den, b in zip(self.rows, self.dens, self.basis):
-            values[b] = as_ratio(row[-1], den)  # the basic entry is one
+            values[b] = as_ratio(row.get(self.rhs, 0), den)  # the basic entry is one
         point = values[:self.n]
         for j, m in self.minus_col.items():
             point[j] -= values[m]
@@ -498,9 +548,11 @@ def vertex_enumerate(system: LinearSystem) -> tuple[tuple[Rational, ...], ...]:
     in D - 1 dimensions, raises ValueError.
     """
     n = system.variable_count
-    equalities = [primitive_row((-b, *c))[0] for c, b in system.equalities]
-    inequalities = [[1] + [0] * n]
-    inequalities += [primitive_row((-b, *c))[0] for c, b in system.inequalities]
+    n_eq = len(system.equalities)
+    homogeneous = [[-b] + [coeffs.get(j, 0) for j in range(n)]
+                   for coeffs, b, _ in system.integer_rows]
+    equalities = homogeneous[:n_eq]
+    inequalities = [[1] + [0] * n] + homogeneous[n_eq:]
     dim = n + 1 - rank(equalities)
     bound = _ray_bound(len(inequalities), dim - 1)
     if bound > RAY_CAP:

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .exactlp import LinearSystem, _primitive_ray, vertex_enumerate
 from .ratio import ONE, ZERO, Rational, as_ratio, format_ratio
-from .vecs import affine_rank, combine, dot, qvec, vzero
+from .vecs import affine_rank, combine, dot, primitive_row, qvec, vzero
 
 
 @dataclass(frozen=True)
@@ -95,19 +96,29 @@ class StateSpace:
         if affine_rank(self.vertices) != self.ambient_dim - 1:
             raise ValueError("vertices do not affinely span the normalization slice")
         # Facets: the vertices of the polar slice {f : f.v >= 0, f.barycenter = 1},
-        # as primitive integer directions, so the N^2 dots below stay short.
+        # as primitive integer directions dotted with each vertex's ints over
+        # its denominator, so the N^2 pass below is all in short ints.
         # A point is a convex combination of the others iff another lies on all its facets.
         polar = LinearSystem(self.ambient_dim, ((barycenter(self).coords, ONE),),
                              tuple((v, ZERO) for v in self.vertices))
         normals = [_primitive_ray(f) for f in vertex_enumerate(polar)]
-        values = [[dot(f, v) for v in self.vertices] for f in normals]
+        points = [primitive_row(v) for v in self.vertices]
+        values = [[sum(map(operator.mul, f, ints)) for ints, _ in points] for f in normals]
         masks = [sum(1 << k for k, row in enumerate(values) if row[i] == 0)
                  for i in range(len(self.vertices))]
         for v, mask in zip(self.vertices, masks):
             if sum(other & mask == mask for other in masks) > 1:
                 raise ValueError(f"vertex {v} is a convex combination of the others")
-        object.__setattr__(self, "facets", tuple(sorted(
-            combine((ONE / max(row),), (f,)) for f, row in zip(normals, values))))
+        facets = []
+        for f, row in zip(normals, values):
+            # the facet's peak f . v = top / den over the vertices, compared
+            # by cross-multiplication; one rational per facet rescales it
+            top, den = row[0], points[0][1]
+            for value, (_, d) in zip(row, points):
+                if value * den > top * d:
+                    top, den = value, d
+            facets.append(combine((as_ratio(den, top),), (f,)))
+        object.__setattr__(self, "facets", tuple(sorted(facets)))
 
     @property
     def unit(self) -> Effect:

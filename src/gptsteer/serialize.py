@@ -166,8 +166,10 @@ def bipartite_doc_to_json(state: BipartiteState) -> dict:
 
 def bipartite_doc_from_json(obj) -> BipartiteState:
     _check_schema(obj)
-    space_a = resolve_space(_require(obj, "space_a"))
-    space_b = resolve_space(_require(obj, "space_b"))
+    spec_a, spec_b = _require(obj, "space_a"), _require(obj, "space_b")
+    space_a = resolve_space(spec_a)
+    # a repeated spec is one space, built once
+    space_b = space_a if spec_b == spec_a else resolve_space(spec_b)
     matrix = _require(obj, "matrix")
     if not isinstance(matrix, list):
         raise SchemaError("matrix must be a list of rows")

@@ -2,15 +2,17 @@
 
 Everything here is immutable-in, immutable-out, except ``pivot``, the
 in-place Gauss-Jordan step that elimination shares with the ``exactlp``
-simplex; matrices are tuples of row tuples. ``pivot`` works fraction-free,
-on rows of Python ints over one positive denominator per row
-(``primitive_row``), so no rational is built while a matrix is reduced;
-values become rationals again only where they leave it. The two sums,
-``dot`` and the weighted sum ``combine``, work the same way: they read
-each value's .numerator and .denominator, accumulate an int numerator
-over one running positive denominator per result, and build one
-normalized rational per result. Gaussian elimination uses first-nonzero
-pivoting, which is all exact arithmetic needs.
+simplex; matrices are tuples of row tuples. ``pivot`` works fraction-free
+on sparse rows: each row is a dict of its nonzero Python ints by column,
+over one positive denominator, and is kept primitive, so no rational is
+built while a matrix is reduced and no zero is stored or touched; values
+become rationals again only where they leave it. ``primitive_row`` gives
+a row's dense ints and ``sparse_row`` its nonzeros. The two sums, ``dot``
+and the weighted sum ``combine``, read each value's .numerator and
+.denominator, accumulate an int numerator over one running positive
+denominator per result, and build one normalized rational per result.
+Gaussian elimination uses first-nonzero pivoting, which is all exact
+arithmetic needs.
 
 Hot paths build tuples from lists (``tuple([...])``), not generators:
 CPython sizes a generator's tuple by resizing, and its tuple free lists
@@ -103,57 +105,72 @@ def matrix_times_col(matrix: Sequence[Sequence], col: Sequence) -> tuple[Rationa
 
 def primitive_row(values: Iterable) -> tuple[list[int], int]:
     """Rationals as (ints, den): integers over their least common
-    denominator, the row form of ``pivot``. Each value is read through
-    .numerator and .denominator only, and is in lowest terms, so the row
-    is primitive: math.gcd(den, *ints) == 1."""
+    denominator. Each value is read through .numerator and .denominator
+    only, and is in lowest terms, so the row is primitive:
+    math.gcd(den, *ints) == 1."""
     values = list(values)
     den = math.lcm(*[x.denominator for x in values])
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def pivot(rows: list[list[int]], dens: list[int], r: int, c: int) -> None:
+def sparse_row(ints: Iterable[int]) -> dict[int, int]:
+    """The nonzero ints by column, the row form of ``pivot``."""
+    return {j: x for j, x in enumerate(ints) if x}
+
+
+def pivot(rows: list[dict[int, int]], dens: list[int], r: int, c: int) -> None:
     """Integer Gauss-Jordan step in place: afterwards rows[r][c] / dens[r]
     is one and column c of every other row zero.
 
-    Row i stands for the rationals rows[i][j] / dens[i], with dens[i] > 0
-    and the row primitive (math.gcd(dens[i], *rows[i]) == 1). With p =
+    Row i stands for the rationals rows[i].get(j, 0) / dens[i]: it stores
+    only its nonzero ints, by column, with dens[i] > 0 and the row
+    primitive (math.gcd(dens[i], *rows[i].values()) == 1). With p =
     rows[r][c], row r becomes row_r / p, p's sign moved into the row so
     that its denominator stays positive; every other row i with f =
     rows[i][c] != 0 becomes (p row_i - f row_r) over dens[i] p. Each
     changed row is divided by its gcd with its denominator, so every row
-    stays primitive and one value has one representation. Rows change
-    in place (callers may pass a fresh list of their rows); the
-    subtraction touches only the columns where row r is nonzero.
+    stays primitive and one value has one representation, and an entry
+    that becomes zero is deleted. Rows change in place (callers may pass
+    a fresh list of their rows); the subtraction touches only the
+    columns where row r is nonzero, and every pass only stored entries.
     """
     prow = rows[r]
+    g = math.gcd(*prow.values())
     if prow[c] < 0:
-        prow[:] = [-b for b in prow]
-    g = math.gcd(*prow)
+        g = -g
     if g != 1:
-        prow[:] = [b // g for b in prow]
+        for j, b in prow.items():
+            prow[j] = b // g
     p = dens[r] = prow[c]
-    entries = [(j, b) for j, b in enumerate(prow) if b]
+    entries = list(prow.items())
     for i, row in enumerate(rows):
         if i != r:
-            f = row[c]
+            f = row.get(c)
             if f:
                 g = math.gcd(p, f)
                 scale, f = p // g, f // g
                 if scale != 1:
-                    row[:] = [scale * x for x in row]
+                    for j, x in row.items():
+                        row[j] = scale * x
+                get = row.get
                 for j, b in entries:
-                    row[j] -= f * b
+                    x = get(j, 0) - f * b
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
                 den = dens[i] * scale
-                g = math.gcd(den, *row)
+                g = math.gcd(den, *row.values())
                 if g != 1:
-                    row[:] = [x // g for x in row]
+                    for j, x in row.items():
+                        row[j] = x // g
                     den //= g
                 dens[i] = den
 
 
-def _eliminate(work: list[list[int]], dens: list[int], ncols: int) -> int:
-    """Gauss-Jordan elimination of the integer rows work / dens, in place,
-    over their first ncols columns.
+def _eliminate(work: list[dict[int, int]], dens: list[int], ncols: int) -> int:
+    """Gauss-Jordan elimination of the sparse integer rows work / dens, in
+    place, over their first ncols columns.
 
     Returns the rank r. Rows 0..r-1 then have a one in their own pivot
     column, pivot columns increasing with the row, and a zero in every
@@ -161,7 +178,7 @@ def _eliminate(work: list[list[int]], dens: list[int], ncols: int) -> int:
     """
     r = 0
     for col in range(ncols):
-        found = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        found = next((i for i in range(r, len(work)) if col in work[i]), None)
         if found is None:
             continue
         work[r], work[found] = work[found], work[r]
@@ -173,10 +190,10 @@ def _eliminate(work: list[list[int]], dens: list[int], ncols: int) -> int:
     return r
 
 
-def _integer_rows(rows: Iterable[Iterable]) -> tuple[list[list[int]], list[int]]:
-    """The rows in ``primitive_row`` form, as the work and dens of _eliminate."""
+def _integer_rows(rows: Iterable[Iterable]) -> tuple[list[dict[int, int]], list[int]]:
+    """The rows in ``pivot``'s sparse form, as the work and dens of _eliminate."""
     pairs = [primitive_row(row) for row in rows]
-    return [ints for ints, _ in pairs], [den for _, den in pairs]
+    return [sparse_row(ints) for ints, _ in pairs], [den for _, den in pairs]
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -201,8 +218,7 @@ def solve_unique(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Rational, .
     aug, dens = _integer_rows((*row, r) for row, r in zip(matrix, rhs, strict=True))
     if _eliminate(aug, dens, n) < n:
         return None  # underdetermined
-    for row in aug[n:]:
-        if row[n] != 0:
-            return None  # inconsistent
+    if any(n in row for row in aug[n:]):
+        return None  # inconsistent
     # Every column is a pivot column, so row i holds x_i.
-    return tuple([as_ratio(row[n], den) for row, den in zip(aug[:n], dens)])
+    return tuple([as_ratio(row.get(n, 0), den) for row, den in zip(aug[:n], dens)])

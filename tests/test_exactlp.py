@@ -33,7 +33,7 @@ from gptsteer.ratio import RATIONAL_BACKEND, Rational, as_ratio, format_ratio, p
 from gptsteer.sampler import (SamplerConfig, make_rng, random_observable_set,
                               random_separable_state)
 from gptsteer.steering import assemblage_from, lhs_critical_visibility, lhs_linear_system
-from gptsteer.vecs import combine, dot, pivot, primitive_row
+from gptsteer.vecs import combine, dot, pivot, primitive_row, sparse_row
 
 from oracles import (brute_force_vertices, check_farkas, check_optimum,
                      check_point, fdot, jm_rows, lhs_rows, separability_rows)
@@ -332,14 +332,18 @@ def test_pivot_is_the_rational_gauss_jordan_step(matrix, r, c):
     if matrix[r][c] == 0:
         matrix[r][c] = Fraction(-3, 2)
     pairs = [primitive_row(row) for row in matrix]
-    rows, dens = [ints for ints, _ in pairs], [den for _, den in pairs]
+    rows, dens = [sparse_row(ints) for ints, _ in pairs], [den for _, den in pairs]
     assert all(math.gcd(den, *ints) == 1 for ints, den in pairs)
+    assert all(0 not in row.values() for row in rows)
     pivot(rows, dens, r, c)
     prow = [x / matrix[r][c] for x in matrix[r]]
     expected = [prow if i == r else [x - row[c] * y for x, y in zip(row, prow)]
                 for i, row in enumerate(matrix)]
-    assert [[Fraction(x, den) for x in ints] for ints, den in zip(rows, dens)] == expected
-    assert all(den > 0 and math.gcd(den, *ints) == 1 for ints, den in zip(rows, dens))
+    assert [[Fraction(row.get(j, 0), den) for j in range(4)]
+            for row, den in zip(rows, dens)] == expected
+    assert all(den > 0 and math.gcd(den, *row.values()) == 1 for row, den in zip(rows, dens))
+    # only nonzeros are stored, and only in the matrix's columns
+    assert all(0 not in row.values() and set(row) <= set(range(4)) for row in rows)
 
 
 def test_pivot_sequence_and_evidence_are_frozen(gbit, phi, fiducials, monkeypatch):
@@ -387,6 +391,63 @@ def test_pivot_sequence_and_evidence_are_frozen(gbit, phi, fiducials, monkeypatc
         "66f0727fa9a88a1a7c7ba0e7ca345741ad25dae71fcaa0bb8a88f81690d32322"
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "aa5550a072f14daacecbc3a05103deac277eac54071eee9f5eefc1cabd7cb07e"
+
+
+def _seeded_system(rng):
+    """A random system: 1-5 columns, some bounded by a row x_j >= 0 and the
+    rest free, 0-2 equalities and 0-5 other inequalities, sparse rational
+    entries, right-hand sides below, at and above zero, and half the time
+    a box |x_j| <= 3 so that more optima are finite."""
+    n = rng.randint(1, 5)
+
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 1, 1, 2, 3))) if rng.random() < 0.6 else 0
+
+    def rhs():
+        return rng.choice((Fraction(-rng.randint(1, 6), rng.choice((1, 2))), 0,
+                           Fraction(rng.randint(1, 6), rng.choice((1, 3)))))
+
+    equalities = [(tuple(entry() for _ in range(n)), rhs()) for _ in range(rng.randint(0, 2))]
+    inequalities = [(tuple(entry() for _ in range(n)), rhs()) for _ in range(rng.randint(0, 5))]
+    if rng.random() < 0.5:
+        for j in range(n):
+            inequalities += [(tuple(-int(i == j) for i in range(n)), -3),
+                             (tuple(int(i == j) for i in range(n)), -3)]
+    for j in range(n):
+        if rng.random() < 0.5:
+            inequalities.insert(rng.randint(0, len(inequalities)),
+                                (tuple(int(i == j) for i in range(n)), 0))
+    objective = tuple(entry() for _ in range(n))
+    return LinearSystem.build(n, equalities, inequalities), objective
+
+
+def test_seeded_lp_results_are_frozen():
+    # lp_feasible and lp_optimize, both senses, on 320 seeded random
+    # systems: every status, witness, point, value and certificate. The
+    # digest was taken before the tableau's rows were stored sparse, so
+    # the row form of the tableau can change no result.
+    rng = random.Random(20261019)
+
+    def ratios(values):
+        if values is None:
+            return "-"
+        return ",".join(map(format_ratio, values if isinstance(values, tuple) else (values,)))
+
+    lines, statuses = [], set()
+    for _ in range(320):
+        system, objective = _seeded_system(rng)
+        feasible = lp_feasible(system)
+        lines.append(f"{feasible.status} {ratios(feasible.witness)} "
+                     f"{ratios(feasible.certificate)}")
+        statuses.add(feasible.status)
+        for sense in ("max", "min"):
+            res = lp_optimize(objective, system, sense)
+            lines.append(f"{res.status} {ratios(res.value)} {ratios(res.point)} "
+                         f"{ratios(res.certificate)}")
+            statuses.add(res.status)
+    assert statuses == {FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED}
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "9479afa25bd801e9701812dc6e7818c54a65f9a830d09468873de51d96d6e63b"
 
 
 # --- vertex enumeration -----------------------------------------------------
@@ -820,6 +881,63 @@ def test_optimal_results_carry_checked_certificates(data, objective, sense):
                              _fractions(result.certificate))
     elif result.status == INFEASIBLE:
         assert check_farkas(eqs, ineqs, _fractions(result.certificate))
+
+
+@st.composite
+def substitution_cases(draw):
+    """A system, as ints through the plain constructor or as rationals
+    through build, with a candidate point, certificate and optimum: the
+    solver's own (then maybe nudged by one) or drawn at random, some of
+    the wrong length and some with negative inequality multipliers."""
+    n, eqs, ineqs = draw(st.one_of(small_systems(), systems_with_bound_rows(),
+                                   bounded_systems()))
+    if draw(st.booleans()):
+        system = LinearSystem(n, tuple((tuple(c), b) for c, b in eqs),
+                              tuple((tuple(c), b) for c, b in ineqs))
+    else:
+        scale = draw(st.sampled_from((1, 2, 3)))
+        eqs = tuple((tuple(Fraction(x, scale) for x in c), Fraction(b, scale)) for c, b in eqs)
+        ineqs = tuple((tuple(Fraction(x, scale) for x in c), Fraction(b, scale)) for c, b in ineqs)
+        system = LinearSystem.build(n, eqs, ineqs)
+    rows = len(eqs) + len(ineqs)
+    objective = tuple(draw(st.lists(small_rationals, min_size=n, max_size=n)))
+    sense = draw(st.sampled_from(("max", "min")))
+    feasible = lp_feasible(system)
+    optimum = lp_optimize(objective, system, sense)
+    point = feasible.witness or optimum.point or ()
+    certificate = feasible.certificate or optimum.certificate or ()
+    value = optimum.value if optimum.value is not None else Fraction(0)
+
+    def nudged(values, length):
+        values = list(values)
+        choice = draw(st.sampled_from(("keep", "nudge", "random", "resize")))
+        if choice == "nudge" and values:
+            k = draw(st.integers(0, len(values) - 1))
+            values[k] += draw(st.sampled_from((1, -1, Fraction(1, 2))))
+        elif choice == "random" or (choice == "nudge" and not values):
+            values = draw(st.lists(small_rationals, min_size=length, max_size=length))
+        elif choice == "resize":
+            values = values[:-1] if values and draw(st.booleans()) else values + [Fraction(1)]
+        return tuple(values)
+
+    point = nudged(point or (0,) * n, n)
+    certificate = nudged(certificate or (0,) * rows, rows)
+    if draw(st.booleans()):
+        value += draw(st.sampled_from((1, -1)))
+    return system, eqs, ineqs, objective, sense, point, certificate, value
+
+
+@settings(max_examples=250, deadline=None)
+@given(substitution_cases())
+def test_integer_substitution_checks_match_the_oracles(case):
+    system, eqs, ineqs, objective, sense, point, certificate, value = case
+    if len(point) == system.variable_count:
+        assert satisfies(system, point) == check_point(eqs, ineqs, point)
+    else:
+        assert not satisfies(system, point)
+    assert refutes(system, certificate) == check_farkas(eqs, ineqs, certificate)
+    assert certifies_optimum(system, objective, value, certificate, sense) == \
+        check_optimum(eqs, ineqs, objective, sense, value, certificate)
 
 
 @settings(max_examples=40, deadline=None)

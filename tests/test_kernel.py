@@ -221,23 +221,29 @@ def test_a_space_enumerates_its_facets_once(monkeypatch):
 
 def test_polygon_build_dots_stay_as_short_as_its_vertices(monkeypatch):
     # the polar slice's normals carry the lcm of every vertex denominator;
-    # scaled to primitive integer directions first, the N^2 facet-vertex dots
-    # see no entry longer than a vertex entry (unscaled: 289 bits against 21)
+    # scaled to primitive integer directions first, the N^2 facet-vertex
+    # dots, taken in ints against each vertex's primitive_row, see no
+    # operand longer than twice a vertex entry (unscaled: 289 bits against 21)
     import gptsteer.kernel
 
     def bits(vec):
         return max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
                    for x in vec)
 
-    widest = []
-    clean = gptsteer.kernel.dot
-    monkeypatch.setattr(gptsteer.kernel, "dot",
-                        lambda a, b: widest.append(max(bits(a), bits(b))) or clean(a, b))
+    normals, points = [], []
+    ray, row = gptsteer.kernel._primitive_ray, gptsteer.kernel.primitive_row
+    monkeypatch.setattr(gptsteer.kernel, "_primitive_ray",
+                        lambda f: normals.append(ray(f)) or normals[-1])
+    monkeypatch.setattr(gptsteer.kernel, "primitive_row",
+                        lambda v: points.append(row(v)) or points[-1])
     space = zoo_polygon(64)
     vertex_bits = max(bits(v) for v in space.vertices)
     assert vertex_bits == 21
-    assert len(widest) == 64 * 64
-    assert max(widest) <= 2 * vertex_bits
+    assert len(normals) == len(points) == 64
+    assert all(type(x) is int for f in normals for x in f)
+    assert all(type(x) is int for ints, _ in points for x in ints)
+    assert max(bits(f) for f in normals) <= 2 * vertex_bits
+    assert max(bits(ints) for ints, _ in points) <= 2 * vertex_bits
 
 
 def test_a_dropped_space_is_freed():

@@ -144,6 +144,30 @@ def test_bipartite_doc_roundtrip(gbit, phi):
         bipartite_doc_from_json({**doc, "matrix": [["1", "0"], ["0", "0"]]})
 
 
+def test_bipartite_doc_builds_a_repeated_space_once(monkeypatch, gbit, phi, classical2):
+    import gptsteer.serialize as serialize
+    built = []
+    clean = serialize.resolve_space
+    monkeypatch.setattr(serialize, "resolve_space",
+                        lambda spec: built.append(spec) or clean(spec))
+    for spec in ("gbit", space_to_json(gbit)):
+        built.clear()
+        doc = {**bipartite_doc_to_json(phi), "space_a": spec, "space_b": spec}
+        state = bipartite_doc_from_json(doc)
+        assert built == [spec]
+        assert state.space_b is state.space_a
+        assert state.matrix == phi.matrix
+    # different specs, even for equal spaces, are resolved one by one
+    built.clear()
+    doc = {**bipartite_doc_to_json(phi), "space_a": "gbit"}
+    state = bipartite_doc_from_json(doc)
+    assert len(built) == 2 and state.space_a == state.space_b == gbit
+    built.clear()
+    product = product_state(gbit, barycenter(gbit), classical2, barycenter(classical2))
+    back = bipartite_doc_from_json(bipartite_doc_to_json(product))
+    assert len(built) == 2 and (back.space_a, back.space_b) == (gbit, classical2)
+
+
 def test_assemblage_doc_roundtrip(gbit, phi, fiducials):
     asm = assemblage_from(phi, fiducials)
     doc = assemblage_doc_to_json(asm)
