@@ -352,6 +352,7 @@ class _Tableau:
             leave = None
             for i, row in enumerate(self.rows):
                 a = row.get(col)
+                # xm's column is -xp's: its positive entries are xp's negative ones
                 if a and (a > 0) == (plus is None):
                     a = abs(a)
                     # rhs / a against the best rhs / a; denominators cancel
