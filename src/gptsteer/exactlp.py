@@ -21,7 +21,7 @@ multipliers that are checked by substitution before the result is
 returned (``certifies_optimum``). The checks substitute in integers and
 are exact.
 Vertex enumeration is an exact double description over primitive
-integer rays, started from a nonsingular row submatrix; it runs one
+integer rays, started by one elimination and one solve; it runs one
 feasibility LP only when the rows have rank below the dimension, and
 refuses up front a system whose rays could pass RAY_CAP.
 
@@ -46,7 +46,8 @@ from functools import cached_property
 
 from .errors import UnboundedRegionError, VerificationError
 from .ratio import ONE, ZERO, Rational, as_ratio
-from .vecs import combine, dot, pivot, primitive_row, qvec, rank, solve_unique, sparse_row
+from .vecs import (_primitive_ray, combine, dot, independent_rows, pivot, primitive_row, qvec,
+                   solve_unique, sparse_row)
 
 log = logging.getLogger(__name__)
 
@@ -509,14 +510,6 @@ def _ray_bound(rows: int, dim: int) -> int:
             + math.comb(rows - dim // 2 - 1, (dim + 1) // 2 - 1))
 
 
-def _primitive_ray(values) -> list[int]:
-    """The positive multiple of a nonzero rational vector whose entries are
-    integers with no common factor."""
-    ints = primitive_row(values)[0]
-    g = math.gcd(*ints)
-    return [x // g for x in ints]
-
-
 def vertex_enumerate(system: LinearSystem) -> tuple[tuple[Rational, ...], ...]:
     """All vertices of the polytope described by the system, sorted.
 
@@ -527,17 +520,17 @@ def vertex_enumerate(system: LinearSystem) -> tuple[tuple[Rational, ...], ...]:
     equality as (-b, c) . y == 0. The vertices are the extreme rays
     with t > 0, read as x / t.
 
-    The starting pair comes from a nonsingular square submatrix, its
-    rows chosen in order from the equalities, t >= 0 and the
-    inequalities: its rays solve the submatrix against a unit vector,
-    one per inequality row in it (vecs.solve_unique), and every
-    equality outside it is implied. Each remaining inequality then
-    keeps the rays on its side and joins each adjacent pair across it,
-    p on the positive and q on the negative side, into the integer ray
-    (a . p) q - (a . q) p. Rays carry the bitmask of the rows they are
-    tight on; a pair is adjacent when no third ray is tight on all of
-    their common rows, which must number at least D - 2, D the
-    dimension of the equalities' null space.
+    The starting basis is the first independent rows among the
+    equalities, t >= 0 and the inequalities, in that order, from one
+    elimination (vecs.independent_rows); every equality outside it is
+    implied. The starting rays are the columns of its inverse, from one
+    solve (vecs.solve_unique), for its inequality rows. Each remaining
+    inequality then keeps the rays on its side and joins each adjacent
+    pair across it, p on the positive and q on the negative side, into
+    the integer ray (a . p) q - (a . q) p. Rays carry the bitmask of the
+    rows they are tight on; a pair is adjacent when no third ray is
+    tight on all of their common rows, which must number at least
+    D - 2, D the dimension of the equalities' null space.
 
     Without a nonsingular submatrix the rows have rank below n, and one
     feasibility LP decides: an empty region returns (), a nonempty one
@@ -550,31 +543,25 @@ def vertex_enumerate(system: LinearSystem) -> tuple[tuple[Rational, ...], ...]:
     """
     n = system.variable_count
     n_eq = len(system.equalities)
-    homogeneous = [[-b] + [coeffs.get(j, 0) for j in range(n)]
-                   for coeffs, b, _ in system.integer_rows]
-    equalities = homogeneous[:n_eq]
-    inequalities = [[1] + [0] * n] + homogeneous[n_eq:]
-    dim = n + 1 - rank(equalities)
+    rows = [[-b] + [coeffs.get(j, 0) for j in range(n)] for coeffs, b, _ in system.integer_rows]
+    rows.insert(n_eq, [1] + [0] * n)
+    inequalities = rows[n_eq:]
+    chosen = independent_rows(rows)
+    dim = n + 1 - sum(i < n_eq for i in chosen)
     bound = _ray_bound(len(inequalities), dim - 1)
     if bound > RAY_CAP:
         raise ValueError(f"vertex enumeration needs up to {bound} rays, "
                          f"more than the cap of {RAY_CAP}")
-    basis: list[list[int]] = []
-    bits: list[int | None] = []  # each basis row's bit among the inequalities
-    for bit, row in [(None, row) for row in equalities] + list(enumerate(inequalities)):
-        if rank(basis + [row]) > len(basis):
-            basis.append(row)
-            bits.append(bit)
-            if len(basis) == n + 1:
-                break
-    if len(basis) <= n:
+    if len(chosen) <= n:
         if lp_feasible(system).feasible:
             raise UnboundedRegionError("region is nonempty but has no vertex: it contains a line")
         return ()
-    in_basis = sum(1 << bit for bit in bits if bit is not None)
-    rays = [_primitive_ray(solve_unique(basis, [int(i == k) for i in range(n + 1)]))
-            for k, bit in enumerate(bits) if bit is not None]
-    masks = [in_basis ^ (1 << bit) for bit in bits if bit is not None]
+    bits = [i - n_eq for i in chosen[n + 1 - dim:]]  # the basis's inequality rows
+    in_basis = sum(1 << bit for bit in bits)
+    identity = [[int(i == k) for k in range(n + 1)] for i in range(n + 1)]
+    inverse = solve_unique([rows[i] for i in chosen], identity)
+    rays = [_primitive_ray(column) for column in list(zip(*inverse))[n + 1 - dim:]]
+    masks = [in_basis ^ (1 << bit) for bit in bits]
     for bit, row in enumerate(inequalities):
         if (in_basis >> bit) & 1:
             continue

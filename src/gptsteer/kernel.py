@@ -18,9 +18,9 @@ import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .exactlp import LinearSystem, _primitive_ray, vertex_enumerate
+from .exactlp import LinearSystem, vertex_enumerate
 from .ratio import ONE, ZERO, Rational, as_ratio, format_ratio
-from .vecs import affine_rank, combine, dot, primitive_row, qvec, vzero
+from .vecs import _primitive_ray, affine_rank, combine, dot, primitive_row, qvec, vzero
 
 
 @dataclass(frozen=True)
@@ -394,7 +394,7 @@ def zoo_by_name(name: str) -> StateSpace:
                                      ("polygon-", zoo_polygon, 3)):
         if name.startswith(prefix):
             suffix = name[len(prefix):]
-            if suffix.isdigit() and int(suffix) >= minimum:
+            if suffix.isascii() and suffix.isdigit() and int(suffix) >= minimum:
                 return builder(int(suffix))
     raise ValueError(f"unknown model {name!r} "
                      "(expected gbit, classical-N with N>=2, or polygon-N with N>=3)")

@@ -22,7 +22,7 @@ Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_RATIO_RE = re.compile(r"[+-]?\d+(/\d+)?")
+_RATIO_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
 def as_ratio(value, denominator=None) -> Rational:

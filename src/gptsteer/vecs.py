@@ -11,8 +11,8 @@ a row's dense ints and ``sparse_row`` its nonzeros. The two sums, ``dot``
 and the weighted sum ``combine``, read each value's .numerator and
 .denominator, accumulate an int numerator over one running positive
 denominator per result, and build one normalized rational per result.
-Gaussian elimination uses first-nonzero pivoting, which is all exact
-arithmetic needs.
+Gaussian elimination pivots on the first nonzero, all exact arithmetic
+needs, once per ``independent_rows`` or ``solve_unique`` call.
 
 Hot paths build tuples from lists (``tuple([...])``), not generators:
 CPython sizes a generator's tuple by resizing, and its tuple free lists
@@ -113,6 +113,14 @@ def primitive_row(values: Iterable) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
+def _primitive_ray(values) -> list[int]:
+    """The positive multiple of a nonzero rational vector whose entries are
+    integers with no common factor."""
+    ints = primitive_row(values)[0]
+    g = math.gcd(*ints)
+    return [x // g for x in ints]
+
+
 def sparse_row(ints: Iterable[int]) -> dict[int, int]:
     """The nonzero ints by column, the row form of ``pivot``."""
     return {j: x for j, x in enumerate(ints) if x}
@@ -168,26 +176,27 @@ def pivot(rows: list[dict[int, int]], dens: list[int], r: int, c: int) -> None:
                 dens[i] = den
 
 
-def _eliminate(work: list[dict[int, int]], dens: list[int], ncols: int) -> int:
+def _eliminate(work: list[dict[int, int]], dens: list[int], ncols: int) -> list[int]:
     """Gauss-Jordan elimination of the sparse integer rows work / dens, in
     place, over their first ncols columns.
 
-    Returns the rank r. Rows 0..r-1 then have a one in their own pivot
-    column, pivot columns increasing with the row, and a zero in every
-    other row's pivot column.
+    Returns the pivot columns, increasing; their count is the rank r.
+    Rows 0..r-1 then have a one in their own pivot column and a zero in
+    every other row's pivot column.
     """
-    r = 0
+    cols: list[int] = []
     for col in range(ncols):
+        r = len(cols)
         found = next((i for i in range(r, len(work)) if col in work[i]), None)
         if found is None:
             continue
         work[r], work[found] = work[found], work[r]
         dens[r], dens[found] = dens[found], dens[r]
         pivot(work, dens, r, col)
-        r += 1
-        if r == len(work):
+        cols.append(col)
+        if r + 1 == len(work):
             break
-    return r
+    return cols
 
 
 def _integer_rows(rows: Iterable[Iterable]) -> tuple[list[dict[int, int]], list[int]]:
@@ -196,10 +205,11 @@ def _integer_rows(rows: Iterable[Iterable]) -> tuple[list[dict[int, int]], list[
     return [sparse_row(ints) for ints, _ in pairs], [den for _, den in pairs]
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    return _eliminate(*_integer_rows(rows), len(rows[0]))
+def independent_rows(rows: Sequence[Sequence]) -> list[int]:
+    """Indices, in order, of the rows independent of the rows before them:
+    the pivot columns of one elimination of their integer rows' transpose."""
+    rows = [primitive_row(row)[0] for row in rows]
+    return _eliminate(*_integer_rows(transpose(rows)), len(rows))
 
 
 def affine_rank(points: Sequence[Sequence]) -> int:
@@ -207,18 +217,21 @@ def affine_rank(points: Sequence[Sequence]) -> int:
     if len(points) <= 1:
         return 0
     base = points[0]
-    return rank([combine((ONE, -ONE), (p, base)) for p in points[1:]])
+    return len(independent_rows([combine((ONE, -ONE), (p, base)) for p in points[1:]]))
 
 
-def solve_unique(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Rational, ...] | None:
-    """Solve matrix . x = rhs; None unless the solution exists and is unique."""
+def solve_unique(matrix: Sequence[Sequence],
+                 rhs: Sequence[Sequence]) -> tuple[tuple[Rational, ...], ...] | None:
+    """Solve matrix . X = rhs, rhs a row of right-hand sides per matrix row,
+    X a row per variable; None unless every column of X exists and is unique."""
     if not matrix:
         return None
-    n = len(matrix[0])
-    aug, dens = _integer_rows((*row, r) for row, r in zip(matrix, rhs, strict=True))
-    if _eliminate(aug, dens, n) < n:
+    n, width = len(matrix[0]), len(rhs[0])
+    aug, dens = _integer_rows((*row, *r) for row, r in zip(matrix, rhs, strict=True))
+    if len(_eliminate(aug, dens, n)) < n:
         return None  # underdetermined
-    if any(n in row for row in aug[n:]):
-        return None  # inconsistent
-    # Every column is a pivot column, so row i holds x_i.
-    return tuple([as_ratio(row.get(n, 0), den) for row, den in zip(aug[:n], dens)])
+    if any(aug[n:]):
+        return None  # inconsistent: a row left with only right-hand sides
+    # Every column is a pivot column, so row i holds x_i for each right-hand side.
+    return tuple([tuple([as_ratio(row.get(j, 0), den) for j in range(n, n + width)])
+                  for row, den in zip(aug[:n], dens)])

@@ -120,6 +120,12 @@ def test_zoo_show_unknown(docs):
     assert proc.stderr.startswith("error:")
 
 
+def test_zoo_show_unknown_non_ascii_size():
+    proc = run_cli("zoo", "show", "polygon-\u00b2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: unknown model 'polygon-\u00b2'")
+
+
 def test_zoo_show_refuses_huge_enumeration(capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the enumeration ran")

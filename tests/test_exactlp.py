@@ -33,10 +33,12 @@ from gptsteer.ratio import RATIONAL_BACKEND, Rational, as_ratio, format_ratio, p
 from gptsteer.sampler import (SamplerConfig, make_rng, random_observable_set,
                               random_separable_state)
 from gptsteer.steering import assemblage_from, lhs_critical_visibility, lhs_linear_system
-from gptsteer.vecs import combine, dot, pivot, primitive_row, sparse_row
+from gptsteer.vecs import (combine, dot, independent_rows, pivot, primitive_row, solve_unique,
+                           sparse_row)
 
 from oracles import (brute_force_vertices, check_farkas, check_optimum,
-                     check_point, fdot, jm_rows, lhs_rows, separability_rows)
+                     check_point, fdot, gauss_solve, jm_rows, lhs_rows, rank_of,
+                     separability_rows)
 
 r = as_ratio
 
@@ -64,6 +66,15 @@ def test_ratio_rejects_floats_and_bad_literals():
         parse_ratio("1.5")
     with pytest.raises(ValueError):
         r(1, 0)
+
+
+def test_ratio_accepts_ascii_digits_only():
+    # \d would match any Unicode digit, and int() would read it
+    for literal in ("\u0663/\u0664", "\uff13", "3/\u0664", "\u00b2", "-\uff11/2"):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_ratio(literal)
+        with pytest.raises(ValueError, match="not a rational literal"):
+            r(literal)
 
 
 def test_ratio_quotient_form():
@@ -346,6 +357,42 @@ def test_pivot_is_the_rational_gauss_jordan_step(matrix, r, c):
     assert all(0 not in row.values() and set(row) <= set(range(4)) for row in rows)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.sampled_from((0, 0, 1, -2, Fraction(1, 2), Fraction(-3, 4))),
+                         min_size=3, max_size=3), max_size=6))
+def test_independent_rows_match_the_oracle(rows):
+    # the greedy choice: each row that raises the rank of the rows kept before it
+    kept = []
+    for i, row in enumerate(rows):
+        if rank_of([rows[k] for k in kept] + [row]) > len(kept):
+            kept.append(i)
+    assert independent_rows(rows) == kept
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.sampled_from((0, 1, -1, 2, Fraction(1, 3))), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(st.lists(small_rationals, min_size=3, max_size=3), min_size=n, max_size=n))))
+def test_solve_unique_matches_the_oracle(case):
+    # one elimination solves every column of right-hand sides; each column
+    # is what the oracle's solve gives, and a singular matrix gives None
+    matrix, rhs = case
+    columns = [gauss_solve(matrix, column) for column in zip(*rhs)]
+    expected = None if None in columns else tuple(zip(*columns))
+    assert solve_unique(matrix, rhs) == expected
+
+
+def test_solve_unique_refuses_singular_and_inconsistent_systems():
+    identity = [[1, 0], [0, 1]]
+    assert solve_unique([[1, 2], [3, 4]], identity) == ((-2, 1), (Fraction(3, 2), Fraction(-1, 2)))
+    assert solve_unique([[1, 2], [2, 4]], identity) is None  # singular
+    # overdetermined: consistent in every column, then inconsistent in one
+    assert solve_unique([[1], [2]], [[1, 3], [2, 6]]) == ((1, 3),)
+    assert solve_unique([[1], [2]], [[1, 3], [2, 5]]) is None
+    assert solve_unique([], []) is None
+
+
 def test_pivot_sequence_and_evidence_are_frozen(gbit, phi, fiducials, monkeypatch):
     # The (row, column) of every simplex pivot and every result, witnesses
     # and certificates included, of a fixed set of solves: the gbit X/Y JM
@@ -562,6 +609,29 @@ def test_vertex_enumeration_refuses_too_many_active_sets(monkeypatch):
     assert count == 678610095504
     with pytest.raises(ValueError, match=f"up to {count} rays.*cap of {RAY_CAP}"):
         extremal_effects(space)
+
+
+def test_vertex_enumeration_eliminates_its_start_once(monkeypatch):
+    # One elimination picks the starting basis and one solve gives all its
+    # rays, on the effect polytope and on a state space's polar slice.
+    import gptsteer.exactlp as exactlp
+    import gptsteer.kernel as kernel
+    import gptsteer.vecs as vecs
+    calls = []
+
+    def counted(module, name):
+        clean = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or clean(*args))
+
+    counted(kernel, "vertex_enumerate")
+    counted(exactlp, "independent_rows")
+    counted(exactlp, "solve_unique")
+    gbit = zoo_gbit()
+    assert calls == ["vertex_enumerate", "independent_rows", "solve_unique"]
+    calls.clear()
+    assert len(extremal_effects(gbit)) == 6
+    assert calls == ["vertex_enumerate", "independent_rows", "solve_unique"]
+    assert not hasattr(vecs, "rank")
 
 
 def _oracle_vertices(n, eqs, ineqs):

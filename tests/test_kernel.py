@@ -104,6 +104,13 @@ def test_zoo_by_name():
         assert zoo_by_name(name).label == name
 
 
+def test_zoo_by_name_reads_ascii_sizes_only():
+    # str.isdigit accepts fullwidth and superscript digits, and int() only some of them
+    for bad in ("polygon-\uff15", "polygon-\u00b2", "classical-\u0663", "polygon-5\u0663"):
+        with pytest.raises(ValueError, match="unknown model"):
+            zoo_by_name(bad)
+
+
 def test_barycenters(gbit, classical2):
     assert barycenter(gbit).coords == (r(1), r(0), r(0))
     assert barycenter(classical2).coords == (r(1), r(1, 2))

@@ -44,6 +44,16 @@ def test_ratio_json():
             ratio_from_json(bad)
 
 
+def test_ratio_json_reads_ascii_digits_only(gbit):
+    for bad in ("\u0663/\u0664", "\uff13"):
+        with pytest.raises(SchemaError, match="not a rational literal"):
+            ratio_from_json(bad)
+    doc = space_to_json(gbit)
+    doc["vertices"][0][1] = "\uff11/1"
+    with pytest.raises(SchemaError, match="not a rational literal"):
+        space_from_json(load_json(dumps_canonical(doc)))
+
+
 def test_vec_json():
     vec = (r(1, 2), r(0), r(-1, 3))
     assert vec_to_json(vec) == ["1/2", "0/1", "-1/3"]
