@@ -149,7 +149,10 @@ def check_joint_measurability(observables: Sequence[Observable],
     effects = tuple(Effect(outcome.witness[t * dim:(t + 1) * dim])
                     for t in range(len(tuples)))
     mother = MotherObservable(observables, tuples, effects)
-    mother.validate()
+    try:
+        mother.validate()
+    except ValueError as err:
+        raise VerificationError(f"JM witness fails its audit: {err}") from err
     return JmResult(JOINTLY_MEASURABLE, mother=mother)
 
 
@@ -241,21 +244,19 @@ def _level_bracket(critical: Rational, precision: Rational,
                   side: str) -> tuple[Rational, Rational]:
     """The bisection bracket of [0, 1] around a known critical level.
 
-    (1, 1) when critical is 1. Otherwise halve [0, 1] until it is no
-    wider than precision, keeping mid as lo when mid <= critical and as
-    hi when not: the bracket a bisection over feasibility LPs reaches,
-    since the feasible levels are exactly [0, critical].
+    (1, 1) when critical is 1. Otherwise the bracket a bisection over
+    feasibility LPs reaches, since the feasible levels are exactly
+    [0, critical]: halving [0, 1] k times, k the least with 2^-k <=
+    precision, and keeping mid as lo when mid <= critical, leaves
+    lo = floor(critical 2^k) / 2^k and hi = lo + 2^-k, computed so.
     """
     if critical == ONE:
         lo = hi = ONE
     else:
-        lo, hi = ZERO, ONE
-        while hi - lo > precision:
-            mid = (lo + hi) / 2
-            if mid <= critical:
-                lo = mid
-            else:
-                hi = mid
+        # 2^k = 1 << (ceil(1 / precision) - 1).bit_length(), in integers
+        scale = 1 << ((precision.denominator - 1) // precision.numerator).bit_length()
+        steps = critical.numerator * scale // critical.denominator
+        lo, hi = as_ratio(steps, scale), as_ratio(steps + 1, scale)
     log.debug("%s noise threshold: critical level %s, bracket [%s, %s]",
               side, critical, lo, hi)
     return (lo, hi)

@@ -21,9 +21,9 @@ multipliers that are checked by substitution before the result is
 returned (``certifies_optimum``). The checks substitute in integers and
 are exact.
 Vertex enumeration is an exact double description over primitive
-integer rays, started by one elimination and one solve; it runs one
-feasibility LP only when the rows have rank below the dimension, and
-refuses up front a system whose rays could pass RAY_CAP.
+integer rays, started by one elimination and one solve. Rows of rank
+below the dimension never reach it: one feasibility LP answers them.
+A full-rank system whose rays could pass RAY_CAP is refused up front.
 
 A ``LinearSystem`` holds equality rows (coeffs . x == rhs) and
 inequality rows (coeffs . x >= rhs) over free variables. Certificates
@@ -58,8 +58,8 @@ UNBOUNDED = "unbounded"
 
 Row = tuple[tuple[Rational, ...], Rational]
 
-# vertex_enumerate refuses systems whose double description could hold more
-# rays than this, rather than run for hours.
+# vertex_enumerate refuses full-rank systems whose double description could
+# hold more rays than this, rather than run for hours.
 RAY_CAP = 10 ** 5
 
 
@@ -533,13 +533,13 @@ def vertex_enumerate(system: LinearSystem) -> tuple[tuple[Rational, ...], ...]:
     D - 2, D the dimension of the equalities' null space.
 
     Without a nonsingular submatrix the rows have rank below n, and one
-    feasibility LP decides: an empty region returns (), a nonempty one
-    contains a line. Otherwise no LP runs. No ray with t > 0 means the
-    region is empty, which returns (); any ray with t = 0 beside one is
-    a recession ray. Unbounded regions raise UnboundedRegionError.
-    Before any row is cut, a system whose cones could have more rays
-    than RAY_CAP, by McMullen's bound for the inequality rows and t >= 0
-    in D - 1 dimensions, raises ValueError.
+    feasibility LP decides, whatever the row count: an empty region
+    returns (), a nonempty one contains a line. Otherwise no LP runs. No
+    ray with t > 0 means the region is empty, which returns (); any ray
+    with t = 0 beside one is a recession ray. Unbounded regions raise
+    UnboundedRegionError. A full-rank system whose cones could have more
+    rays than RAY_CAP, by McMullen's bound for the inequality rows and
+    t >= 0 in D - 1 dimensions, raises ValueError before any row is cut.
     """
     n = system.variable_count
     n_eq = len(system.equalities)
@@ -547,15 +547,15 @@ def vertex_enumerate(system: LinearSystem) -> tuple[tuple[Rational, ...], ...]:
     rows.insert(n_eq, [1] + [0] * n)
     inequalities = rows[n_eq:]
     chosen = independent_rows(rows)
+    if len(chosen) <= n:
+        if lp_feasible(system).feasible:
+            raise UnboundedRegionError("region is nonempty but has no vertex: it contains a line")
+        return ()
     dim = n + 1 - sum(i < n_eq for i in chosen)
     bound = _ray_bound(len(inequalities), dim - 1)
     if bound > RAY_CAP:
         raise ValueError(f"vertex enumeration needs up to {bound} rays, "
                          f"more than the cap of {RAY_CAP}")
-    if len(chosen) <= n:
-        if lp_feasible(system).feasible:
-            raise UnboundedRegionError("region is nonempty but has no vertex: it contains a line")
-        return ()
     bits = [i - n_eq for i in chosen[n + 1 - dim:]]  # the basis's inequality rows
     in_basis = sum(1 << bit for bit in bits)
     identity = [[int(i == k) for k in range(n + 1)] for i in range(n + 1)]

@@ -18,9 +18,10 @@ import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .errors import UnboundedRegionError
 from .exactlp import LinearSystem, vertex_enumerate
 from .ratio import ONE, ZERO, Rational, as_ratio, format_ratio
-from .vecs import _primitive_ray, affine_rank, combine, dot, primitive_row, qvec, vzero
+from .vecs import _primitive_ray, combine, dot, primitive_row, qvec, vzero
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,9 @@ class StateSpace:
 
     Construction validates the coordinate convention (first coordinate 1
     everywhere), that the vertices affinely span the normalization slice
-    (so effect coefficient vectors are uniquely determined by their
-    values on states), and that no listed vertex is a convex combination
-    of the others. It keeps the state-cone facets as ``facets``.
+    (so effects are fixed by their values on states; the enumeration of
+    the facets, kept as ``facets``, decides it), and that no listed
+    vertex is a convex combination of the others.
     """
 
     label: str
@@ -93,15 +94,16 @@ class StateSpace:
                 raise ValueError(f"vertex {v} must have first coordinate 1")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertices")
-        if affine_rank(self.vertices) != self.ambient_dim - 1:
-            raise ValueError("vertices do not affinely span the normalization slice")
-        # Facets: the vertices of the polar slice {f : f.v >= 0, f.barycenter = 1},
-        # as primitive integer directions dotted with each vertex's ints over
-        # its denominator, so the N^2 pass below is all in short ints.
+        # Facets: the vertices of the polar slice {f : f.v >= 0, f.barycenter = 1}, which
+        # holds the unit effect and is bounded iff the vertices span. As primitive integer
+        # directions dotted with each vertex's ints, the N^2 pass below is all in short ints.
         # A point is a convex combination of the others iff another lies on all its facets.
         polar = LinearSystem(self.ambient_dim, ((barycenter(self).coords, ONE),),
                              tuple((v, ZERO) for v in self.vertices))
-        normals = [_primitive_ray(f) for f in vertex_enumerate(polar)]
+        try:
+            normals = [_primitive_ray(f) for f in vertex_enumerate(polar)]
+        except UnboundedRegionError as err:
+            raise ValueError("vertices do not affinely span the normalization slice") from err
         points = [primitive_row(v) for v in self.vertices]
         values = [[sum(map(operator.mul, f, ints)) for ints, _ in points] for f in normals]
         masks = [sum(1 << k for k, row in enumerate(values) if row[i] == 0)

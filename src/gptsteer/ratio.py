@@ -22,7 +22,7 @@ Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_RATIO_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+_RATIO_RE = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*", re.ASCII)
 
 
 def as_ratio(value, denominator=None) -> Rational:
@@ -49,11 +49,11 @@ def as_ratio(value, denominator=None) -> Rational:
 
 
 def parse_ratio(text: str) -> Rational:
-    """Parse "p/q" or "n" with integer p and positive integer q."""
-    stripped = text.strip()
-    if not _RATIO_RE.fullmatch(stripped):
+    """Parse "p/q" or "n", integer p and positive integer q, amid ASCII whitespace."""
+    match = _RATIO_RE.fullmatch(text)
+    if not match:
         raise ValueError(f"not a rational literal: {text!r}")
-    num, _, den = stripped.partition("/")
+    num, den = match.groups()
     if den:
         if int(den) == 0:
             raise ValueError(f"zero denominator: {text!r}")

@@ -9,6 +9,7 @@ indent, trailing newline, so equal payloads are byte-identical.
 from __future__ import annotations
 
 import json
+import string
 
 from .composites import BipartiteState, SeparabilityResult
 from .compatibility import JmResult, MotherObservable
@@ -278,7 +279,7 @@ def theorem_report_to_json(report: TheoremReport) -> dict:
 
 def parse_effect_arg(text: str) -> tuple:
     """Comma-separated rational coefficients, e.g. '1/2,1/2,0'."""
-    parts = [p.strip() for p in text.split(",")]
+    parts = [p.strip(string.whitespace) for p in text.split(",")]
     if not parts or any(not p for p in parts):
         raise SchemaError("effect must be comma-separated rationals")
     try:

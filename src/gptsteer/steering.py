@@ -284,9 +284,12 @@ def check_lhs(assemblage: Assemblage) -> LhsResult:
     space = assemblage.space
     if outcome.feasible:
         count = len(space.vertices)
-        model = _deterministic_model(assemblage, (
-            (strategy, combine(outcome.witness[s * count:(s + 1) * count], space.vertices))
-            for s, strategy in enumerate(_index_tuples(assemblage.outcomes))))
+        try:
+            model = _deterministic_model(assemblage, (
+                (strategy, combine(outcome.witness[s * count:(s + 1) * count], space.vertices))
+                for s, strategy in enumerate(_index_tuples(assemblage.outcomes))))
+        except ValueError as err:
+            raise VerificationError(f"LHS witness fails its audit: {err}") from err
         if reconstruct_assemblage(model).elements != assemblage.elements:
             raise VerificationError("local model fails to reproduce the assemblage")
         return LhsResult(status=UNSTEERABLE, model=model)

@@ -11,8 +11,8 @@ a row's dense ints and ``sparse_row`` its nonzeros. The two sums, ``dot``
 and the weighted sum ``combine``, read each value's .numerator and
 .denominator, accumulate an int numerator over one running positive
 denominator per result, and build one normalized rational per result.
-Gaussian elimination pivots on the first nonzero, all exact arithmetic
-needs, once per ``independent_rows`` or ``solve_unique`` call.
+Gaussian elimination pivots on the first nonzero, once per call of
+``independent_rows`` or ``solve_unique``, the start of ``exactlp.vertex_enumerate``.
 
 Hot paths build tuples from lists (``tuple([...])``), not generators:
 CPython sizes a generator's tuple by resizing, and its tuple free lists
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .ratio import ONE, ZERO, Rational, as_ratio
+from .ratio import ZERO, Rational, as_ratio
 
 
 def qvec(values: Iterable) -> tuple[Rational, ...]:
@@ -208,16 +208,7 @@ def _integer_rows(rows: Iterable[Iterable]) -> tuple[list[dict[int, int]], list[
 def independent_rows(rows: Sequence[Sequence]) -> list[int]:
     """Indices, in order, of the rows independent of the rows before them:
     the pivot columns of one elimination of their integer rows' transpose."""
-    rows = [primitive_row(row)[0] for row in rows]
     return _eliminate(*_integer_rows(transpose(rows)), len(rows))
-
-
-def affine_rank(points: Sequence[Sequence]) -> int:
-    """Rank of the difference vectors to the first point (0 for a single point)."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return len(independent_rows([combine((ONE, -ONE), (p, base)) for p in points[1:]]))
 
 
 def solve_unique(matrix: Sequence[Sequence],

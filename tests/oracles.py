@@ -170,6 +170,23 @@ def product_mother_effects(vertices, observables_effects):
     return mother
 
 
+def bisection_bracket(critical, precision):
+    """The bracket a bisection of [0, 1] reaches when the feasible levels
+    are exactly [0, critical]: (1, 1) when critical is 1, otherwise halve
+    until no wider than precision, keeping mid as lo when mid <= critical."""
+    critical, precision = F(critical), F(precision)
+    if critical == 1:
+        return (F(1), F(1))
+    lo, hi = F(0), F(1)
+    while hi - lo > precision:
+        mid = (lo + hi) / 2
+        if mid <= critical:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi)
+
+
 def square_vertices():
     return (fvec((1, 1, 1)), fvec((1, 1, -1)), fvec((1, -1, 1)),
             fvec((1, -1, -1)))

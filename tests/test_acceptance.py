@@ -5,6 +5,7 @@ check is exact; there are no tolerances anywhere.
 """
 
 import functools
+import os
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import gptsteer
 from gptsteer.compatibility import (MotherObservable, check_joint_measurability,
                                     jm_critical_visibility, jm_linear_system,
                                     jm_noise_threshold, marginalize_mother)
@@ -233,8 +235,10 @@ def test_certificate_audit(gbit, classical2, classical3, phi, gbit_run,
 def test_determinism():
     args = [sys.executable, "-m", "gptsteer", "theorem-verify",
             "--model", "gbit", "--trials", "20", "--seed", "7"]
-    first = subprocess.run(args, capture_output=True)
-    second = subprocess.run(args, capture_output=True)
+    # the children import the package this process imported, installed or not
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gptsteer.__file__)))
+    first = subprocess.run(args, capture_output=True, env=env)
+    second = subprocess.run(args, capture_output=True, env=env)
     assert first.returncode == 0
     assert second.returncode == 0
     assert first.stdout == second.stdout

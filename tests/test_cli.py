@@ -23,7 +23,8 @@ r = as_ratio
 
 
 def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
+    # the child imports the package this process imported, installed or not
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(exactlp.__file__)))
     env.pop("GPTSTEER_LOG", None)
     if env_extra:
         env.update(env_extra)
