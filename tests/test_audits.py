@@ -8,6 +8,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import gptsteer
 
 PACKAGE_DIR = Path(gptsteer.__file__).resolve().parent
@@ -65,6 +67,54 @@ else:
     print("returned", result.status, result.certificate)
 """
 
+
+# The two mutations above, each run on a system for each row store: the
+# wide one of the scripts above and a narrow one; prints the store and the
+# outcome per system.
+MUTATE_WITNESS = """
+clean = exactlp._Tableau.extract_point
+
+
+def off_by_one(self):
+    point = clean(self)
+    return (point[0] + 1,) + point[1:]
+
+
+exactlp._Tableau.extract_point = off_by_one
+solve = exactlp.lp_feasible
+"""
+
+MUTATE_OPTIMUM = """
+clean = exactlp._Tableau.phase_two
+
+
+def off_by_one(self, objective):
+    status, value, certificate = clean(self, objective)
+    return status, value, (certificate[0] + 1,) + certificate[1:]
+
+
+exactlp._Tableau.phase_two = off_by_one
+solve = lambda system: exactlp.lp_optimize((1, 2), system, "max")
+"""
+
+ON_BOTH_STORES = """
+from gptsteer import exactlp
+
+assert False, "this interpreter is not running under -O"
+{mutation}
+bounds = [((1, 0), 0), ((0, 1), 0)]
+wide = exactlp.LinearSystem.build(2, equalities=[((1, 1), 1)], inequalities=bounds)
+narrow = exactlp.LinearSystem.build(2, equalities=[((1, 1), 1), ((1, -1), 0)],
+                                    inequalities=bounds)
+for system in (wide, narrow):
+    store = exactlp._tableau(system).store
+    try:
+        result = solve(system)
+    except Exception as err:
+        print(store, type(err).__name__)
+    else:
+        print(store, "returned", result.status)
+"""
 
 def test_no_bare_asserts_in_package():
     offenders = []
@@ -225,3 +275,9 @@ def test_witness_audit_survives_optimize_flag():
 
 def test_optimality_audit_survives_optimize_flag():
     assert _run_optimized(BAD_OPTIMUM_SCRIPT) == "VerificationError"
+
+
+@pytest.mark.parametrize("mutation", [MUTATE_WITNESS, MUTATE_OPTIMUM])
+def test_audits_survive_optimize_flag_on_both_stores(mutation):
+    output = _run_optimized(ON_BOTH_STORES.format(mutation=mutation))
+    assert output.splitlines() == ["basis-inverse VerificationError", "full VerificationError"]

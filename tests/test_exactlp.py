@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gptsteer.compatibility as compatibility
+import gptsteer.exactlp as exactlp
 from gptsteer.compatibility import jm_critical_visibility, jm_linear_system
 from gptsteer.composites import canonical_max_entangled, separability_system
 from gptsteer.errors import UnboundedRegionError, VerificationError
@@ -27,8 +28,8 @@ from gptsteer.exactlp import (FEASIBLE, INFEASIBLE, OPTIMAL, RAY_CAP,
                               lp_optimize, membership_system, refutes,
                               satisfies, vertex_enumerate)
 from gptsteer.kernel import (Observable, depolarize_observable, dichotomic_observable,
-                             extremal_effects, state_cone_facets, zoo_classical,
-                             zoo_gbit, zoo_polygon)
+                             StateSpace, extremal_effects, state_cone_facets,
+                             zoo_classical, zoo_gbit, zoo_polygon)
 from gptsteer.ratio import RATIONAL_BACKEND, Rational, as_ratio, format_ratio, parse_ratio
 from gptsteer.sampler import (SamplerConfig, make_rng, random_observable_set,
                               random_separable_state)
@@ -321,7 +322,7 @@ def test_debug_line_per_solve(caplog, phi, fiducials):
         lp_optimize((1,) + (0,) * 15, system, "max")
     lines = [rec.getMessage() for rec in caplog.records]
     assert len(lines) == 2
-    pattern = (r"{}: 12 rows x 16 structural columns, 16 bounded, "
+    pattern = (r"{}: full store, 12 rows x 16 structural columns, 16 bounded, "
                r"pivots (\d+) \+ (\d+)")
     feasible = re.fullmatch(pattern.format("lp_feasible"), lines[0])
     optimize = re.fullmatch(pattern.format("lp_optimize"), lines[1])
@@ -496,6 +497,79 @@ def test_seeded_lp_results_are_frozen():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
         "9479afa25bd801e9701812dc6e7818c54a65f9a830d09468873de51d96d6e63b"
 
+
+
+def _sphere_space():
+    """A 5-point polytope on the unit sphere, by inverse stereographic
+    projection of a south pole, a ring of three and one high point."""
+    points = []
+    for u, v in ((0, 0), (Fraction(1, 2), Fraction(3, 4)), (Fraction(-3, 4), 1),
+                 (Fraction(-1, 4), Fraction(-5, 4)), (2, 2)):
+        u, v = Fraction(u), Fraction(v)
+        s = 1 + u * u + v * v
+        points.append((Fraction(1), 2 * u / s, 2 * v / s, (s - 2) / s))
+    return StateSpace("sphere-5", 4, sorted(points))
+
+
+def _solved_with(store_ratio, monkeypatch, solves):
+    """Every (store, row, column) step and every result of the solves, with
+    WIDE_RATIO set so that one store takes every system."""
+    steps = []
+    step = _Tableau.step
+    monkeypatch.setattr(_Tableau, "step",
+                        lambda self, *args: steps.append((self.store, *args)) or step(self, *args))
+    monkeypatch.setattr(exactlp, "WIDE_RATIO", store_ratio)
+    results = [solve() for solve in solves]
+    monkeypatch.undo()
+    return steps, results
+
+
+def test_both_stores_take_the_same_steps(monkeypatch):
+    # The 320 seeded systems of the frozen test and the separability LPs
+    # of the geometry-cold shapes, each solved with the full tableau and
+    # with the basis-inverse store: the same pivots, the same results.
+    rng = random.Random(20261019)
+    solves = []
+    for _ in range(320):
+        system, objective = _seeded_system(rng)
+        solves += [lambda system=system: lp_feasible(system)]
+        solves += [lambda system=system, objective=objective, sense=sense:
+                   lp_optimize(objective, system, sense) for sense in ("max", "min")]
+    rng = random.Random(21)
+    spaces = [zoo_polygon(n) for n in (5, 6, 7, 8)] + [_sphere_space()]
+    for space in spaces:
+        system = separability_system(random_separable_state(space, space, rng))
+        solves.append(lambda system=system: lp_feasible(system))
+    full_steps, full_results = _solved_with(math.inf, monkeypatch, solves)
+    inverse_steps, inverse_results = _solved_with(0, monkeypatch, solves)
+    assert {store for store, _, _ in full_steps} == {"full"}
+    assert {store for store, _, _ in inverse_steps} == {"basis-inverse"}
+    assert [step[1:] for step in inverse_steps] == [step[1:] for step in full_steps]
+    assert inverse_results == full_results
+    assert {res.status for res in full_results} == {FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED}
+
+
+def test_store_follows_the_shape(gbit, phi, fiducials):
+    # polygon-8 separability: 64 columns over 10 rows; gbit X/Y LHS 16
+    # over 12 and JM 40 over 31
+    octagon = zoo_polygon(8)
+    wide = separability_system(random_separable_state(octagon, octagon, random.Random(8)))
+    lhs = lhs_linear_system(assemblage_from(phi, fiducials))
+    jm = jm_linear_system(fiducials, gbit)
+    assert [exactlp._tableau(system).store for system in (wide, lhs, jm)] == \
+        ["basis-inverse", "full", "full"]
+
+
+def test_debug_line_names_the_store(caplog, phi, fiducials):
+    octagon = zoo_polygon(8)
+    wide = separability_system(random_separable_state(octagon, octagon, random.Random(8)))
+    narrow = lhs_linear_system(assemblage_from(phi, fiducials))
+    with caplog.at_level(logging.DEBUG, logger="gptsteer.exactlp"):
+        lp_feasible(wide)
+        lp_feasible(narrow)
+    stores = [re.match(r"lp_feasible: (\S+) store, (\d+) rows x (\d+) structural columns",
+                       rec.getMessage()).groups() for rec in caplog.records]
+    assert stores == [("basis-inverse", "10", "64"), ("full", "12", "16")]
 
 # --- vertex enumeration -----------------------------------------------------
 
