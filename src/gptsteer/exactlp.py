@@ -7,7 +7,14 @@ once into sparse primitive integer rows (``LinearSystem.integer_rows``),
 and that one form builds the tableau, finds the bound rows and runs the
 substitution checks. The tableau is fraction-free and sparse: each row
 a dict of its nonzero ints over one positive denominator, pivoted by
-``vecs.pivot``, the Gauss-Jordan step of ``vecs`` elimination too.
+``vecs.pivot``, the Gauss-Jordan step of ``vecs`` elimination too. It
+has two row stores, picked by the system's shape alone. Below
+WIDE_RATIO structural columns per tableau row, the full tableau stores
+every entry of every row. From WIDE_RATIO on, the basis-inverse store
+(a revised simplex) keeps of each row only its multipliers over the
+initial integer rows and its rhs, and computes an entry from the
+column-major initial rows when Bland's rule reads it. Both make the
+same pivots and give the same results.
 Rationals are built only where values leave the tableau: the witness
 or optimal point, the multipliers and the optimum.
 A row x_j >= 0 is a bound on column j, not a tableau row of its own,

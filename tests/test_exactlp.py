@@ -498,7 +498,6 @@ def test_seeded_lp_results_are_frozen():
         "9479afa25bd801e9701812dc6e7818c54a65f9a830d09468873de51d96d6e63b"
 
 
-
 def _sphere_space():
     """A 5-point polytope on the unit sphere, by inverse stereographic
     projection of a south pole, a ring of three and one high point."""
@@ -570,6 +569,7 @@ def test_debug_line_names_the_store(caplog, phi, fiducials):
     stores = [re.match(r"lp_feasible: (\S+) store, (\d+) rows x (\d+) structural columns",
                        rec.getMessage()).groups() for rec in caplog.records]
     assert stores == [("basis-inverse", "10", "64"), ("full", "12", "16")]
+
 
 # --- vertex enumeration -----------------------------------------------------
 
