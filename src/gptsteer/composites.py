@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +23,7 @@ from .exactlp import INFEASIBLE, LinearSystem, lp_feasible, membership_system, r
 from .kernel import (Effect, State, StateSpace, _coeffs, _mixture_weights, barycenter,
                      is_square_model, is_valid_state)
 from .ratio import ONE, ZERO, Rational, as_ratio
-from .vecs import combine, dot, matrix_times_col, outer, qmat, transpose
+from .vecs import combine, dot, matrix_times_col, outer, primitive_row, qmat, transpose
 
 log = logging.getLogger(__name__)
 
@@ -91,14 +92,25 @@ def in_max_tensor(state: BipartiteState) -> bool:
 
 
 def max_tensor_violation(state: BipartiteState) -> tuple[Effect, Effect] | None:
-    """A witnessing facet pair (each an extremal effect) with negative value, if any."""
+    """The first facet pair (each an extremal effect) with negative value, if any.
+
+    Pairs are scanned A-major in sorted facet order. The sign of
+    fa^T M fb is read in ints, from the primitive normals of the two
+    facets (``StateSpace.facet_normals``, positive multiples of them)
+    and the matrix as ints over one positive denominator, so no
+    rational is built unless a pair is returned.
+    """
     if not state.is_normalized:
         return None
-    for fa in state.space_a.facets:
-        partial = combine(fa, state.matrix)
-        for fb in state.space_b.facets:
-            if dot(partial, fb) < 0:
-                return (Effect(fa), Effect(fb))
+    space_a, space_b = state.space_a, state.space_b
+    flat = primitive_row([x for row in state.matrix for x in row])[0]
+    width = space_b.ambient_dim
+    columns = [flat[j::width] for j in range(width)]
+    for i, na in enumerate(space_a.facet_normals):
+        partial = [sum(map(operator.mul, na, col)) for col in columns]
+        for k, nb in enumerate(space_b.facet_normals):
+            if sum(map(operator.mul, partial, nb)) < 0:
+                return (Effect(space_a.facets[i]), Effect(space_b.facets[k]))
     return None
 
 
@@ -139,11 +151,13 @@ def separability_system(state: BipartiteState) -> LinearSystem:
 def is_separable(state: BipartiteState) -> SeparabilityResult:
     """Decide membership in the minimal tensor product.
 
-    Requires the state to sit in the maximal tensor product first (a
-    ValueError otherwise). Separable verdicts carry an exact
-    decomposition into vertex pairs; entangled verdicts a Farkas
-    certificate that acts as an entanglement witness.
+    Requires the state to be normalized and to sit in the maximal tensor
+    product first (a ValueError naming which fails otherwise). Separable
+    verdicts carry an exact decomposition into vertex pairs; entangled
+    verdicts a Farkas certificate that acts as an entanglement witness.
     """
+    if not state.is_normalized:
+        raise ValueError("state is not normalized")
     if not in_max_tensor(state):
         raise ValueError("state is not in the maximal tensor product")
     system = separability_system(state)
@@ -212,11 +226,14 @@ def conditional_state(state: BipartiteState, effect: Effect,
                       side: str) -> tuple[Rational, State]:
     """Outcome probability and the normalized conditional on the other side.
 
-    Requires a maximal-tensor-product state so the conditional is again
-    a state; conditioning on a zero-probability effect raises
+    Requires a normalized maximal-tensor-product state so the
+    conditional is again a state (a ValueError naming which fails
+    otherwise); conditioning on a zero-probability effect raises
     NullConditioningError (use subnormalized_conditional to avoid the
     division).
     """
+    if not state.is_normalized:
+        raise ValueError("state is not normalized")
     if not in_max_tensor(state):
         raise ValueError("state is not in the maximal tensor product")
     vec = subnormalized_conditional(state, effect, side)

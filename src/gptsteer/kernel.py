@@ -74,12 +74,22 @@ class StateSpace:
     (so effects are fixed by their values on states; the enumeration of
     the facets, kept as ``facets``, decides it), and that no listed
     vertex is a convex combination of the others.
+
+    The build keeps the integer forms it computes, for the membership
+    tests, beside the rational ``facets``: ``facet_normals[i]`` is the
+    primitive integer normal of ``facets[i]`` (its positive multiple with
+    coprime int entries), and ``vertex_rows[k]`` is ``vertices[k]`` as
+    (ints, den), ``vecs.primitive_row``'s form. Like ``facets`` they stay
+    out of ``repr``, ``==`` and ``hash``.
     """
 
     label: str
     ambient_dim: int
     vertices: tuple[tuple[Rational, ...], ...]
     facets: tuple[tuple[Rational, ...], ...] = field(init=False, repr=False, compare=False)
+    facet_normals: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    vertex_rows: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, repr=False,
+                                                                 compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(qvec(v) for v in self.vertices))
@@ -120,7 +130,11 @@ class StateSpace:
                 if value * den > top * d:
                     top, den = value, d
             facets.append(combine((as_ratio(den, top),), (f,)))
-        object.__setattr__(self, "facets", tuple(sorted(facets)))
+        pairs = sorted(zip(facets, map(tuple, normals)))  # facets are distinct
+        object.__setattr__(self, "facets", tuple([f for f, _ in pairs]))
+        object.__setattr__(self, "facet_normals", tuple([n for _, n in pairs]))
+        object.__setattr__(self, "vertex_rows",
+                           tuple([(tuple(ints), den) for ints, den in points]))
 
     @property
     def unit(self) -> Effect:
@@ -150,18 +164,25 @@ def _coords(state) -> tuple[Rational, ...]:
 
 
 def is_valid_effect(effect, space: StateSpace) -> bool:
-    """True iff the functional lies in [0, 1] on every vertex."""
+    """True iff the functional lies in [0, 1] on every vertex.
+
+    Decided in ints: with the effect as E/D and vertex k as V/d
+    (``space.vertex_rows``), e.v = E.V / (D d) and D d > 0, so the test
+    is 0 <= E.V <= D d on every vertex; no rational is built.
+    """
     coeffs = _coeffs(effect)
     if len(coeffs) != space.ambient_dim:
         raise ValueError("effect dimension does not match space")
-    return all(0 <= dot(coeffs, v) <= 1 for v in space.vertices)
+    ints, den = primitive_row(coeffs)
+    return all(0 <= sum(map(operator.mul, ints, row)) <= den * d
+               for row, d in space.vertex_rows)
 
 
 def is_valid_state(state, space: StateSpace) -> bool:
     """True iff the coordinates are a convex combination of the vertices.
 
     That is first coordinate 1 and membership in the state cone, which
-    ``in_state_cone`` decides with one dot product per facet.
+    ``in_state_cone`` decides by an integer sign test per facet.
     """
     coords = _coords(state)
     if len(coords) != space.ambient_dim:
@@ -193,17 +214,25 @@ def state_cone_facets(space: StateSpace) -> tuple[tuple[Rational, ...], ...]:
     """Facet normals of the state cone, which generate the effect cone.
 
     Each is an extremal effect (largest value 1 on a vertex), sorted.
-    The space computes them once, when built, as ``space.facets``. Dot
-    products with them decide state validity and max-tensor membership.
+    The space computes them once, when built, as ``space.facets``, with
+    their primitive integer normals as ``space.facet_normals``; the signs
+    of those normals' dots decide state validity and max-tensor membership.
     """
     return space.facets
 
 
 def in_state_cone(coords, space: StateSpace) -> bool:
+    """True iff every facet is nonnegative on the vector.
+
+    An integer sign test per facet: with the vector as ints/den, den > 0,
+    and each facet a positive multiple of its ``space.facet_normals``
+    row, f.vec >= 0 iff normal.ints >= 0; no rational is built.
+    """
     vec = _coords(coords)
     if len(vec) != space.ambient_dim:
         raise ValueError("vector dimension does not match space")
-    return all(dot(f, vec) >= 0 for f in space.facets)
+    ints = primitive_row(vec)[0]
+    return all(sum(map(operator.mul, n, ints)) >= 0 for n in space.facet_normals)
 
 
 @dataclass(frozen=True)

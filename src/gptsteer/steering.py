@@ -120,6 +120,8 @@ def assemblage_from(state: BipartiteState,
     """The assemblage Alice's observables steer out of a bipartite state."""
     if not observables:
         raise ValueError("need at least one observable")
+    if not state.is_normalized:
+        raise ValueError("state must be normalized")
     if not in_max_tensor(state):
         raise ValueError("state must lie in the maximal tensor product")
     for obs in observables:

@@ -341,3 +341,24 @@ def separability_rows(vertices_a, vertices_b, matrix):
                   for i, row in enumerate(matrix) for j, value in enumerate(row)]
     equalities.append(((F(1),) * len(pairs), F(1)))
     return equalities, _nonnegativity_rows(len(pairs))
+
+
+def facet_cone_member(facets, vec):
+    """The state-cone test as the rational formula: f . vec >= 0 on every facet."""
+    return all(fdot(f, vec) >= 0 for f in facets)
+
+
+def effect_in_unit_range(vertices, effect):
+    """Effect validity as the rational formula: 0 <= e . v <= 1 on every vertex."""
+    return all(F(0) <= fdot(effect, v) <= F(1) for v in vertices)
+
+
+def first_negative_facet_pair(facets_a, facets_b, matrix):
+    """The first (fa, fb), A-major in the order given, with fa^T M fb < 0, or None."""
+    for fa in facets_a:
+        for fb in facets_b:
+            value = sum((F(fa[i]) * F(x) * F(fb[j])
+                         for i, row in enumerate(matrix) for j, x in enumerate(row)), F(0))
+            if value < 0:
+                return (fvec(fa), fvec(fb))
+    return None

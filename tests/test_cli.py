@@ -296,6 +296,20 @@ def test_tensor_check_sep(docs):
     assert report_of(proc)["result"]["status"] == "separable"
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-sep"],
+    ["conditional", "--side", "A", "--effect", "1/2,1/2,0"],
+], ids=["check-sep", "conditional"])
+def test_tensor_refusal_names_normalization(docs, argv, capsys, monkeypatch):
+    # the document's matrix is half a product state: only its normalization is wrong
+    monkeypatch.delenv("GPTSTEER_LOG", raising=False)
+    status = main(["tensor", argv[0], "--state-file", docs["unnormalized"], *argv[1:]])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "error: state is not normalized\n"
+
+
 def test_tensor_marginal(docs):
     proc = run_cli("tensor", "marginal", "--state-file", docs["phi"],
                    "--side", "B")

@@ -151,6 +151,21 @@ def test_separability_rejects_outside_max_tensor(gbit):
         is_separable(too_far)
 
 
+def test_refusals_name_normalization_before_the_cone(gbit, fiducials):
+    # twice a product state: inside the cone of the maximal tensor product,
+    # so the only thing wrong is its normalization
+    doubled = BipartiteState(gbit, gbit, ((2, 0, 0), (0, 0, 0), (0, 0, 0)))
+    too_far = BipartiteState(gbit, gbit, ((1, 0, 0), (0, 2, 0), (0, 0, 2)))
+    effect = fiducials[0].effect("+")
+    with pytest.raises(ValueError, match="^state is not normalized$"):
+        is_separable(doubled)
+    with pytest.raises(ValueError, match="^state is not normalized$"):
+        conditional_state(doubled, effect, "A")
+    for check in (is_separable, lambda s: conditional_state(s, effect, "A")):
+        with pytest.raises(ValueError, match="^state is not in the maximal tensor product$"):
+            check(too_far)
+
+
 def test_random_separable_states_are_in_both_cones(gbit, classical3):
     rng = random.Random(11)
     for _ in range(25):

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import math
 import weakref
 from fractions import Fraction
 
@@ -268,6 +269,28 @@ def test_facets_stay_out_of_equality_hash_and_repr(gbit):
     assert again == gbit and hash(again) == hash(gbit)
     assert "facets" not in repr(gbit)
     assert repr(again) == repr(gbit)
+
+
+@pytest.mark.parametrize("name", ["gbit", "classical-4", "polygon-5", "polygon-8"])
+def test_integer_forms_stay_out_of_equality_hash_and_repr(name):
+    space, again = zoo_by_name(name), zoo_by_name(name)
+    text = repr(space)
+    assert "facet_normals" not in text and "vertex_rows" not in text
+    object.__setattr__(again, "facet_normals", ())
+    object.__setattr__(again, "vertex_rows", ())
+    assert again == space and hash(again) == hash(space) and repr(again) == text
+    # normal i is the primitive integer ray of facets[i], computed here in plain ints
+    assert len(space.facet_normals) == len(space.facets)
+    for facet, normal in zip(space.facets, space.facet_normals):
+        den = math.lcm(*[x.denominator for x in facet])
+        ints = [x.numerator * (den // x.denominator) for x in facet]
+        g = math.gcd(*ints)
+        assert normal == tuple(x // g for x in ints)
+        assert all(type(x) is int for x in normal)
+    # vertex_rows[k] is vertices[k] as primitive ints over a positive denominator
+    for vertex, (ints, den) in zip(space.vertices, space.vertex_rows, strict=True):
+        assert den > 0 and math.gcd(den, *ints) == 1
+        assert tuple(Fraction(x, den) for x in ints) == vertex
 
 
 def test_state_cone_facets_and_membership(gbit, classical2):

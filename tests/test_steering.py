@@ -279,6 +279,13 @@ def test_jm_to_lhs_tests_max_tensor_membership_once(monkeypatch, gbit, phi, fidu
         jm_to_lhs(jm.mother, too_far)
 
 
+def test_assemblage_refusal_names_normalization(gbit, fiducials):
+    # twice a product state is in the cone but not normalized
+    doubled = BipartiteState(gbit, gbit, ((2, 0, 0), (0, 0, 0), (0, 0, 0)))
+    with pytest.raises(ValueError, match="^state must be normalized$"):
+        assemblage_from(doubled, fiducials)
+
+
 def test_find_conditioning_effect_frozen(phi):
     target = (r(1, 4), r(1, 4), r(1, 4))
     effect = find_conditioning_effect(phi, target)
