@@ -144,9 +144,9 @@ def test_membership_builds_no_rational_sum(name, monkeypatch):
     far = BipartiteState(space, space, ((1, 0, 0), (0, 2, 0), (0, 0, 2)))
     expected_pair = first_negative_facet_pair(space.facets, space.facets, far.matrix)
     assert expected_pair is not None
-    for module, name in ((gptsteer.kernel, "dot"), (gptsteer.composites, "dot"),
+    for module, attr in ((gptsteer.kernel, "dot"), (gptsteer.composites, "dot"),
                          (gptsteer.composites, "combine")):
-        monkeypatch.setattr(module, name, _refuse)
+        monkeypatch.setattr(module, attr, _refuse)
     assert in_state_cone(center, space) and not in_state_cone(outside, space)
     assert is_valid_state(center, space) and not is_valid_state(outside, space)
     assert is_valid_state(space.vertices[0], space)
