@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import VerificationError
-from .exactlp import INFEASIBLE, OPTIMAL, LinearSystem, lp_feasible, lp_optimize, refutes
-from .kernel import (Effect, Observable, StateSpace, _check_lp_size, _index_tuples,
+from .exactlp import (INFEASIBLE, OPTIMAL, LinearShape, LinearSystem, lp_feasible, lp_optimize,
+                      refutes)
+from .kernel import (Effect, Observable, StateSpace, _check_lp_size, _index_tuples, _lp_shape,
                      _slot_stack, depolarize_observable, is_valid_effect, is_valid_observable,
                      mother_outcome_tuples)
 from .ratio import ONE, ZERO, Rational, as_ratio
@@ -114,19 +116,26 @@ def jm_linear_system(observables: Sequence[Observable], space: StateSpace) -> Li
     vertex, nonnegativity of the tuple effect on it, that is the vertex in
     the tuple's block. Certificates align with this order, equalities first.
     A family past ``kernel.LP_SIZE_CAP`` raises ValueError.
+
+    The rows depend only on the space and the outcome counts: they are
+    built once per shape and kept in ``space.lp_shapes`` (``_jm_shape``),
+    and each call builds only the target.
     """
     _check_family(observables, space)
-    dim = space.ambient_dim
     outcomes = [obs.outcomes for obs in observables]
     _check_lp_size(outcomes, space)
+    return _lp_shape(space, "jm", outcomes, _jm_shape).system(_jm_target(observables, space))
+
+
+def _jm_shape(space: StateSpace, outcomes) -> LinearShape:
+    """The JM LP's rows for these outcome counts, in jm_linear_system's order."""
+    dim = space.ambient_dim
     tuples = _index_tuples(outcomes)
     units = [(ZERO,) * c + (ONE,) + (ZERO,) * (dim - 1 - c) for c in range(dim)]
     columns = [e_c + _slot_stack(t, e_c, outcomes) for t in tuples for e_c in units]
-    target = _jm_target(observables, space)
     inequalities = tuple([(_slot_stack((t,), v, (tuples,)), ZERO)
                           for t in range(len(tuples)) for v in space.vertices])
-    equalities = tuple([*zip(zip(*columns), target, strict=True)])  # a list first: see vecs
-    return LinearSystem(len(columns), equalities, inequalities)
+    return LinearShape.read(len(columns), zip(*columns), inequalities)
 
 
 def _jm_target(observables: Sequence[Observable], space: StateSpace) -> tuple[Rational, ...]:
@@ -225,6 +234,13 @@ def _critical_level(sharp: LinearSystem, rhs_at_zero: Sequence[Rational]) -> Rat
     point and the dual multipliers that bound eta from above. Level 0
     is always feasible, so the feasible levels form the interval
     [0, optimum].
+
+    The integer rows come from the sharp system's, in ints. Equality
+    (coeffs, b1, den) with b0 = p / q becomes coeffs times L / den, rhs
+    p L / q and eta entry that minus b1 L / den, over L = lcm(den, q):
+    b1's denominator divides lcm(q, (b0 - b1)'s), so L is the lcm of the
+    new row's denominators, as integer_rows reads it. The inequalities'
+    rows are the sharp ones, shared.
     """
     n = sharp.variable_count
     level = (ZERO,) * n + (ONE,)
@@ -232,7 +248,19 @@ def _critical_level(sharp: LinearSystem, rhs_at_zero: Sequence[Rational]) -> Rat
     equalities = tuple([(coeffs + (b0 - b1,), b0) for (coeffs, b1), b0
                         in zip(sharp.equalities, rhs_at_zero, strict=True)])
     inequalities = tuple([(coeffs + (ZERO,), b) for coeffs, b in sharp.inequalities])
-    system = LinearSystem(n + 1, equalities, inequalities + bounds)
+    n_eq = len(equalities)
+    int_rows = []
+    for (coeffs, b1, den), b0 in zip(sharp.integer_rows[:n_eq], rhs_at_zero):
+        full = math.lcm(den, b0.denominator)
+        scale = full // den
+        row = {j: c * scale for j, c in coeffs.items()}
+        b = b0.numerator * (full // b0.denominator)
+        if b != b1 * scale:
+            row[n] = b - b1 * scale
+        int_rows.append((row, b, full))
+    system = LinearSystem.with_integer_rows(
+        n + 1, equalities, inequalities + bounds,
+        (*int_rows, *sharp.integer_rows[n_eq:], ({n: 1}, 0, 1), ({n: -1}, -1, 1)))
     result = lp_optimize(level, system, "max")
     if result.status != OPTIMAL:
         raise VerificationError(f"critical-level LP is {result.status}, "

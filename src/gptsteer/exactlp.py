@@ -5,7 +5,13 @@ with Bland's smallest-index pivot rule, so every run terminates and
 identical inputs give identical answers. Each ``LinearSystem`` is read
 once into sparse primitive integer rows (``LinearSystem.integer_rows``),
 and that one form builds the tableau, finds the bound rows and runs the
-substitution checks. The tableau is fraction-free and sparse: each row
+substitution checks. Builders that know the form cheaper hand it in:
+a ``LinearShape`` keeps the integer forms of a family's coefficient rows
+and adds each target's denominator with one lcm per equality (the
+membership, JM and LHS LPs), and the critical-level LP derives its rows
+from the sharp system's. The read stays the definition that every
+handed-in form must equal, and no reader ever changes the rows, which
+systems of one shape share. The tableau is fraction-free and sparse: each row
 a dict of its nonzero ints over one positive denominator, pivoted by
 ``vecs.pivot``, the Gauss-Jordan step of ``vecs`` elimination too. It
 has two row stores, picked by the system's shape alone. Below
@@ -97,13 +103,30 @@ class LinearSystem:
     def row_count(self) -> int:
         return len(self.equalities) + len(self.inequalities)
 
+    @classmethod
+    def with_integer_rows(cls, variable_count: int, equalities: tuple[Row, ...],
+                          inequalities: tuple[Row, ...], integer_rows) -> "LinearSystem":
+        """A system handed its integer_rows, which its builder derived in
+        ints and which must equal the read's; the read then never runs."""
+        system = cls(variable_count, equalities, inequalities)
+        # integer_rows is a cached_property, cached in the instance dict
+        object.__setattr__(system, "integer_rows", integer_rows)
+        return system
+
     @cached_property
     def integer_rows(self) -> tuple[tuple[dict[int, int], int, int], ...]:
         """Every row, equalities then inequalities, read once as (coeffs,
         rhs, den): the row stands for coeffs . x (==, >=) rhs over den > 0,
         with coeffs the nonzero ints by column and math.gcd(den, rhs,
         *coeffs.values()) == 1. The tableau, the bound rows and the
-        substitution checks all read this form, never the rationals."""
+        substitution checks all read this form, never the rationals.
+
+        This read is the definition of the form. A builder that knows it
+        cheaper (``LinearShape.system``, ``compatibility._critical_level``)
+        hands it in through ``with_integer_rows``, and the read never runs;
+        the tests compare every handed-in form with a fresh read. The
+        coefficient dicts may be shared between systems, so nothing that
+        reads them ever changes them."""
         rows = []
         for coeffs, b in self.equalities + self.inequalities:
             # ZERO pads most rows, so it is skipped by identity first
@@ -112,6 +135,61 @@ class LinearSystem:
             rows.append(({j: c.numerator * (den // c.denominator) for j, c in nonzero},
                          b.numerator * (den // b.denominator), den))
         return tuple(rows)
+
+
+@dataclass(frozen=True)
+class LinearShape:
+    """The part of a family of LinearSystems that its target leaves fixed:
+    the equalities' coefficient rows, the inequalities, and their integer
+    forms. ``system(target)`` is the system of rows[i] . x == target[i]
+    and the inequalities.
+
+    row_ints[i] is rows[i] read alone, as (coeffs, den): its nonzero ints
+    by column over den, the lcm of its coefficients' denominators, and
+    inequality_ints the inequalities' integer_rows. With target[i] = b / d
+    in lowest terms, the read of equality i is coeffs times L / den and b
+    times L / d, over L = lcm(den, d): the lcm of all its denominators,
+    so the row is primitive as the read's. One lcm per equality thus gives
+    its integer row, and when d divides den the coefficient dict itself
+    is shared.
+    """
+
+    variable_count: int
+    rows: tuple[tuple[Rational, ...], ...]
+    inequalities: tuple[Row, ...]
+    row_ints: tuple[tuple[dict[int, int], int], ...]
+    inequality_ints: tuple[tuple[dict[int, int], int, int], ...]
+
+    @classmethod
+    def read(cls, variable_count: int, rows, inequalities: tuple[Row, ...],
+             inequality_ints=None) -> "LinearShape":
+        """The shape of these rows, their integer forms read by integer_rows:
+        the equalities' as rows with a zero right-hand side, which adds no
+        denominator. A builder that knows the inequalities' integer rows
+        may hand them in instead."""
+        rows = tuple(rows)
+        read = LinearSystem(variable_count, tuple([(row, ZERO) for row in rows]),
+                            inequalities if inequality_ints is None else ()).integer_rows
+        if inequality_ints is None:
+            inequality_ints = read[len(rows):]
+        return cls(variable_count, rows, inequalities,
+                   tuple([(coeffs, den) for coeffs, _, den in read[:len(rows)]]),
+                   inequality_ints)
+
+    def system(self, target) -> LinearSystem:
+        """The system with target as the equalities' right-hand side,
+        handed its integer rows."""
+        int_rows = []
+        for (coeffs, den), b in zip(self.row_ints, target, strict=True):
+            d = b.denominator
+            full = math.lcm(den, d)
+            if full != den:
+                scale = full // den
+                coeffs = {j: c * scale for j, c in coeffs.items()}
+            int_rows.append((coeffs, b.numerator * (full // d), full))
+        return LinearSystem.with_integer_rows(
+            self.variable_count, tuple([*zip(self.rows, target)]), self.inequalities,
+            tuple(int_rows) + self.inequality_ints)
 
 
 @dataclass(frozen=True)
@@ -799,15 +877,24 @@ def membership_system(target, gens, convex: bool) -> LinearSystem:
     target, then sum_i w_i == 1 when convex, then w_i >= 0 for each i in
     generator order. Every nonnegative-weight LP in the package (cone
     and convex membership, local hidden states, separability) is built
-    here.
+    here, as ``membership_shape(gens, convex)`` given its target.
     """
+    target = tuple(target)
+    return membership_shape(gens, convex).system(target + (ONE,) if convex else target)
+
+
+def membership_shape(gens, convex: bool) -> LinearShape:
+    """The shape part of membership_system: the coordinate rows of the
+    generators, the weight-sum row when convex, and the rows w_i >= 0,
+    whose integer rows ({i: 1}, 0, 1) are written down, not read."""
     k = len(gens)
-    equalities = list(zip(zip(*gens), target, strict=True))
+    rows = list(zip(*gens))
     if convex:
-        equalities.append(((ONE,) * k, ONE))
+        rows.append((ONE,) * k)
     inequalities = []
     for i in range(k):
         row = [ZERO] * k
         row[i] = ONE
         inequalities.append((tuple(row), ZERO))
-    return LinearSystem(k, tuple(equalities), tuple(inequalities))
+    return LinearShape.read(k, rows, tuple(inequalities),
+                            tuple([({i: 1}, 0, 1) for i in range(k)]))

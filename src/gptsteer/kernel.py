@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import UnboundedRegionError
-from .exactlp import LinearSystem, vertex_enumerate
+from .exactlp import LinearShape, LinearSystem, vertex_enumerate
 from .ratio import ONE, ZERO, Rational, as_ratio, format_ratio
 from .vecs import _primitive_ray, combine, dot, primitive_row, qvec, vzero
 
@@ -81,6 +81,13 @@ class StateSpace:
     coprime int entries), and ``vertex_rows[k]`` is ``vertices[k]`` as
     (ints, den), ``vecs.primitive_row``'s form. Like ``facets`` they stay
     out of ``repr``, ``==`` and ``hash``.
+
+    ``lp_shapes`` memoizes, in the same way, the shape part of the JM and
+    LHS LPs (``exactlp.LinearShape``): their coefficient rows depend only
+    on the space and the outcome counts, so each (family, outcome-count
+    tuple) key, ("jm", counts) or ("lhs", counts), is built once and
+    every later LP of that shape builds only its target
+    (``_lp_shape``).
     """
 
     label: str
@@ -90,6 +97,8 @@ class StateSpace:
     facet_normals: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     vertex_rows: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, repr=False,
                                                                  compare=False)
+    lp_shapes: dict[tuple[str, tuple[int, ...]], LinearShape] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(qvec(v) for v in self.vertices))
@@ -135,6 +144,7 @@ class StateSpace:
         object.__setattr__(self, "facet_normals", tuple([n for _, n in pairs]))
         object.__setattr__(self, "vertex_rows",
                            tuple([(tuple(ints), den) for ints, den in points]))
+        object.__setattr__(self, "lp_shapes", {})
 
     @property
     def unit(self) -> Effect:
@@ -459,6 +469,16 @@ def _check_lp_size(outcomes, space: StateSpace) -> None:
     if size > LP_SIZE_CAP:
         raise ValueError(f"the LP has {size} (outcome tuple, vertex) pairs, "
                          f"more than the cap of {LP_SIZE_CAP}")
+
+
+def _lp_shape(space: StateSpace, family: str, outcomes, build) -> LinearShape:
+    """space.lp_shapes[(family, outcome counts)], made by build(space,
+    outcomes) the first time; build may read only the counts."""
+    key = (family, tuple([len(row) for row in outcomes]))
+    shape = space.lp_shapes.get(key)
+    if shape is None:
+        shape = space.lp_shapes[key] = build(space, outcomes)
+    return shape
 
 
 def _index_tuples(outcomes) -> tuple[tuple[int, ...], ...]:

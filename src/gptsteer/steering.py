@@ -32,10 +32,10 @@ from .compatibility import (JmResult, MotherObservable, _check_family, _critical
 from .composites import (BipartiteState, canonical_max_entangled, in_max_tensor,
                          marginal, subnormalized_conditional)
 from .errors import ConstructionError, NotRemotelyPreparableError, VerificationError
-from .exactlp import LinearSystem, lp_feasible, membership_system
+from .exactlp import LinearShape, LinearSystem, lp_feasible, membership_shape
 from .kernel import (Effect, Observable, State, StateSpace, _check_lp_size, _effect_rows,
-                     _index_tuples, _slot_stack, depolarize_observable, in_state_cone,
-                     is_valid_state, mother_outcome_tuples)
+                     _index_tuples, _lp_shape, _slot_stack, depolarize_observable,
+                     in_state_cone, is_valid_state, mother_outcome_tuples)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .sampler import SamplerConfig, make_rng, random_max_tensor_state, random_observable_set
 from .vecs import combine, dot, qvec
@@ -45,12 +45,22 @@ STEERABLE = "steerable"
 
 
 def _unique_labels(labels) -> tuple[str, ...]:
-    seen = {}
+    """The labels, each repeat of an earlier one renamed label#n, n the
+    least from its repeat count on whose name no label has taken, so the
+    names are distinct and a label that does not repeat keeps its name."""
+    labels = list(labels)
+    taken = set(labels)
+    seen: dict[str, int] = {}
     out = []
     for label in labels:
         n = seen.get(label, 0)
         seen[label] = n + 1
-        out.append(label if n == 0 else f"{label}#{n}")
+        if n:
+            while f"{label}#{n}" in taken:
+                n += 1
+            taken.add(f"{label}#{n}")
+            label = f"{label}#{n}"
+        out.append(label)
     return tuple(out)
 
 
@@ -154,13 +164,20 @@ class LhsLambda:
         object.__setattr__(self, "responses",
                            tuple(tuple(as_ratio(p) for p in row)
                                  for row in self.responses))
-        if self.weight < ZERO:
+        if self.weight.numerator < 0:
             raise ValueError("hidden-state weight must be nonnegative")
         for row in self.responses:
-            if any(p < ZERO for p in row):
+            if any(p.numerator < 0 for p in row):
                 raise ValueError("response probabilities must be nonnegative")
-            if sum(row, ZERO) != ONE:
+            if not _sums_to_one(row):
                 raise ValueError("response rows must sum to one")
+
+
+def _sums_to_one(values) -> bool:
+    """sum(values) == 1, as one int sum: each value n / d (lowest terms,
+    d > 0) read as n times L / d over L, the lcm of the d."""
+    den = math.lcm(*[v.denominator for v in values])
+    return sum([v.numerator * (den // v.denominator) for v in values]) == den
 
 
 @dataclass(frozen=True)
@@ -179,7 +196,7 @@ class LhsModel:
     def validate(self) -> None:
         if not self.lambdas:
             raise ValueError("a model needs at least one hidden state")
-        if sum((lam.weight for lam in self.lambdas), ZERO) != ONE:
+        if not _sums_to_one([lam.weight for lam in self.lambdas]):
             raise ValueError("hidden-state weights must sum to one")
         for lam in self.lambdas:
             if not is_valid_state(lam.state.coords, self.space):
@@ -195,7 +212,8 @@ def reconstruct_assemblage(model: LhsModel) -> Assemblage:
     """The assemblage a local model produces."""
     states = [lam.state.coords for lam in model.lambdas]
     elements = tuple(
-        tuple(combine([lam.weight * lam.responses[x][k] for lam in model.lambdas], states)
+        tuple(combine([lam.weight * p if (p := lam.responses[x][k]) else ZERO
+                       for lam in model.lambdas], states)
               for k in range(len(outs)))
         for x, outs in enumerate(model.outcomes))
     return Assemblage(space=model.space, settings=model.settings,
@@ -233,17 +251,22 @@ def lhs_linear_system(assemblage: Assemblage) -> LinearSystem:
     (x, strategy[x]) for each setting x and zeros in every other slot.
     Its weights are the variables c[strategy][vertex]. An assemblage past
     ``kernel.LP_SIZE_CAP`` raises ValueError.
+
+    The generators depend only on the space and the outcome counts: the
+    system's shape (``exactlp.membership_shape``) is built once per shape
+    and kept in ``space.lp_shapes``, and each call builds only the target.
     """
     _check_lp_size(assemblage.outcomes, assemblage.space)
     target = tuple([c for row in assemblage.elements for e in row for c in e])
-    return membership_system(target, _generators(assemblage.space, assemblage.outcomes),
-                             convex=False)
+    return _lp_shape(assemblage.space, "lhs", assemblage.outcomes, _lhs_shape).system(target)
 
 
-def _generators(space: StateSpace, outcomes) -> list[tuple[Rational, ...]]:
-    """The (strategy, vertex) cone generators of the local assemblages."""
-    return [_slot_stack(strategy, vertex, outcomes)
-            for strategy in _index_tuples(outcomes) for vertex in space.vertices]
+def _lhs_shape(space: StateSpace, outcomes) -> LinearShape:
+    """The cone-membership shape of the (strategy, vertex) generators of
+    the local assemblages."""
+    return membership_shape([_slot_stack(strategy, vertex, outcomes)
+                             for strategy in _index_tuples(outcomes)
+                             for vertex in space.vertices], convex=False)
 
 
 def _functional_from_certificate(assemblage: Assemblage,

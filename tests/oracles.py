@@ -18,7 +18,8 @@ def fvec(values):
 
 
 def fdot(a, b):
-    assert len(a) == len(b)
+    if len(a) != len(b):
+        raise ValueError("fdot needs vectors of one length")
     return sum((F(x) * F(y) for x, y in zip(a, b)), F(0))
 
 
@@ -137,13 +138,15 @@ def indicator_effects(vertices):
     """For a simplex (vertex count == ambient dim): effects with
     e_k(v_j) = [j == k]. Solves the transposed vertex matrix."""
     n = len(vertices)
-    assert len(vertices[0]) == n
+    if len(vertices[0]) != n:
+        raise ValueError("a simplex has as many vertices as its ambient dimension")
     out = []
     for k in range(n):
         rows = [fvec(v) for v in vertices]
         rhs = [F(1) if j == k else F(0) for j in range(n)]
         coeffs = gauss_solve(rows, rhs)
-        assert coeffs is not None
+        if coeffs is None:
+            raise ValueError("the vertex matrix is singular")
         out.append(coeffs)
     return tuple(out)
 

@@ -1,0 +1,171 @@
+"""The shape part of the JM, LHS and membership LPs, memoized per space
+and outcome counts, and the integer rows their builders hand in.
+
+Every handed-in form is compared with a fresh ``LinearSystem``'s read of
+the same rational rows, the definition of ``integer_rows``.
+"""
+
+import copy
+import functools
+import random
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gptsteer.compatibility as compatibility
+import gptsteer.steering as steering
+from gptsteer.compatibility import (check_joint_measurability, jm_critical_visibility,
+                                    jm_linear_system)
+from gptsteer.composites import canonical_max_entangled, separability_system
+from gptsteer.exactlp import LinearSystem, membership_system
+from gptsteer.kernel import (Observable, depolarize_observable, square_fiducials,
+                             zoo_by_name, zoo_gbit)
+from gptsteer.ratio import as_ratio
+from gptsteer.sampler import random_effect, random_separable_state, random_state
+from gptsteer.steering import (assemblage_from, check_lhs, lhs_critical_visibility,
+                               lhs_linear_system)
+
+from test_exactlp import _sphere_space
+
+r = as_ratio
+NAMES = ("gbit", "classical-3", "polygon-5", "polygon-8", "sphere-5")
+
+
+@functools.cache
+def _space(name):
+    return _sphere_space() if name == "sphere-5" else zoo_by_name(name)
+
+
+def _observable(space, rng, label, outcomes):
+    """A random valid observable: (e, u - e), or (t e, (1 - t) e, u - e)."""
+    e = random_effect(space, rng)
+    rest = space.unit - e
+    if outcomes == 2:
+        return Observable(label, space, ("+", "-"), (e, rest))
+    t = r(rng.randint(0, 4), 4)
+    return Observable(label, space, ("0", "1", "2"), (t * e, (1 - t) * e, rest))
+
+
+def _assert_handed_in(system):
+    """The system was handed its integer rows, and they are the read's."""
+    assert "integer_rows" in vars(system)
+    fresh = LinearSystem(system.variable_count, system.equalities, system.inequalities)
+    assert system.integer_rows == fresh.integer_rows
+    for coeffs, rhs, den in system.integer_rows:
+        assert all(type(x) is int and x for x in coeffs.values())
+        assert type(rhs) is int and type(den) is int and den > 0
+
+
+class _Stop(Exception):
+    pass
+
+
+def _eta_system(run):
+    """The critical-level LP that run() builds, caught before it is solved."""
+    def capture(objective, system, sense):
+        raise _Stop(system)
+
+    with mock.patch.object(compatibility, "lp_optimize", capture):
+        with pytest.raises(_Stop) as stopped:
+            run()
+    return stopped.value.args[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(NAMES), st.lists(st.sampled_from((2, 3)), min_size=1, max_size=3),
+       st.integers(0, 2 ** 16))
+def test_handed_in_integer_rows_equal_the_read(name, counts, seed):
+    space = _space(name)
+    rng = random.Random(seed)
+    family = tuple(_observable(space, rng, f"o{i}", n) for i, n in enumerate(counts))
+    state = random_separable_state(space, space, rng)
+    assemblage = assemblage_from(state, family)
+    gens = space.vertices[:rng.randint(1, len(space.vertices))]
+    point = random_state(space, rng).coords
+    for system in (jm_linear_system(family, space), lhs_linear_system(assemblage),
+                   separability_system(state),
+                   membership_system(point, gens, convex=False),
+                   membership_system(point, gens, convex=True),
+                   _eta_system(lambda: jm_critical_visibility(family, space)),
+                   _eta_system(lambda: lhs_critical_visibility(family, state))):
+        _assert_handed_in(system)
+
+
+def test_a_seen_shape_builds_no_row_and_runs_no_read(monkeypatch):
+    space = zoo_gbit()
+    phi = canonical_max_entangled(space)
+    x, y = square_fiducials(space)
+    jm_linear_system((x, y), space)
+    lhs_linear_system(assemblage_from(phi, (x, y)))
+    assert set(space.lp_shapes) == {("jm", (2, 2)), ("lhs", (2, 2))}
+    noisy = (depolarize_observable(x, r(1, 2)), depolarize_observable(y, r(1, 3)))
+    assemblage = assemblage_from(phi, noisy)
+
+    def forbidden(*args):
+        raise AssertionError("a coefficient row was built")
+
+    class NoRead:  # a non-data descriptor: handed-in rows still shadow it
+        def __get__(self, system, owner=None):
+            raise AssertionError("integer_rows was read")
+
+    monkeypatch.setattr(compatibility, "_slot_stack", forbidden)
+    monkeypatch.setattr(steering, "_slot_stack", forbidden)
+    monkeypatch.setattr(LinearSystem, "integer_rows", NoRead())
+    built = [jm_linear_system(noisy, space), lhs_linear_system(assemblage)]
+    handed = [system.integer_rows for system in built]
+    monkeypatch.undo()
+    for system, rows in zip(built, handed):
+        assert rows == LinearSystem(system.variable_count, system.equalities,
+                                    system.inequalities).integer_rows
+    assert len(space.lp_shapes) == 2
+
+
+@pytest.mark.parametrize("name", ["gbit", "polygon-5"])
+def test_shape_memo_stays_out_of_equality_hash_and_repr(name):
+    space, again = zoo_by_name(name), zoo_by_name(name)
+    rng = random.Random(5)
+    family = (_observable(space, rng, "a", 2), _observable(space, rng, "b", 3))
+    check_joint_measurability(family, space)
+    assert space.lp_shapes and not again.lp_shapes
+    assert "lp_shapes" not in repr(space) and "LinearShape" not in repr(space)
+    assert space == again and hash(space) == hash(again) and repr(space) == repr(again)
+
+
+def test_solving_shares_the_memo_rows_and_never_changes_them(gbit, phi, fiducials):
+    x, y = fiducials
+    half = (depolarize_observable(x, r(1, 2)), depolarize_observable(y, r(1, 2)))
+    for family in (fiducials, half):  # an incompatible and a compatible pair
+        check_joint_measurability(family, gbit)
+        check_lhs(assemblage_from(phi, family))
+    shapes = [gbit.lp_shapes[("jm", (2, 2))], gbit.lp_shapes[("lhs", (2, 2))]]
+    before = copy.deepcopy([(s.row_ints, s.inequality_ints) for s in shapes])
+    systems = [jm_linear_system(half, gbit), lhs_linear_system(assemblage_from(phi, half))]
+    # the JM unit rows have integer targets, so they share their dicts
+    assert all(systems[0].integer_rows[c][0] is shapes[0].row_ints[c][0] for c in range(3))
+    for shape, system in zip(shapes, systems):
+        n_eq = len(shape.row_ints)
+        assert all(row is ints for row, ints
+                   in zip(system.integer_rows[n_eq:], shape.inequality_ints, strict=True))
+    for family in (fiducials, half, (x, y, half[0])):
+        check_joint_measurability(family, gbit)
+        check_lhs(assemblage_from(phi, family))
+        jm_critical_visibility(family, gbit)
+        lhs_critical_visibility(family, phi)
+    assert [(s.row_ints, s.inequality_ints) for s in shapes] == before
+
+
+def test_a_target_denominator_rescales_a_copy_of_the_row():
+    # rows (1/2, 1) and (1, 0) over targets 1/3 and 2: the first row's ints
+    # (1, 2) / 2 go to (3, 6) / 6, the second keeps its dict
+    system = membership_system((Fraction(1, 3), Fraction(2)),
+                               [(Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(0))],
+                               convex=False)
+    assert system.integer_rows[:2] == (({0: 3, 1: 6}, 2, 6), ({0: 1}, 2, 1))
+    _assert_handed_in(system)
+    again = membership_system((Fraction(1, 2), Fraction(1)),
+                              [(Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(0))],
+                              convex=False)
+    assert again.integer_rows[:2] == (({0: 1, 1: 2}, 1, 2), ({0: 1}, 1, 1))

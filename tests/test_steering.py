@@ -114,9 +114,25 @@ def test_assemblage_from_guards(gbit, phi, fiducials):
 
 
 def test_duplicate_labels_get_suffixes(phi, fiducials):
-    X, _ = fiducials
+    X, Y = fiducials
     asm = assemblage_from(phi, (X, X))
     assert asm.settings == ("X", "X#1")
+    assert assemblage_from(phi, (X, Y, X)).settings == ("X", "Y", "X#1")
+    assert assemblage_from(phi, (X, X, X)).settings == ("X", "X#1", "X#2")
+
+
+@pytest.mark.parametrize("level", [ONE, r(1, 2)])
+def test_suffixes_skip_labels_already_taken(gbit, phi, fiducials, level):
+    # the repeat of "a" must not be named "a#1", the third setting's label
+    X, Y = (depolarize_observable(o, level) for o in fiducials)
+    family = tuple(Observable(label, gbit, o.outcomes, o.effects)
+                   for label, o in zip(("a", "a", "a#1"), (X, X, Y)))
+    asm = assemblage_from(phi, family)
+    assert asm.settings == ("a", "a#2", "a#1")
+    jm = check_joint_measurability(family, gbit)
+    assert jm.jointly_measurable == (level != ONE)
+    assert check_lhs(asm).unsteerable == jm.jointly_measurable
+    assert is_steerable_state(phi, family).unsteerable == jm.jointly_measurable
 
 
 # ------------------------------------------------------------ the LHS decision
@@ -224,6 +240,30 @@ def test_lhs_lambda_guards(gbit):
         LhsLambda(ONE, State((1, 0, 0)), ((r(3, 2), r(-1, 2)),))
     with pytest.raises(ValueError):
         LhsModel(gbit, ("X",), (("+", "-"),), ()).validate()
+
+
+@pytest.mark.parametrize("weight, rows, message", [
+    (r(-1, 2), ((1, 0),), "weight must be nonnegative"),
+    (ONE, ((r(3, 2), r(-1, 2)),), "probabilities must be nonnegative"),
+    (ONE, ((r(1, 2), r(1, 4)),), "rows must sum to one"),
+    (ONE, ((r(1, 3), r(1, 2), r(1, 7)),), "rows must sum to one"),
+    (ONE, ((),), "rows must sum to one"),
+])
+def test_lhs_lambda_checks_name_the_fault(weight, rows, message):
+    with pytest.raises(ValueError, match=message):
+        LhsLambda(weight, State((1, 0, 0)), rows)
+
+
+def test_lhs_sums_to_one_over_mixed_denominators(gbit):
+    # rows and weights over different denominators sum to one exactly
+    rows = ((r(1, 3), r(1, 6), r(1, 2)), (ONE, ZERO))
+    lambdas = tuple(LhsLambda(w, State((1, 0, 0)), rows) for w in (r(2, 9), r(7, 9)))
+    model = LhsModel(gbit, ("a", "b"), (("0", "1", "2"), ("+", "-")), lambdas)
+    model.validate()
+    short = LhsModel(gbit, ("a", "b"), model.outcomes, lambdas[:1] + (
+        LhsLambda(r(7, 10), State((1, 0, 0)), rows),))
+    with pytest.raises(ValueError, match="weights must sum to one"):
+        short.validate()
 
 
 def test_lhs_model_needs_one_outcome_row_per_setting(gbit):
