@@ -387,7 +387,7 @@ class _Tableau:
         # system row order, its sign flip, and its unit column (artificial,
         # or the slack when that is a ready-made basis column).
         self.origin: list[int] = []
-        self.flip: list[Rational] = []
+        self.flip: list[int] = []
         self.unit_col: list[int] = []
         self.pivots = 0
 
@@ -412,9 +412,9 @@ class _Tableau:
             if b < 0 or is_ready:
                 for j, x in row.items():
                     row[j] = -x
-                sign = -ONE
+                sign = -1
             else:
-                sign = ONE
+                sign = 1
             col = slack if is_ready else next(artificials)
             row[col] = den
             self.rows.append(row)
@@ -519,7 +519,7 @@ class _Tableau:
             raise VerificationError("phase one objective is bounded below by zero")
         # The objective row's rhs entry is minus the artificials' total.
         if self.obj.get(self.rhs, 0) < 0:
-            certificate = self.multipliers(ONE)
+            certificate = self.multipliers(1)
             if not refutes(self.system, certificate):
                 raise VerificationError("Farkas certificate fails substitution")
             return certificate
@@ -529,20 +529,23 @@ class _Tableau:
     def _objective_entry(self, j: int) -> Rational:
         return as_ratio(self._entry(self.obj, j), self.obj_den)
 
-    def multipliers(self, art_cost: Rational) -> tuple[Rational, ...]:
+    def multipliers(self, art_cost: int) -> tuple[Rational, ...]:
         """Simplex multipliers in system row order, read off reduced costs.
 
         The unit column of initial row r is e_r, with cost art_cost if it
         is an artificial and 0 if it is a slack, so the row's multiplier is
-        that cost minus the column's reduced cost, times the row's flip.
-        The reduced cost of a bounded column j, cost_j - (sum_r m_r
-        coeffs_r)_j, is nonnegative at optimality: the multiplier of its
-        bound row.
+        that cost minus the column's reduced cost, times the row's flip,
+        +1 or -1: in ints over the objective row's denominator, one
+        rational per row. The reduced cost of a bounded column j, cost_j -
+        (sum_r m_r coeffs_r)_j, is nonnegative at optimality: the
+        multiplier of its bound row.
         """
         mults = [ZERO] * self.system.row_count
+        obj, obj_den = self.obj, self.obj_den
+        art = art_cost * obj_den
         for origin, sign, col in zip(self.origin, self.flip, self.unit_col):
-            cost = art_cost if col >= self.struct_cols else ZERO
-            mults[origin] = sign * (cost - self._objective_entry(col))
+            cost = art if col >= self.struct_cols else 0
+            mults[origin] = as_ratio(sign * (cost - self._entry(obj, col)), obj_den)
         n_eq = len(self.system.equalities)
         for j, i in self.bound_row.items():
             mults[n_eq + i] = self._objective_entry(j)
@@ -574,7 +577,7 @@ class _Tableau:
         if status == UNBOUNDED:
             return UNBOUNDED, None, None
         # The objective row's rhs entry is minus the objective value.
-        return OPTIMAL, -as_ratio(self.obj.get(self.rhs, 0), self.obj_den), self.multipliers(ZERO)
+        return OPTIMAL, -as_ratio(self.obj.get(self.rhs, 0), self.obj_den), self.multipliers(0)
 
     def extract_point(self) -> tuple[Rational, ...]:
         values = [ZERO] * self.struct_cols

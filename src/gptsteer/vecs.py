@@ -135,12 +135,21 @@ def pivot(rows: list[dict[int, int]], dens: list[int], r: int, c: int) -> None:
     primitive (math.gcd(dens[i], *rows[i].values()) == 1). With p =
     rows[r][c], row r becomes row_r / p, p's sign moved into the row so
     that its denominator stays positive; every other row i with f =
-    rows[i][c] != 0 becomes (p row_i - f row_r) over dens[i] p. Each
+    rows[i][c] != 0 loses column c and, with g = gcd(p, f), becomes
+    (scale row_i - (f / g) row_r) over dens[i] scale, scale = p / g. Each
     changed row is divided by its gcd with its denominator, so every row
     stays primitive and one value has one representation, and an entry
     that becomes zero is deleted. Rows change in place (callers may pass
     a fresh list of their rows); the subtraction touches only the
     columns where row r is nonzero, and every pass only stored entries.
+
+    That gcd is gcd(dens[i], *new row), without the factor scale: row r
+    is primitive once divided by its own gcd, so each prime q of scale,
+    which divides p, fails to divide some entry b of row r outside column
+    c, and as gcd(scale, f / g) = 1 the new entry there, scale x - (f / g)
+    b, is -(f / g) b mod q, not zero. So no prime of scale divides the whole new row, and a row over
+    dens[i] == 1 needs no gcd at all. Every row comes out as it would
+    from the gcd with the full denominator.
     """
     prow = rows[r]
     g = math.gcd(*prow.values())
@@ -150,10 +159,10 @@ def pivot(rows: list[dict[int, int]], dens: list[int], r: int, c: int) -> None:
         for j, b in prow.items():
             prow[j] = b // g
     p = dens[r] = prow[c]
-    entries = list(prow.items())
+    entries = [(j, b) for j, b in prow.items() if j != c]
     for i, row in enumerate(rows):
         if i != r:
-            f = row.get(c)
+            f = row.pop(c, 0)
             if f:
                 g = math.gcd(p, f)
                 scale, f = p // g, f // g
@@ -167,13 +176,14 @@ def pivot(rows: list[dict[int, int]], dens: list[int], r: int, c: int) -> None:
                         row[j] = x
                     else:
                         del row[j]
-                den = dens[i] * scale
-                g = math.gcd(den, *row.values())
-                if g != 1:
-                    for j, x in row.items():
-                        row[j] = x // g
-                    den //= g
-                dens[i] = den
+                den = dens[i]
+                if den != 1:
+                    g = math.gcd(den, *row.values())
+                    if g != 1:
+                        for j, x in row.items():
+                            row[j] = x // g
+                        den //= g
+                dens[i] = den * scale
 
 
 def _eliminate(work: list[dict[int, int]], dens: list[int], ncols: int) -> list[int]:

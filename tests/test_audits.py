@@ -68,8 +68,8 @@ else:
 """
 
 
-# The two mutations above, each run on a system for each row store: the
-# wide one of the scripts above and a narrow one; prints the store and the
+# The mutations below, each run on a system for each row store: the wide
+# one of the scripts above and a narrow one; prints the store and the
 # outcome per system.
 MUTATE_WITNESS = """
 clean = exactlp._Tableau.extract_point
@@ -95,6 +95,27 @@ def off_by_one(self, objective):
 
 exactlp._Tableau.phase_two = off_by_one
 solve = lambda system: exactlp.lp_optimize((1, 2), system, "max")
+"""
+
+# Phase one's Farkas certificate with one multiplier off by one, on the
+# same systems with x + y = -1 in place of x + y = 1: the same shapes, so
+# the same stores, and both infeasible.
+MUTATE_FARKAS = """
+clean = exactlp._Tableau.multipliers
+
+
+def off_by_one(self, art_cost):
+    multipliers = clean(self, art_cost)
+    return (multipliers[0] + 1,) + multipliers[1:]
+
+
+exactlp._Tableau.multipliers = off_by_one
+
+
+def solve(system):
+    equalities = tuple((coeffs, -rhs) for coeffs, rhs in system.equalities)
+    return exactlp.lp_feasible(exactlp.LinearSystem(system.variable_count, equalities,
+                                                    system.inequalities))
 """
 
 ON_BOTH_STORES = """
@@ -277,7 +298,7 @@ def test_optimality_audit_survives_optimize_flag():
     assert _run_optimized(BAD_OPTIMUM_SCRIPT) == "VerificationError"
 
 
-@pytest.mark.parametrize("mutation", [MUTATE_WITNESS, MUTATE_OPTIMUM])
+@pytest.mark.parametrize("mutation", [MUTATE_WITNESS, MUTATE_OPTIMUM, MUTATE_FARKAS])
 def test_audits_survive_optimize_flag_on_both_stores(mutation):
     output = _run_optimized(ON_BOTH_STORES.format(mutation=mutation))
     assert output.splitlines() == ["basis-inverse VerificationError", "full VerificationError"]
