@@ -535,10 +535,11 @@ class _Tableau:
         The unit column of initial row r is e_r, with cost art_cost if it
         is an artificial and 0 if it is a slack, so the row's multiplier is
         that cost minus the column's reduced cost, times the row's flip,
-        +1 or -1: in ints over the objective row's denominator, one
-        rational per row. The reduced cost of a bounded column j, cost_j -
-        (sum_r m_r coeffs_r)_j, is nonnegative at optimality: the
-        multiplier of its bound row.
+        +1 or -1. Both are read in ints over the objective row's
+        denominator, so each row's multiplier is built as one rational.
+        The reduced cost of a bounded column j, cost_j - (sum_r m_r
+        coeffs_r)_j, is nonnegative at optimality: the multiplier of its
+        bound row.
         """
         mults = [ZERO] * self.system.row_count
         obj, obj_den = self.obj, self.obj_den

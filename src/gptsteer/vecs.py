@@ -146,10 +146,10 @@ def pivot(rows: list[dict[int, int]], dens: list[int], r: int, c: int) -> None:
     That gcd is gcd(dens[i], *new row), without the factor scale: row r
     is primitive once divided by its own gcd, so each prime q of scale,
     which divides p, fails to divide some entry b of row r outside column
-    c, and as gcd(scale, f / g) = 1 the new entry there, scale x - (f / g)
-    b, is -(f / g) b mod q, not zero. So no prime of scale divides the whole new row, and a row over
-    dens[i] == 1 needs no gcd at all. Every row comes out as it would
-    from the gcd with the full denominator.
+    c; as gcd(scale, f / g) = 1, the new entry there, scale x - (f / g) b,
+    is -(f / g) b mod q, not zero. So no prime of scale divides the whole
+    new row, a row over dens[i] == 1 needs no gcd at all, and every row
+    comes out as it would from the gcd with dens[i] scale.
     """
     prow = rows[r]
     g = math.gcd(*prow.values())
