@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NullConditioningError, UnsupportedModelError, VerificationError
-from .exactlp import INFEASIBLE, LinearSystem, lp_feasible, membership_system, refutes
+from .exactlp import INFEASIBLE, LinearShape, LinearSystem, lp_feasible, refutes, weight_bounds
 from .kernel import (Effect, State, StateSpace, _coeffs, _mixture_weights, barycenter,
                      is_square_model, is_valid_state)
 from .ratio import ONE, ZERO, Rational, as_ratio
@@ -133,6 +134,13 @@ class SeparabilityResult:
         return self.status == SEPARABLE
 
 
+# separability_system refuses, before building any row, a state with more
+# (vertex_A, vertex_B) pairs than this: the LP has a weight and a row
+# w >= 0 per pair, so its rows grow as pairs^2 (polygon-N with itself took
+# 0.67 s and 28 MB at N = 32, and 12.2 s and 300 MB at N = 64).
+VERTEX_PAIR_CAP = 4096
+
+
 def separability_system(state: BipartiteState) -> LinearSystem:
     """LP over vertex-pair weights, row order documented for certificates.
 
@@ -141,11 +149,56 @@ def separability_system(state: BipartiteState) -> LinearSystem:
     pair, A-major: the product va (x) vb, flattened row-major. Its
     weights are the variables. Equalities: matrix entries row-major,
     then the weight sum. All weight nonnegativity rows follow as
-    inequalities.
+    inequalities. More than VERTEX_PAIR_CAP pairs raise ValueError.
+
+    The rows are built from the spaces' integer vertices
+    (``StateSpace.vertex_rows``), not from rational products. With side
+    A's coordinates as ints over their lcm LA, and B's over LB, the
+    entry of pair (a, b) in the row of matrix entry (p, q) is
+    Ia[p] Ib[q] / (LA LB); divided by one gcd, that row is the
+    primitive integer row the read would give, and the system is handed
+    it (``exactlp.LinearShape``). The rational rows reuse the vertices'
+    own coordinates where p or q is 0, since every vertex has first
+    coordinate 1, and build one rational per other entry. The row of
+    entry (0, 0) has every coefficient 1, so the weight-sum row is that
+    row again.
     """
+    vertices_a, vertices_b = state.space_a.vertices, state.space_b.vertices
+    count = len(vertices_a) * len(vertices_b)
+    if count > VERTEX_PAIR_CAP:
+        raise ValueError(f"the separability LP has {count} vertex pairs, "
+                         f"more than the cap of {VERTEX_PAIR_CAP}")
+    cols_a, den_a = _vertex_columns(state.space_a)
+    cols_b, den_b = _vertex_columns(state.space_b)
+    top = den_a * den_b
+    rows, row_ints = [], []
+    for p, col_a in enumerate(cols_a):
+        for q, col_b in enumerate(cols_b):
+            ints = [x * y for x in col_a for y in col_b]
+            g = math.gcd(top, *ints)
+            den = top // g
+            if p == 0:
+                rows.append(tuple([v[q] for v in vertices_b] * len(vertices_a)))
+            elif q == 0:
+                rows.append(tuple([v[p] for v in vertices_a for _ in vertices_b]))
+            else:
+                rows.append(tuple([as_ratio(x // g, den) for x in ints]))
+            row_ints.append(({j: x // g for j, x in enumerate(ints) if x}, den))
+    rows.append(rows[0])
+    row_ints.append(row_ints[0])
+    inequalities, inequality_ints = weight_bounds(count)
+    shape = LinearShape(count, tuple(rows), inequalities, tuple(row_ints), inequality_ints)
     target = tuple(c for row in state.matrix for c in row)
-    gens = [tuple(x * y for x in a for y in b) for a, b in _vertex_pairs(state)]
-    return membership_system(target, gens, convex=True)
+    return shape.system(target + (ONE,))
+
+
+def _vertex_columns(space: StateSpace) -> tuple[list[list[int]], int]:
+    """The vertices' coordinates as ints over one denominator, the lcm of
+    their ``vertex_rows`` denominators: column p lists coordinate p of
+    every vertex, in vertex order."""
+    den = math.lcm(*[d for _, d in space.vertex_rows])
+    scaled = [[x * (den // d) for x in ints] for ints, d in space.vertex_rows]
+    return [list(col) for col in zip(*scaled)], den
 
 
 def is_separable(state: BipartiteState) -> SeparabilityResult:
@@ -181,10 +234,26 @@ def _vertex_pairs(state: BipartiteState) -> list:
 
 
 def _check_decomposition(state: BipartiteState, decomposition: SeparableDecomposition):
-    blocks = [outer(sa.coords, sb.coords) for sa, sb in decomposition.pairs]
-    total = tuple(combine(decomposition.weights, [block[i] for block in blocks])
-                  for i in range(state.space_a.ambient_dim))
-    if total != state.matrix:
+    """Raise VerificationError unless the weights are positive and the
+    weighted products of the pairs sum to the matrix, checked in ints.
+
+    With weight n / d and the pair's states as ints Ia / da and Ib / db
+    (``vecs.primitive_row``), the pair adds n Ia Ib^T L / (d da db) over
+    L, the lcm of every d da db; the total T over L equals the matrix,
+    ints M over den, iff T den == M L entry by entry.
+    """
+    if any(w <= 0 for w in decomposition.weights):
+        raise VerificationError("decomposition has a weight that is not positive")
+    terms = [(w, primitive_row(sa.coords), primitive_row(sb.coords))
+             for w, (sa, sb) in zip(decomposition.weights, decomposition.pairs, strict=True)]
+    top = math.lcm(*[w.denominator * da * db for w, (_, da), (_, db) in terms])
+    total = [0] * (state.space_a.ambient_dim * state.space_b.ambient_dim)
+    for w, (ints_a, da), (ints_b, db) in terms:
+        f = w.numerator * (top // (w.denominator * da * db))
+        products = [f * x * y for x in ints_a for y in ints_b]
+        total = list(map(operator.add, total, products))
+    ints, den = primitive_row([x for row in state.matrix for x in row])
+    if [x * den for x in total] != [x * top for x in ints]:
         raise VerificationError("decomposition does not reproduce the state")
 
 

@@ -879,9 +879,11 @@ def membership_system(target, gens, convex: bool) -> LinearSystem:
     Variables are the weights, in generator order. Rows, in the order a
     certificate's multipliers follow: one equality per coordinate of
     target, then sum_i w_i == 1 when convex, then w_i >= 0 for each i in
-    generator order. Every nonnegative-weight LP in the package (cone
-    and convex membership, local hidden states, separability) is built
-    here, as ``membership_shape(gens, convex)`` given its target.
+    generator order. The cone, convex and local-hidden-state LPs are
+    built here, as ``membership_shape(gens, convex)`` given its target.
+    The separability LP (``composites.separability_system``) is this
+    convex system over the vertex-pair products, row for row, but
+    builds its shape's integer rows from the vertices' ints instead.
     """
     target = tuple(target)
     return membership_shape(gens, convex).system(target + (ONE,) if convex else target)
@@ -895,10 +897,16 @@ def membership_shape(gens, convex: bool) -> LinearShape:
     rows = list(zip(*gens))
     if convex:
         rows.append((ONE,) * k)
+    return LinearShape.read(k, rows, *weight_bounds(k))
+
+
+def weight_bounds(k: int) -> tuple[tuple[Row, ...], tuple[tuple[dict[int, int], int, int], ...]]:
+    """The rows w_i >= 0 over k weights, in order, and their integer rows
+    ({i: 1}, 0, 1), written down, not read: the inequalities of every
+    nonnegative-weight LP."""
     inequalities = []
     for i in range(k):
         row = [ZERO] * k
         row[i] = ONE
         inequalities.append((tuple(row), ZERO))
-    return LinearShape.read(k, rows, tuple(inequalities),
-                            tuple([({i: 1}, 0, 1) for i in range(k)]))
+    return tuple(inequalities), tuple([({i: 1}, 0, 1) for i in range(k)])

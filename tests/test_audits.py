@@ -118,6 +118,35 @@ def solve(system):
                                                     system.inequalities))
 """
 
+# The decomposition of a separable polygon-5 state, mixed from two vertex
+# products, passed to the separability audit clean, with its first weight
+# halved, and with the two pairs' B vertices swapped.
+BAD_DECOMPOSITION_SCRIPT = """
+from dataclasses import replace
+
+from gptsteer import composites
+from gptsteer.kernel import State, zoo_polygon
+from gptsteer.ratio import as_ratio
+
+assert False, "this interpreter is not running under -O"
+
+space = zoo_polygon(5)
+v = [State(x) for x in space.vertices]
+state = composites.mix_bipartite_states(
+    [composites.product_state(space, v[0], space, v[1]),
+     composites.product_state(space, v[2], space, v[3])], (as_ratio(1, 3), as_ratio(2, 3)))
+clean = composites.is_separable(state).decomposition
+(a, b), (c, d) = clean.pairs
+for decomposition in (clean, replace(clean, weights=(clean.weights[0] / 2, clean.weights[1])),
+                      replace(clean, pairs=((a, d), (c, b)))):
+    try:
+        composites._check_decomposition(state, decomposition)
+    except Exception as err:
+        print(type(err).__name__)
+    else:
+        print("accepted")
+"""
+
 ON_BOTH_STORES = """
 from gptsteer import exactlp
 
@@ -302,3 +331,8 @@ def test_optimality_audit_survives_optimize_flag():
 def test_audits_survive_optimize_flag_on_both_stores(mutation):
     output = _run_optimized(ON_BOTH_STORES.format(mutation=mutation))
     assert output.splitlines() == ["basis-inverse VerificationError", "full VerificationError"]
+
+
+def test_decomposition_audit_survives_optimize_flag():
+    output = _run_optimized(BAD_DECOMPOSITION_SCRIPT)
+    assert output.splitlines() == ["accepted", "VerificationError", "VerificationError"]

@@ -10,10 +10,12 @@ import pytest
 
 from gptsteer import exactlp
 from gptsteer.cli import EXIT_INTERNAL, main
-from gptsteer.composites import BipartiteState, product_state
+from gptsteer import composites
+from gptsteer.composites import (VERTEX_PAIR_CAP, BipartiteState, product_state,
+                                 separability_system)
 from gptsteer.kernel import (LP_SIZE_CAP, Effect, Observable, State, barycenter,
                              depolarize_observable, extremal_effects, zoo_classical,
-                             zoo_names)
+                             zoo_names, zoo_polygon)
 from gptsteer.ratio import as_ratio
 from gptsteer.serialize import (assemblage_doc_to_json, bipartite_doc_to_json,
                                 dumps_canonical, observables_doc_to_json)
@@ -414,3 +416,40 @@ def test_oversized_family_is_refused_before_solving(gbit, phi, fiducials, tmp_pa
         assert captured.out == ""
         assert captured.err == ("error: the LP has 512 (outcome tuple, vertex) pairs, "
                                 f"more than the cap of {LP_SIZE_CAP}\n")
+
+
+def _centers(space_a, space_b):
+    return product_state(space_a, barycenter(space_a), space_b, barycenter(space_b))
+
+
+def test_oversized_separability_lp_is_refused_before_any_row(tmp_path, capsys, monkeypatch):
+    # polygon-65 with polygon-64 is 4160 vertex pairs; built, its LP would
+    # hold 4160 rows w >= 0 of 4160 entries each
+    monkeypatch.delenv("GPTSTEER_LOG", raising=False)
+    state = _centers(zoo_polygon(65), zoo_polygon(64))
+    message = (f"the separability LP has 4160 vertex pairs, "
+               f"more than the cap of {VERTEX_PAIR_CAP}")
+
+    def forbidden(*args):
+        raise AssertionError("a row was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(composites, "_vertex_columns", forbidden)
+        patched.setattr(composites, "weight_bounds", forbidden)
+        with pytest.raises(ValueError) as excinfo:
+            separability_system(state)
+    assert str(excinfo.value) == message
+    path = tmp_path / "polygons.json"
+    path.write_text(dumps_canonical(bipartite_doc_to_json(state)))
+    status = main(["tensor", "check-sep", "--state-file", str(path)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_separability_cap_counts_pairs_up_to_and_past_it(monkeypatch):
+    monkeypatch.setattr(composites, "VERTEX_PAIR_CAP", 25)
+    assert separability_system(_centers(zoo_polygon(5), zoo_polygon(5))).variable_count == 25
+    with pytest.raises(ValueError, match="has 30 vertex pairs, more than the cap of 25"):
+        separability_system(_centers(zoo_polygon(5), zoo_polygon(6)))

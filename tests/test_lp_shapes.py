@@ -1,5 +1,6 @@
 """The shape part of the JM, LHS and membership LPs, memoized per space
-and outcome counts, and the integer rows their builders hand in.
+and outcome counts, the separability LP built from integer vertices, and
+the integer rows their builders hand in.
 
 Every handed-in form is compared with a fresh ``LinearSystem``'s read of
 the same rational rows, the definition of ``integer_rows``.
@@ -7,6 +8,7 @@ the same rational rows, the definition of ``integer_rows``.
 
 import copy
 import functools
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -92,6 +94,26 @@ def test_handed_in_integer_rows_equal_the_read(name, counts, seed):
                    _eta_system(lambda: jm_critical_visibility(family, space)),
                    _eta_system(lambda: lhs_critical_visibility(family, state))):
         _assert_handed_in(system)
+
+
+@pytest.mark.parametrize("name_b", NAMES)
+@pytest.mark.parametrize("name_a", NAMES)
+def test_separability_system_is_the_membership_system_of_the_products(name_a, name_b):
+    # every ordered pair of spaces, sphere-5 (ambient dimension 4) with the
+    # others (3) too: the rows built from integer vertices are the
+    # membership builder's rows of the rational products va (x) vb
+    space_a, space_b = _space(name_a), _space(name_b)
+    state = random_separable_state(space_a, space_b, random.Random(f"{name_a}|{name_b}"))
+    gens = [tuple([x * y for x in a for y in b])
+            for a, b in itertools.product(space_a.vertices, space_b.vertices)]
+    expected = membership_system(tuple(c for row in state.matrix for c in row), gens,
+                                 convex=True)
+    system = separability_system(state)
+    assert system.variable_count == len(gens)
+    assert system.equalities == expected.equalities
+    assert system.inequalities == expected.inequalities
+    assert system.integer_rows == expected.integer_rows
+    _assert_handed_in(system)
 
 
 def test_a_seen_shape_builds_no_row_and_runs_no_read(monkeypatch):
