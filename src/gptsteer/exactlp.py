@@ -8,7 +8,8 @@ and that one form builds the tableau, finds the bound rows and runs the
 substitution checks. Builders that know the form cheaper hand it in:
 a ``LinearShape`` keeps the integer forms of a family's coefficient rows
 and adds each target's denominator with one lcm per equality (the
-membership, JM and LHS LPs), and the critical-level LP derives its rows
+membership, JM, LHS and separability LPs, the last built in ints from
+the vertices' integer rows), and the critical-level LP derives its rows
 from the sharp system's. The read stays the definition that every
 handed-in form must equal, and no reader ever changes the rows, which
 systems of one shape share. The tableau is fraction-free and sparse: each row

@@ -8,9 +8,8 @@ import sys
 
 import pytest
 
-from gptsteer import exactlp
+from gptsteer import composites, exactlp
 from gptsteer.cli import EXIT_INTERNAL, main
-from gptsteer import composites
 from gptsteer.composites import (VERTEX_PAIR_CAP, BipartiteState, product_state,
                                  separability_system)
 from gptsteer.kernel import (LP_SIZE_CAP, Effect, Observable, State, barycenter,
