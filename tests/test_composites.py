@@ -1,5 +1,6 @@
 """Bipartite states: tensor cones, separability, marginals, conditioning."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from gptsteer.composites import (ENTANGLED, SEPARABLE, BipartiteState,
                                  subnormalized_conditional,
                                  verify_entanglement_certificate)
 from gptsteer.errors import NullConditioningError, UnsupportedModelError
+from gptsteer.exactlp import _Tableau
 from gptsteer.kernel import (Effect, State, barycenter, extremal_effects,
                              probability, zoo_by_name, zoo_classical,
                              zoo_polygon)
@@ -24,6 +26,7 @@ from gptsteer.sampler import random_separable_state, random_state
 from gptsteer.vecs import outer
 
 from oracles import check_farkas
+from test_exactlp import _sphere_space
 
 r = as_ratio
 
@@ -278,3 +281,40 @@ def test_minimal_inside_maximal_random(gbit):
         a = random_state(gbit, rng)
         b = random_state(gbit, rng)
         assert in_max_tensor(product_state(gbit, a, gbit, b))
+
+
+def test_separability_evidence_is_frozen(gbit, phi, monkeypatch):
+    # Every is_separable status, decomposition and certificate, and the
+    # (row, column) of every simplex pivot, on phi, on the gbit mixture
+    # 3/5 phi + 2/5 (barycenter x barycenter), still entangled, and on
+    # seeded separable states of gbit, polygon-5, polygon-8 and sphere-5.
+    # The states are built before the recording starts. The digests were
+    # taken while each separability LP still kept its rows as rationals
+    # beside their integer form, so the integer rows alone change nothing.
+    centers = product_state(gbit, barycenter(gbit), gbit, barycenter(gbit))
+    rng = random.Random(26)
+    states = [phi, mix_bipartite_states((phi, centers), (r(3, 5), r(2, 5)))]
+    states += [random_separable_state(space, space, rng)
+               for space in (gbit, zoo_polygon(5), zoo_polygon(8), _sphere_space())]
+    pivots = []
+    step = _Tableau.step
+    monkeypatch.setattr(_Tableau, "step",
+                        lambda self, *args: pivots.append(args[-2:]) or step(self, *args))
+    results = [is_separable(state) for state in states]
+
+    def ratios(values):
+        return "-" if values is None else ",".join(map(format_ratio, values))
+
+    lines = []
+    for res in results:
+        parts = res.decomposition
+        pairs = "-" if parts is None else ";".join(
+            ratios(a.coords) + "|" + ratios(b.coords) for a, b in parts.pairs)
+        lines.append(f"{res.status} {ratios(parts and parts.weights)} {pairs} "
+                     f"{ratios(res.certificate)}")
+    assert [res.status for res in results] == [ENTANGLED, ENTANGLED] + [SEPARABLE] * 4
+    assert len(pivots) == 188
+    assert hashlib.sha256(repr(pivots).encode()).hexdigest() == \
+        "a3cdbb4d8ee87a18f697e53887a6ed2c83f946d6e0efa9b0d74bd830ae2f5a37"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "1c1824b856ae46e74e9d529603bfec6daecbe9999103d3561f725fc2e8c6e4ae"
