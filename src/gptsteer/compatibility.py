@@ -133,8 +133,10 @@ def _jm_shape(space: StateSpace, outcomes) -> LinearShape:
     tuples = _index_tuples(outcomes)
     units = [(ZERO,) * c + (ONE,) + (ZERO,) * (dim - 1 - c) for c in range(dim)]
     columns = [e_c + _slot_stack(t, e_c, outcomes) for t in tuples for e_c in units]
-    inequalities = tuple([(_slot_stack((t,), v, (tuples,)), ZERO)
-                          for t in range(len(tuples)) for v in space.vertices])
+    # G_t . v >= 0 per tuple t and vertex v, written from the vertices'
+    # integer rows: G_t's coefficients are columns t dim to t dim + dim - 1
+    inequalities = tuple([({t * dim + c: x for c, x in enumerate(ints) if x}, 0, den)
+                          for t in range(len(tuples)) for ints, den in space.vertex_rows])
     return LinearShape.read(len(columns), zip(*columns), inequalities)
 
 
@@ -242,15 +244,9 @@ def _critical_level(sharp: LinearSystem, rhs_at_zero: Sequence[Rational]) -> Rat
     new row's denominators, as integer_rows reads it. The inequalities'
     rows are the sharp ones, shared.
     """
-    n = sharp.variable_count
-    level = (ZERO,) * n + (ONE,)
-    bounds = ((level, ZERO), (combine((-ONE,), (level,)), -ONE))
-    equalities = tuple([(coeffs + (b0 - b1,), b0) for (coeffs, b1), b0
-                        in zip(sharp.equalities, rhs_at_zero, strict=True)])
-    inequalities = tuple([(coeffs + (ZERO,), b) for coeffs, b in sharp.inequalities])
-    n_eq = len(equalities)
+    n, n_eq = sharp.variable_count, sharp.n_eq
     int_rows = []
-    for (coeffs, b1, den), b0 in zip(sharp.integer_rows[:n_eq], rhs_at_zero):
+    for (coeffs, b1, den), b0 in zip(sharp.integer_rows[:n_eq], rhs_at_zero, strict=True):
         full = math.lcm(den, b0.denominator)
         scale = full // den
         row = {j: c * scale for j, c in coeffs.items()}
@@ -258,10 +254,9 @@ def _critical_level(sharp: LinearSystem, rhs_at_zero: Sequence[Rational]) -> Rat
         if b != b1 * scale:
             row[n] = b - b1 * scale
         int_rows.append((row, b, full))
-    system = LinearSystem.with_integer_rows(
-        n + 1, equalities, inequalities + bounds,
-        (*int_rows, *sharp.integer_rows[n_eq:], ({n: 1}, 0, 1), ({n: -1}, -1, 1)))
-    result = lp_optimize(level, system, "max")
+    system = LinearSystem.from_integer_rows(
+        n + 1, n_eq, (*int_rows, *sharp.integer_rows[n_eq:], ({n: 1}, 0, 1), ({n: -1}, -1, 1)))
+    result = lp_optimize((ZERO,) * n + (ONE,), system, "max")
     if result.status != OPTIMAL:
         raise VerificationError(f"critical-level LP is {result.status}, "
                                 "though level 0 is always feasible")

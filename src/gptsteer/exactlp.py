@@ -2,17 +2,21 @@
 
 Feasibility and optimization run a two-phase primal simplex, exact and
 with Bland's smallest-index pivot rule, so every run terminates and
-identical inputs give identical answers. Each ``LinearSystem`` is read
-once into sparse primitive integer rows (``LinearSystem.integer_rows``),
-and that one form builds the tableau, finds the bound rows and runs the
-substitution checks. Builders that know the form cheaper hand it in:
-a ``LinearShape`` keeps the integer forms of a family's coefficient rows
-and adds each target's denominator with one lcm per equality (the
-membership, JM, LHS and separability LPs, the last built in ints from
-the vertices' integer rows), and the critical-level LP derives its rows
-from the sharp system's. The read stays the definition that every
-handed-in form must equal, and no reader ever changes the rows, which
-systems of one shape share. The tableau is fraction-free and sparse: each row
+identical inputs give identical answers. The solver reads a system only
+as sparse primitive integer rows (``LinearSystem.integer_rows``), and
+that one form builds the tableau, finds the bound rows and runs the
+substitution checks. A ``LinearSystem`` stores one row form, the one it
+was built from, and reads the other from it on demand: integer rows from
+rationals by the read that defines them, rationals from integer rows by
+c / den. The package's LP builders build in ints and never make a
+rational row: a ``LinearShape`` keeps the integer forms of a family's
+coefficient rows and inequalities and adds each target's denominator
+with one lcm per equality (the membership, JM, LHS and separability
+LPs, the last two with rows written from the vertices' integer rows),
+and the critical-level LP derives its rows from the sharp system's. The
+tests compare every such system with the read of rational rows written
+independently. No reader ever changes the integer rows, which systems of
+one shape share. The tableau is fraction-free and sparse: each row
 a dict of its nonzero ints over one positive denominator, pivoted by
 ``vecs.pivot``, the Gauss-Jordan step of ``vecs`` elimination too. It
 has two row stores, picked by the system's shape alone. Below
@@ -77,21 +81,55 @@ Row = tuple[tuple[Rational, ...], Rational]
 RAY_CAP = 10 ** 5
 
 
-@dataclass(frozen=True)
 class LinearSystem:
-    """Equalities (coeffs . x == rhs) and inequalities (coeffs . x >= rhs)."""
+    """Equalities (coeffs . x == rhs) and inequalities (coeffs . x >= rhs).
 
-    variable_count: int
-    equalities: tuple[Row, ...] = ()
-    inequalities: tuple[Row, ...] = ()
+    A system stores its rows in the one form it was built from and reads
+    the other form from it on first access. ``LinearSystem(n, equalities,
+    inequalities)`` stores rational rows, and ``integer_rows`` is read from
+    them; ``from_integer_rows`` stores integer rows, and ``equalities`` and
+    ``inequalities`` are read back from them. The equality count n_eq and
+    row_count are stored with either, so the solver and the substitution
+    checks, which read only ``integer_rows``, never build rational rows.
+    Two systems are equal when they have the same variable count, the same
+    equalities and the same inequalities, whichever form each was built
+    from. A system is immutable and, having no fixed row form, unhashable.
+    """
 
-    def __post_init__(self):
-        if self.variable_count < 1:
+    def __init__(self, variable_count: int, equalities: tuple[Row, ...] = (),
+                 inequalities: tuple[Row, ...] = ()):
+        self._store(variable_count, len(equalities), len(equalities) + len(inequalities),
+                    equalities=equalities, inequalities=inequalities)
+        for coeffs, _ in equalities + inequalities:
+            if len(coeffs) != variable_count:
+                raise ValueError(f"row length {len(coeffs)} != variable_count {variable_count}")
+
+    @classmethod
+    def from_integer_rows(cls, variable_count: int, n_eq: int, integer_rows) -> "LinearSystem":
+        """The system whose integer_rows are these, the first n_eq of them
+        equalities. Each row must be in the read's form: primitive, its
+        den the lcm of its entries' denominators."""
+        system = cls.__new__(cls)
+        system._store(variable_count, n_eq, len(integer_rows), integer_rows=integer_rows)
+        return system
+
+    def _store(self, variable_count: int, n_eq: int, row_count: int, **rows):
+        if variable_count < 1:
             raise ValueError("variable_count must be positive")
-        for coeffs, _ in self.equalities + self.inequalities:
-            if len(coeffs) != self.variable_count:
-                raise ValueError(
-                    f"row length {len(coeffs)} != variable_count {self.variable_count}")
+        vars(self).update(variable_count=variable_count, n_eq=n_eq, row_count=row_count, **rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: LinearSystem is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearSystem):
+            return NotImplemented
+        return ((self.variable_count, self.n_eq, self.integer_rows)
+                == (other.variable_count, other.n_eq, other.integer_rows))
+
+    def __repr__(self) -> str:
+        return (f"LinearSystem({self.variable_count} variables, {self.n_eq} equalities, "
+                f"{self.row_count - self.n_eq} inequalities)")
 
     @classmethod
     def build(cls, variable_count: int, equalities=(), inequalities=()) -> "LinearSystem":
@@ -100,32 +138,19 @@ class LinearSystem:
         ineq = tuple((qvec(c), as_ratio(b)) for c, b in inequalities)
         return cls(variable_count, eq, ineq)
 
-    @property
-    def row_count(self) -> int:
-        return len(self.equalities) + len(self.inequalities)
-
-    @classmethod
-    def with_integer_rows(cls, variable_count: int, equalities: tuple[Row, ...],
-                          inequalities: tuple[Row, ...], integer_rows) -> "LinearSystem":
-        """A system handed its integer_rows, which its builder derived in
-        ints and which must equal the read's; the read then never runs."""
-        system = cls(variable_count, equalities, inequalities)
-        # integer_rows is a cached_property, cached in the instance dict
-        object.__setattr__(system, "integer_rows", integer_rows)
-        return system
-
     @cached_property
     def integer_rows(self) -> tuple[tuple[dict[int, int], int, int], ...]:
-        """Every row, equalities then inequalities, read once as (coeffs,
-        rhs, den): the row stands for coeffs . x (==, >=) rhs over den > 0,
-        with coeffs the nonzero ints by column and math.gcd(den, rhs,
-        *coeffs.values()) == 1. The tableau, the bound rows and the
-        substitution checks all read this form, never the rationals.
+        """Every row, equalities then inequalities, as (coeffs, rhs, den):
+        the row stands for coeffs . x (==, >=) rhs over den > 0, with
+        coeffs the nonzero ints by column and den the lcm of the row's
+        denominators, so math.gcd(den, rhs, *coeffs.values()) == 1. The
+        form is canonical: two rational rows are equal exactly when their
+        integer rows are. The tableau, the bound rows and the substitution
+        checks all read this form, never the rationals.
 
-        This read is the definition of the form. A builder that knows it
-        cheaper (``LinearShape.system``, ``compatibility._critical_level``)
-        hands it in through ``with_integer_rows``, and the read never runs;
-        the tests compare every handed-in form with a fresh read. The
+        Read here from the rational rows of a system built from them. A
+        system built from integer rows stores them instead, and then
+        equalities and inequalities are read back from them. The
         coefficient dicts may be shared between systems, so nothing that
         reads them ever changes them."""
         rows = []
@@ -137,49 +162,60 @@ class LinearSystem:
                          b.numerator * (den // b.denominator), den))
         return tuple(rows)
 
+    @cached_property
+    def equalities(self) -> tuple[Row, ...]:
+        """The equality rows as rationals; read from the integer rows of a
+        system built from them."""
+        return self._rational_rows(self.integer_rows[:self.n_eq])
+
+    @cached_property
+    def inequalities(self) -> tuple[Row, ...]:
+        """The inequality rows as rationals, read as the equalities are."""
+        return self._rational_rows(self.integer_rows[self.n_eq:])
+
+    def _rational_rows(self, integer_rows) -> tuple[Row, ...]:
+        rows = []
+        for coeffs, b, den in integer_rows:
+            row = [ZERO] * self.variable_count
+            for j, c in coeffs.items():
+                row[j] = as_ratio(c, den)
+            rows.append((tuple(row), as_ratio(b, den)))
+        return tuple(rows)
+
 
 @dataclass(frozen=True)
 class LinearShape:
-    """The part of a family of LinearSystems that its target leaves fixed:
-    the equalities' coefficient rows, the inequalities, and their integer
-    forms. ``system(target)`` is the system of rows[i] . x == target[i]
-    and the inequalities.
+    """The part of a family of LinearSystems that its target leaves fixed,
+    in integer form: the equalities' coefficient rows and the
+    inequalities. ``system(target)`` is the system of the equalities
+    row_ints[i] . x == target[i] followed by the inequalities.
 
-    row_ints[i] is rows[i] read alone, as (coeffs, den): its nonzero ints
-    by column over den, the lcm of its coefficients' denominators, and
-    inequality_ints the inequalities' integer_rows. With target[i] = b / d
-    in lowest terms, the read of equality i is coeffs times L / den and b
-    times L / d, over L = lcm(den, d): the lcm of all its denominators,
-    so the row is primitive as the read's. One lcm per equality thus gives
-    its integer row, and when d divides den the coefficient dict itself
-    is shared.
+    row_ints[i] is equality i's coefficient row as (coeffs, den): its
+    nonzero ints by column over den, the lcm of its coefficients'
+    denominators. inequality_ints are the inequalities' integer_rows. With
+    target[i] = b / d in lowest terms, the read of equality i is coeffs
+    times L / den and b times L / d, over L = lcm(den, d): the lcm of all
+    its denominators, so the row is primitive as the read's. One lcm per
+    equality thus gives its integer row, and when d divides den the
+    coefficient dict itself is shared.
     """
 
     variable_count: int
-    rows: tuple[tuple[Rational, ...], ...]
-    inequalities: tuple[Row, ...]
     row_ints: tuple[tuple[dict[int, int], int], ...]
     inequality_ints: tuple[tuple[dict[int, int], int, int], ...]
 
     @classmethod
-    def read(cls, variable_count: int, rows, inequalities: tuple[Row, ...],
-             inequality_ints=None) -> "LinearShape":
-        """The shape of these rows, their integer forms read by integer_rows:
-        the equalities' as rows with a zero right-hand side, which adds no
-        denominator. A builder that knows the inequalities' integer rows
-        may hand them in instead."""
-        rows = tuple(rows)
-        read = LinearSystem(variable_count, tuple([(row, ZERO) for row in rows]),
-                            inequalities if inequality_ints is None else ()).integer_rows
-        if inequality_ints is None:
-            inequality_ints = read[len(rows):]
-        return cls(variable_count, rows, inequalities,
-                   tuple([(coeffs, den) for coeffs, _, den in read[:len(rows)]]),
+    def read(cls, variable_count: int, rows, inequality_ints) -> "LinearShape":
+        """The shape of these rational coefficient rows, read by
+        integer_rows as rows with a zero right-hand side, which adds no
+        denominator, and of the inequalities' integer rows."""
+        read = LinearSystem(variable_count, tuple([(row, ZERO) for row in rows])).integer_rows
+        return cls(variable_count, tuple([(coeffs, den) for coeffs, _, den in read]),
                    inequality_ints)
 
     def system(self, target) -> LinearSystem:
-        """The system with target as the equalities' right-hand side,
-        handed its integer rows."""
+        """The system with target as the equalities' right-hand side, built
+        from its integer rows."""
         int_rows = []
         for (coeffs, den), b in zip(self.row_ints, target, strict=True):
             d = b.denominator
@@ -188,9 +224,8 @@ class LinearShape:
                 scale = full // den
                 coeffs = {j: c * scale for j, c in coeffs.items()}
             int_rows.append((coeffs, b.numerator * (full // d), full))
-        return LinearSystem.with_integer_rows(
-            self.variable_count, tuple([*zip(self.rows, target)]), self.inequalities,
-            tuple(int_rows) + self.inequality_ints)
+        return LinearSystem.from_integer_rows(self.variable_count, len(int_rows),
+                                              (*int_rows, *self.inequality_ints))
 
 
 @dataclass(frozen=True)
@@ -224,8 +259,7 @@ def satisfies(system: LinearSystem, point) -> bool:
     ints, den = primitive_row(p)
     excess = [sum([c * ints[j] for j, c in coeffs.items()]) - rhs * den
               for coeffs, rhs, _ in system.integer_rows]
-    n_eq = len(system.equalities)
-    return not any(excess[:n_eq]) and all(x >= 0 for x in excess[n_eq:])
+    return not any(excess[:system.n_eq]) and all(x >= 0 for x in excess[system.n_eq:])
 
 
 def _combination(system: LinearSystem, mults) -> tuple[dict[int, int], int, int] | None:
@@ -234,7 +268,7 @@ def _combination(system: LinearSystem, mults) -> tuple[dict[int, int], int, int]
     right-hand side, both over den > 0. None when the multipliers do not
     fit: a wrong count, or a negative one on an inequality row."""
     rows = system.integer_rows
-    if len(mults) != len(rows) or any(m < 0 for m in mults[len(system.equalities):]):
+    if len(mults) != len(rows) or any(m < 0 for m in mults[system.n_eq:]):
         return None
     n = system.variable_count  # the rhs's key, past every column
     coeffs, den = _weighted_sum([(m.numerator, {**row, n: b}, m.denominator * d)
@@ -348,8 +382,7 @@ WIDE_RATIO = 2
 def _bound_rows(system: LinearSystem) -> dict[int, int]:
     """Column j -> index among the inequalities of its first row x_j >= 0."""
     bounds: dict[int, int] = {}
-    n_eq = len(system.equalities)
-    for i, (coeffs, b, den) in enumerate(system.integer_rows[n_eq:]):
+    for i, (coeffs, b, den) in enumerate(system.integer_rows[system.n_eq:]):
         # primitive, so a coefficient c / den of exactly 1 has c == den == 1
         if b == 0 and den == 1 and len(coeffs) == 1:
             (j, c), = coeffs.items()
@@ -364,8 +397,7 @@ class _Tableau:
     store = "full"
 
     def __init__(self, system: LinearSystem, bound_row: dict[int, int] | None = None):
-        n = system.variable_count
-        n_eq = len(system.equalities)
+        n, n_eq = system.variable_count, system.n_eq
         self.system = system
         self.n = n
         self.bound_row = _bound_rows(system) if bound_row is None else bound_row
@@ -374,7 +406,7 @@ class _Tableau:
         # The xm column of free variable j, and back; xm columns hold no entry.
         self.minus_col = {j: n + k for k, j in enumerate(free)}
         self.plus_col = {m: j for j, m in self.minus_col.items()}
-        kept = [i for i in range(len(system.inequalities)) if i not in bound_ineq]
+        kept = [i for i in range(system.row_count - n_eq) if i not in bound_ineq]
         self.struct_cols = n + len(free) + len(kept)
         # Row i stands for rows[i].get(j, 0) / dens[i]; the objective row of
         # the phase that runs for obj.get(j, 0) / obj_den. cost holds the
@@ -548,9 +580,8 @@ class _Tableau:
         for origin, sign, col in zip(self.origin, self.flip, self.unit_col):
             cost = art if col >= self.struct_cols else 0
             mults[origin] = as_ratio(sign * (cost - self._entry(obj, col)), obj_den)
-        n_eq = len(self.system.equalities)
         for j, i in self.bound_row.items():
-            mults[n_eq + i] = self._objective_entry(j)
+            mults[self.system.n_eq + i] = self._objective_entry(j)
         return tuple(mults)
 
     def _drive_out_artificials(self):
@@ -688,8 +719,8 @@ def _tableau(system: LinearSystem) -> _Tableau:
     the basis-inverse store for at least WIDE_RATIO structural columns per
     tableau row, else the full tableau."""
     bound_row = _bound_rows(system)
-    kept = len(system.inequalities) - len(bound_row)
-    rows = len(system.equalities) + kept
+    rows = system.row_count - len(bound_row)
+    kept = rows - system.n_eq
     struct_cols = 2 * system.variable_count - len(bound_row) + kept
     store = _BasisInverseTableau if struct_cols >= WIDE_RATIO * rows else _Tableau
     return store(system, bound_row)
@@ -787,8 +818,7 @@ def vertex_enumerate(system: LinearSystem) -> tuple[tuple[Rational, ...], ...]:
     rays than RAY_CAP, by McMullen's bound for the inequality rows and
     t >= 0 in D - 1 dimensions, raises ValueError before any row is cut.
     """
-    n = system.variable_count
-    n_eq = len(system.equalities)
+    n, n_eq = system.variable_count, system.n_eq
     rows = [[-b] + [coeffs.get(j, 0) for j in range(n)] for coeffs, b, _ in system.integer_rows]
     rows.insert(n_eq, [1] + [0] * n)
     inequalities = rows[n_eq:]
@@ -892,22 +922,16 @@ def membership_system(target, gens, convex: bool) -> LinearSystem:
 
 def membership_shape(gens, convex: bool) -> LinearShape:
     """The shape part of membership_system: the coordinate rows of the
-    generators, the weight-sum row when convex, and the rows w_i >= 0,
-    whose integer rows ({i: 1}, 0, 1) are written down, not read."""
+    generators, the weight-sum row when convex, and the rows w_i >= 0."""
     k = len(gens)
     rows = list(zip(*gens))
     if convex:
         rows.append((ONE,) * k)
-    return LinearShape.read(k, rows, *weight_bounds(k))
+    return LinearShape.read(k, rows, weight_bounds(k))
 
 
-def weight_bounds(k: int) -> tuple[tuple[Row, ...], tuple[tuple[dict[int, int], int, int], ...]]:
-    """The rows w_i >= 0 over k weights, in order, and their integer rows
-    ({i: 1}, 0, 1), written down, not read: the inequalities of every
+def weight_bounds(k: int) -> tuple[tuple[dict[int, int], int, int], ...]:
+    """The integer rows ({i: 1}, 0, 1) of w_i >= 0 over k weights, in
+    order, written down, not read: the inequalities of every
     nonnegative-weight LP."""
-    inequalities = []
-    for i in range(k):
-        row = [ZERO] * k
-        row[i] = ONE
-        inequalities.append((tuple(row), ZERO))
-    return tuple(inequalities), tuple([({i: 1}, 0, 1) for i in range(k)])
+    return tuple([({i: 1}, 0, 1) for i in range(k)])

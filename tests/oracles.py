@@ -272,6 +272,17 @@ def _nonnegativity_rows(count):
             for i in range(count)]
 
 
+def membership_rows(target, gens, convex):
+    """(equalities, inequalities) of target = sum_i w_i gens[i], as
+    documented: one weight per generator, one equality per coordinate of
+    target, then the weights sum to one when convex, then w >= 0 per
+    weight."""
+    equalities = [(tuple(F(g[i]) for g in gens), F(value)) for i, value in enumerate(target)]
+    if convex:
+        equalities.append(((F(1),) * len(gens), F(1)))
+    return equalities, _nonnegativity_rows(len(gens))
+
+
 def lhs_rows(vertices, elements):
     """(equalities, inequalities) of the local-hidden-state LP, as documented.
 

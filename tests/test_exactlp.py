@@ -967,6 +967,22 @@ def test_bound_rows_keep_evidence(data, objective):
                             [Fraction(format_ratio(m)) for m in optimum.certificate])
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_systems(), systems_with_bound_rows()))
+def test_integer_rows_give_the_rational_rows_back(data):
+    n, eqs, ineqs = data
+    system = LinearSystem.build(n, eqs, ineqs)
+    again = LinearSystem.from_integer_rows(n, len(eqs), system.integer_rows)
+    assert again.equalities == system.equalities
+    assert again.inequalities == system.inequalities
+    assert all(type(x) is Fraction for coeffs, b in again.equalities + again.inequalities
+               for x in (*coeffs, b))
+    assert again == system
+    if system.row_count:  # the same rows, split elsewhere, are another system
+        assert LinearSystem.from_integer_rows(n, (len(eqs) + 1) % (system.row_count + 1),
+                                              system.integer_rows) != system
+
+
 @st.composite
 def bounded_systems(draw):
     """A box -k <= x_i <= k, more inequalities and 0-2 equalities."""

@@ -1,15 +1,18 @@
 """The shape part of the JM, LHS and membership LPs, memoized per space
 and outcome counts, the separability LP built from integer vertices, and
-the integer rows their builders hand in.
+the critical-level LP built from the sharp system's integer rows.
 
-Every handed-in form is compared with a fresh ``LinearSystem``'s read of
-the same rational rows, the definition of ``integer_rows``.
+Each of these systems is built from integer rows alone. Every one is
+compared with the read of rational rows written independently of its
+builder, by ``tests/oracles.py``: the read (``integer_rows`` of a
+system built from rationals) is the definition of the integer form.
 """
 
 import copy
 import functools
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -21,19 +24,24 @@ import gptsteer.compatibility as compatibility
 import gptsteer.steering as steering
 from gptsteer.compatibility import (check_joint_measurability, jm_critical_visibility,
                                     jm_linear_system)
-from gptsteer.composites import canonical_max_entangled, separability_system
+from gptsteer.composites import (VERTEX_PAIR_CAP, canonical_max_entangled, is_separable,
+                                 product_state, separability_system)
 from gptsteer.exactlp import LinearSystem, membership_system
-from gptsteer.kernel import (Observable, depolarize_observable, square_fiducials,
-                             zoo_by_name, zoo_gbit)
-from gptsteer.ratio import as_ratio
+from gptsteer.kernel import (Observable, barycenter, depolarize_observable, square_fiducials,
+                             zoo_by_name, zoo_gbit, zoo_polygon)
+from gptsteer.ratio import ZERO, as_ratio
 from gptsteer.sampler import random_effect, random_separable_state, random_state
 from gptsteer.steering import (assemblage_from, check_lhs, lhs_critical_visibility,
                                lhs_linear_system)
 
+from oracles import jm_rows, lhs_rows, membership_rows, separability_rows
 from test_exactlp import _sphere_space
 
 r = as_ratio
+F = Fraction
 NAMES = ("gbit", "classical-3", "polygon-5", "polygon-8", "sphere-5")
+# what a system built from integer rows stores: no rational row
+INTEGER_FIELDS = {"variable_count", "n_eq", "row_count", "integer_rows"}
 
 
 @functools.cache
@@ -51,14 +59,37 @@ def _observable(space, rng, label, outcomes):
     return Observable(label, space, ("0", "1", "2"), (t * e, (1 - t) * e, rest))
 
 
-def _assert_handed_in(system):
-    """The system was handed its integer rows, and they are the read's."""
-    assert "integer_rows" in vars(system)
-    fresh = LinearSystem(system.variable_count, system.equalities, system.inequalities)
-    assert system.integer_rows == fresh.integer_rows
+def _effects(family):
+    return [[e.coeffs for e in obs.effects] for obs in family]
+
+
+def _assert_rows_are(system, rows):
+    """The system stores integer rows and nothing rational, and they are
+    the read of rows, (equalities, inequalities) written by an oracle; its
+    rational view gives those rows back."""
+    assert set(vars(system)) == INTEGER_FIELDS
+    equalities, inequalities = rows
+    reference = LinearSystem(system.variable_count, tuple(equalities), tuple(inequalities))
+    assert system.integer_rows == reference.integer_rows
+    assert system.equalities == reference.equalities
+    assert system.inequalities == reference.inequalities
+    assert system == reference
     for coeffs, rhs, den in system.integer_rows:
         assert all(type(x) is int and x for x in coeffs.values())
         assert type(rhs) is int and type(den) is int and den > 0
+
+
+def _eta_rows(sharp, zero):
+    """The critical-level LP over (x, eta) from the oracle rows at level 1
+    and level 0: A x + eta (b0 - b1) == b0, each inequality with eta
+    entry 0, then eta >= 0 and -eta >= -1."""
+    (equalities, inequalities), (at_zero, _) = sharp, zero
+    n = len(inequalities[0][0])
+    eta = (F(0),) * n + (F(1),)
+    return ([(coeffs + (b0 - b1,), b0)
+             for (coeffs, b1), (_, b0) in zip(equalities, at_zero, strict=True)],
+            [(coeffs + (F(0),), b) for coeffs, b in inequalities]
+            + [(eta, F(0)), (tuple(-x for x in eta), F(-1))])
 
 
 class _Stop(Exception):
@@ -79,21 +110,30 @@ def _eta_system(run):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(NAMES), st.lists(st.sampled_from((2, 3)), min_size=1, max_size=3),
        st.integers(0, 2 ** 16))
-def test_handed_in_integer_rows_equal_the_read(name, counts, seed):
+def test_integer_built_systems_are_the_oracle_rows(name, counts, seed):
     space = _space(name)
     rng = random.Random(seed)
     family = tuple(_observable(space, rng, f"o{i}", n) for i, n in enumerate(counts))
+    noise = tuple(depolarize_observable(o, ZERO) for o in family)
     state = random_separable_state(space, space, rng)
     assemblage = assemblage_from(state, family)
     gens = space.vertices[:rng.randint(1, len(space.vertices))]
     point = random_state(space, rng).coords
-    for system in (jm_linear_system(family, space), lhs_linear_system(assemblage),
-                   separability_system(state),
-                   membership_system(point, gens, convex=False),
-                   membership_system(point, gens, convex=True),
-                   _eta_system(lambda: jm_critical_visibility(family, space)),
-                   _eta_system(lambda: lhs_critical_visibility(family, state))):
-        _assert_handed_in(system)
+    jm = jm_rows(space.vertices, _effects(family))
+    lhs = lhs_rows(space.vertices, assemblage.elements)
+    for system, rows in (
+            (jm_linear_system(family, space), jm),
+            (lhs_linear_system(assemblage), lhs),
+            (separability_system(state),
+             separability_rows(space.vertices, space.vertices, state.matrix)),
+            (membership_system(point, gens, convex=False), membership_rows(point, gens, False)),
+            (membership_system(point, gens, convex=True), membership_rows(point, gens, True)),
+            (_eta_system(lambda: jm_critical_visibility(family, space)),
+             _eta_rows(jm, jm_rows(space.vertices, _effects(noise)))),
+            (_eta_system(lambda: lhs_critical_visibility(family, state)),
+             _eta_rows(lhs, lhs_rows(space.vertices,
+                                     assemblage_from(state, noise).elements)))):
+        _assert_rows_are(system, rows)
 
 
 @pytest.mark.parametrize("name_b", NAMES)
@@ -101,7 +141,7 @@ def test_handed_in_integer_rows_equal_the_read(name, counts, seed):
 def test_separability_system_is_the_membership_system_of_the_products(name_a, name_b):
     # every ordered pair of spaces, sphere-5 (ambient dimension 4) with the
     # others (3) too: the rows built from integer vertices are the
-    # membership builder's rows of the rational products va (x) vb
+    # membership builder's read of the rational products va (x) vb
     space_a, space_b = _space(name_a), _space(name_b)
     state = random_separable_state(space_a, space_b, random.Random(f"{name_a}|{name_b}"))
     gens = [tuple([x * y for x in a for y in b])
@@ -110,10 +150,39 @@ def test_separability_system_is_the_membership_system_of_the_products(name_a, na
                                  convex=True)
     system = separability_system(state)
     assert system.variable_count == len(gens)
-    assert system.equalities == expected.equalities
-    assert system.inequalities == expected.inequalities
-    assert system.integer_rows == expected.integer_rows
-    _assert_handed_in(system)
+    assert system == expected
+    _assert_rows_are(system, separability_rows(space_a.vertices, space_b.vertices,
+                                               state.matrix))
+
+
+def test_separability_lp_at_the_cap_is_small_and_never_made_rational(monkeypatch):
+    # polygon-64 with itself, 4096 vertex pairs, the cap: building the LP
+    # allocates a few MiB, where the dense rational rows w >= 0 alone took
+    # 129.6 MB, and deciding it never reads the rows back as rationals
+    space = zoo_polygon(64)
+    state = product_state(space, barycenter(space), space, barycenter(space))
+    tracemalloc.start()
+    try:
+        system = separability_system(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.variable_count == VERTEX_PAIR_CAP
+    assert peak < 16 * 2 ** 20
+    read = []
+
+    class Spy:  # a non-data descriptor: rows stored in a system shadow it
+        def __init__(self, view):
+            self.view = view
+
+        def __get__(self, system, owner=None):
+            read.append(self.view.attrname)
+            return self.view.__get__(system, owner)
+
+    for name in ("equalities", "inequalities"):
+        monkeypatch.setattr(LinearSystem, name, Spy(vars(LinearSystem)[name]))
+    assert is_separable(state).separable
+    assert read == []
 
 
 def test_a_seen_shape_builds_no_row_and_runs_no_read(monkeypatch):
@@ -129,7 +198,7 @@ def test_a_seen_shape_builds_no_row_and_runs_no_read(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a coefficient row was built")
 
-    class NoRead:  # a non-data descriptor: handed-in rows still shadow it
+    class NoRead:  # a non-data descriptor: stored integer rows still shadow it
         def __get__(self, system, owner=None):
             raise AssertionError("integer_rows was read")
 
@@ -137,11 +206,9 @@ def test_a_seen_shape_builds_no_row_and_runs_no_read(monkeypatch):
     monkeypatch.setattr(steering, "_slot_stack", forbidden)
     monkeypatch.setattr(LinearSystem, "integer_rows", NoRead())
     built = [jm_linear_system(noisy, space), lhs_linear_system(assemblage)]
-    handed = [system.integer_rows for system in built]
     monkeypatch.undo()
-    for system, rows in zip(built, handed):
-        assert rows == LinearSystem(system.variable_count, system.equalities,
-                                    system.inequalities).integer_rows
+    _assert_rows_are(built[0], jm_rows(space.vertices, _effects(noisy)))
+    _assert_rows_are(built[1], lhs_rows(space.vertices, assemblage.elements))
     assert len(space.lp_shapes) == 2
 
 
@@ -186,7 +253,8 @@ def test_a_target_denominator_rescales_a_copy_of_the_row():
                                [(Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(0))],
                                convex=False)
     assert system.integer_rows[:2] == (({0: 3, 1: 6}, 2, 6), ({0: 1}, 2, 1))
-    _assert_handed_in(system)
+    _assert_rows_are(system, membership_rows((F(1, 3), F(2)), [(F(1, 2), F(1)), (F(1), F(0))],
+                                             False))
     again = membership_system((Fraction(1, 2), Fraction(1)),
                               [(Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(0))],
                               convex=False)

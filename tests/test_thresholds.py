@@ -18,7 +18,7 @@ import pytest
 import gptsteer.compatibility as compatibility
 import gptsteer.steering as steering
 from gptsteer.compatibility import (check_joint_measurability, jm_critical_visibility,
-                                    jm_noise_threshold)
+                                    jm_linear_system, jm_noise_threshold)
 from gptsteer.composites import canonical_max_entangled
 from gptsteer.kernel import (Effect, Observable, depolarize_observable,
                              dichotomic_observable, extremal_effects, zoo_classical,
@@ -245,6 +245,13 @@ def test_critical_level_lps_are_frozen(gbit, phi, fiducials, monkeypatch):
         (13, 15, 18, "4906908af2cab8b959bef5b76e5d77a7140f8632ecc8865d3bb865b43893b9e9"),
         (17, 12, 18, "c14fca073a909d0fb30bc7b308a0529d526020c510ad4d126919134196c9a32f"),
     ]
+
+
+def test_critical_level_needs_one_level_zero_rhs_per_equality(gbit, fiducials):
+    sharp = jm_linear_system(fiducials, gbit)
+    for count in (sharp.n_eq - 1, sharp.n_eq + 1):
+        with pytest.raises(ValueError):
+            compatibility._critical_level(sharp, [ZERO] * count)
 
 
 def test_lhs_critical_visibility_tests_the_state_once(phi, fiducials, monkeypatch):
