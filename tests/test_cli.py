@@ -369,6 +369,37 @@ def test_fixed_seed_report_is_pinned(capsys, monkeypatch):
     assert digest == "372a92f84290b1b879b56823a5648801515591fc15566095d35b6e38b0a81bad"
 
 
+@pytest.mark.parametrize("argv, doc, status, digest", [
+    (("zoo", "show", "gbit"), None, 0,
+     "2260e5632c2ccff561813ab23d871ac0dbcadab055698daa4c9656f136b105a7"),
+    (("check-jm", "--obs-file"), "sharp_obs", 1,
+     "61965d0f21dde0974c0ce4fd95655d0f3c0b3cf9cda84415a66625aaaf318e1a"),
+    (("check-jm", "--obs-file"), "classical_obs", 0,
+     "e0dcd2bb31709e93418ae0367e199adfc2b39bc3ddcef57b12af61e0c020f2e8"),
+    (("jm-threshold", "--precision", "1/64", "--obs-file"), "sharp_obs", 0,
+     "5cab6b493e4e19f39d4175a3906ee522d07b2b1d32b00048a2a32fb07de1d552"),
+    (("check-lhs", "--asm-file"), "steerable_asm", 1,
+     "83a9d289ea456991caf1686a8f5a591df7241335c1786c9e3338985af6b61eec"),
+    (("check-lhs", "--asm-file"), "local_asm", 0,
+     "53524f06c476d87912729d729577047b2cc290f3a3fefff298627ace17a554e5"),
+    (("tensor", "check-sep", "--state-file"), "product", 0,
+     "58f7cc16b05448ed53afdc6686322a6162846f6d0152904fe6f8418d446c403f"),
+    (("tensor", "check-sep", "--state-file"), "phi", 1,
+     "c5db07d09b8fda63731fb8a09eecb273b983441e8051afd043ec7b5e1dadaa02"),
+    (("tensor", "check-max", "--state-file"), "too_far", 1,
+     "2adb558075cb49fc0a8b17a0efbc2f750881571c8079dd030d06accec633eb95"),
+])
+def test_default_reports_are_pinned(docs, argv, doc, status, digest, capsys, monkeypatch):
+    # run beside the documents and name them by file name, so the echoed
+    # command line, and with it the report, does not depend on where they are
+    monkeypatch.delenv("GPTSTEER_LOG", raising=False)
+    monkeypatch.chdir(os.path.dirname(docs["phi"]))
+    if doc is not None:
+        argv += (os.path.basename(docs[doc]),)
+    assert main(list(argv)) == status
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_failed_audit_exits_internal(docs, capsys, monkeypatch):
     monkeypatch.delenv("GPTSTEER_LOG", raising=False)
     clean = exactlp._Tableau.extract_point
