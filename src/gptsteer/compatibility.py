@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import VerificationError
-from .exactlp import (INFEASIBLE, OPTIMAL, LinearShape, LinearSystem, lp_feasible, lp_optimize,
+from .exactlp import (INFEASIBLE, OPTIMAL, LinearSystem, _read_rows, lp_feasible, lp_optimize,
                       refutes)
 from .kernel import (Effect, Observable, StateSpace, _check_lp_size, _index_tuples, _lp_shape,
                      _slot_stack, depolarize_observable, is_valid_effect, is_valid_observable,
@@ -124,11 +124,12 @@ def jm_linear_system(observables: Sequence[Observable], space: StateSpace) -> Li
     _check_family(observables, space)
     outcomes = [obs.outcomes for obs in observables]
     _check_lp_size(outcomes, space)
-    return _lp_shape(space, "jm", outcomes, _jm_shape).system(_jm_target(observables, space))
+    return _lp_shape(space, "jm", outcomes, _jm_shape).with_rhs(_jm_target(observables, space))
 
 
-def _jm_shape(space: StateSpace, outcomes) -> LinearShape:
-    """The JM LP's rows for these outcome counts, in jm_linear_system's order."""
+def _jm_shape(space: StateSpace, outcomes) -> LinearSystem:
+    """The JM LP for these outcome counts at target 0, rows in
+    jm_linear_system's order."""
     dim = space.ambient_dim
     tuples = _index_tuples(outcomes)
     units = [(ZERO,) * c + (ONE,) + (ZERO,) * (dim - 1 - c) for c in range(dim)]
@@ -137,7 +138,9 @@ def _jm_shape(space: StateSpace, outcomes) -> LinearShape:
     # integer rows: G_t's coefficients are columns t dim to t dim + dim - 1
     inequalities = tuple([({t * dim + c: x for c, x in enumerate(ints) if x}, 0, den)
                           for t in range(len(tuples)) for ints, den in space.vertex_rows])
-    return LinearShape.read(len(columns), zip(*columns), inequalities)
+    rows = [(row, ZERO) for row in zip(*columns)]
+    return LinearSystem.from_integer_rows(len(columns), len(rows),
+                                          _read_rows(rows) + inequalities)
 
 
 def _jm_target(observables: Sequence[Observable], space: StateSpace) -> tuple[Rational, ...]:

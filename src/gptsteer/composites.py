@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NullConditioningError, UnsupportedModelError, VerificationError
-from .exactlp import INFEASIBLE, LinearShape, LinearSystem, lp_feasible, refutes, weight_bounds
+from .exactlp import INFEASIBLE, LinearSystem, lp_feasible, refutes, weight_bounds
 from .kernel import (Effect, State, StateSpace, _coeffs, _mixture_weights, barycenter,
                      is_square_model, is_valid_state)
 from .ratio import ONE, ZERO, Rational, as_ratio
@@ -158,10 +158,11 @@ def separability_system(state: BipartiteState) -> LinearSystem:
     A's coordinates as ints over their lcm LA, and B's over LB, the
     entry of pair (a, b) in the row of matrix entry (p, q) is
     Ia[p] Ib[q] / (LA LB); divided by one gcd, that row is the
-    primitive integer row the read of the rational products would give,
-    and the system is built from it (``exactlp.LinearShape``). The row of
-    entry (0, 0) has every coefficient 1, since every vertex has first
-    coordinate 1, so the weight-sum row is that row again.
+    primitive integer row the read of the rational products would give
+    with rhs 0. These rows and the rows w >= 0 make the system at target
+    0, and the system is its ``with_rhs`` of the matrix entries and 1.
+    The row of entry (0, 0) has every coefficient 1, since every vertex
+    has first coordinate 1, so the weight-sum row is that row again.
     """
     count = len(state.space_a.vertices) * len(state.space_b.vertices)
     if count > VERTEX_PAIR_CAP:
@@ -170,16 +171,16 @@ def separability_system(state: BipartiteState) -> LinearSystem:
     cols_a, den_a = _vertex_columns(state.space_a)
     cols_b, den_b = _vertex_columns(state.space_b)
     top = den_a * den_b
-    row_ints = []
+    rows = []
     for col_a in cols_a:
         for col_b in cols_b:
             ints = [x * y for x in col_a for y in col_b]
             g = math.gcd(top, *ints)
-            row_ints.append(({j: x // g for j, x in enumerate(ints) if x}, top // g))
-    row_ints.append(row_ints[0])
-    shape = LinearShape(count, tuple(row_ints), weight_bounds(count))
+            rows.append(({j: x // g for j, x in enumerate(ints) if x}, 0, top // g))
+    rows.append(rows[0])
+    shape = LinearSystem.from_integer_rows(count, len(rows), (*rows, *weight_bounds(count)))
     target = tuple(c for row in state.matrix for c in row)
-    return shape.system(target + (ONE,))
+    return shape.with_rhs(target + (ONE,))
 
 
 def _vertex_columns(space: StateSpace) -> tuple[list[list[int]], int]:

@@ -2,19 +2,23 @@
 
 Feasibility and optimization run a two-phase primal simplex, exact and
 with Bland's smallest-index pivot rule, so every run terminates and
-identical inputs give identical answers. The solver reads a system only
-as sparse primitive integer rows (``LinearSystem.integer_rows``), and
-that one form builds the tableau, finds the bound rows and runs the
-substitution checks. A ``LinearSystem`` stores one row form, the one it
-was built from, and reads the other from it on demand: integer rows from
-rationals by the read that defines them, rationals from integer rows by
-c / den. The package's LP builders build in ints and never make a
-rational row: a ``LinearShape`` keeps the integer forms of a family's
-coefficient rows and inequalities and adds each target's denominator
-with one lcm per equality (the membership, JM, LHS and separability
-LPs, the last two with rows written from the vertices' integer rows),
-and the critical-level LP derives its rows from the sharp system's. The
-tests compare every such system with the read of rational rows written
+identical inputs give identical answers. A ``LinearSystem`` stores only
+sparse primitive integer rows (``LinearSystem.integer_rows``), and that
+one form builds the tableau, finds the bound rows and runs the
+substitution checks. Rational rows handed to the constructor are read
+into it once, when the system is built, by ``_read_rows``, the read that
+defines the form; the rational rows a caller asks for are read back from
+the ints by c / den. A system whose equalities have right-hand side 0 is
+the shape of a family of LPs that differ only in that right-hand side,
+the target, and ``with_rhs`` builds each member in ints with one lcm per
+equality: the membership, JM, LHS and separability LPs, the JM
+inequalities and the separability rows written from the vertices'
+integer rows. The critical-level LP derives its rows from the sharp
+system's in ints. Three builders still hand rational rows to the
+constructor: ``steering.conditioning_system``,
+``kernel.extremal_effects`` (through ``kernel._effect_rows``) and the
+polar system of a ``StateSpace`` build. The tests compare every
+integer-built system with the read of rational rows written
 independently. No reader ever changes the integer rows, which systems of
 one shape share. The tableau is fraction-free and sparse: each row
 a dict of its nonzero ints over one positive denominator, pivoted by
@@ -81,25 +85,48 @@ Row = tuple[tuple[Rational, ...], Rational]
 RAY_CAP = 10 ** 5
 
 
+def _read_rows(rows) -> tuple[tuple[dict[int, int], int, int], ...]:
+    """The integer rows of rational rows (coeffs, rhs), in order: the read
+    that defines ``LinearSystem.integer_rows``."""
+    read = []
+    for coeffs, b in rows:
+        # ZERO pads most rows, so it is skipped by identity first
+        nonzero = [(j, c) for j, c in enumerate(coeffs) if c is not ZERO and c]
+        den = math.lcm(b.denominator, *[c.denominator for _, c in nonzero])
+        read.append(({j: c.numerator * (den // c.denominator) for j, c in nonzero},
+                     b.numerator * (den // b.denominator), den))
+    return tuple(read)
+
+
 class LinearSystem:
     """Equalities (coeffs . x == rhs) and inequalities (coeffs . x >= rhs).
 
-    A system stores its rows in the one form it was built from and reads
-    the other form from it on first access. ``LinearSystem(n, equalities,
-    inequalities)`` stores rational rows, and ``integer_rows`` is read from
-    them; ``from_integer_rows`` stores integer rows, and ``equalities`` and
-    ``inequalities`` are read back from them. The equality count n_eq and
-    row_count are stored with either, so the solver and the substitution
-    checks, which read only ``integer_rows``, never build rational rows.
-    Two systems are equal when they have the same variable count, the same
-    equalities and the same inequalities, whichever form each was built
-    from. A system is immutable and, having no fixed row form, unhashable.
+    A system stores its rows in one form, ``integer_rows``: every row,
+    equalities then inequalities, as (coeffs, rhs, den), standing for
+    coeffs . x (==, >=) rhs over den > 0, with coeffs the nonzero ints by
+    column and den the lcm of the row's denominators, so
+    math.gcd(den, rhs, *coeffs.values()) == 1. The form is canonical: two
+    rational rows are equal exactly when their integer rows are. The
+    tableau, the bound rows and the substitution checks all read this
+    form, never the rationals. ``LinearSystem(n, equalities,
+    inequalities)`` reads its rational rows into it once, when it is
+    built (``_read_rows``); ``from_integer_rows`` checks and stores the
+    integer rows it is given. ``equalities`` and ``inequalities`` are the
+    rational rows read back from the ints, as c / den, on first access.
+    The equality count n_eq and row_count are stored beside the rows. The
+    coefficient dicts may be shared between systems, so nothing that
+    reads them ever changes them.
+
+    A system whose equalities have right-hand side 0 is the shape of the
+    family of systems that differ from it only there: ``with_rhs(target)``
+    builds each of them in ints. Two systems are equal when they have the
+    same variable count, n_eq and integer rows. A system is immutable
+    and, its rows holding dicts, unhashable.
     """
 
     def __init__(self, variable_count: int, equalities: tuple[Row, ...] = (),
                  inequalities: tuple[Row, ...] = ()):
-        self._store(variable_count, len(equalities), len(equalities) + len(inequalities),
-                    equalities=equalities, inequalities=inequalities)
+        self._hold(variable_count, len(equalities), _read_rows(equalities + inequalities))
         for coeffs, _ in equalities + inequalities:
             if len(coeffs) != variable_count:
                 raise ValueError(f"row length {len(coeffs)} != variable_count {variable_count}")
@@ -108,15 +135,23 @@ class LinearSystem:
     def from_integer_rows(cls, variable_count: int, n_eq: int, integer_rows) -> "LinearSystem":
         """The system whose integer_rows are these, the first n_eq of them
         equalities. Each row must be in the read's form: primitive, its
-        den the lcm of its entries' denominators."""
-        system = cls.__new__(cls)
-        system._store(variable_count, n_eq, len(integer_rows), integer_rows=integer_rows)
-        return system
+        den the lcm of its entries' denominators. ValueError unless
+        0 <= n_eq <= len(integer_rows), every column is in
+        range(variable_count) and every den is positive."""
+        if not 0 <= n_eq <= len(integer_rows):
+            raise ValueError(f"n_eq {n_eq} is not between 0 and the {len(integer_rows)} rows")
+        for coeffs, _, den in integer_rows:
+            if den < 1 or not all(0 <= j < variable_count for j in coeffs):
+                raise ValueError(f"{coeffs} / {den} is no row over {variable_count} columns")
+        return cls.__new__(cls)._hold(variable_count, n_eq, integer_rows)
 
-    def _store(self, variable_count: int, n_eq: int, row_count: int, **rows):
+    def _hold(self, variable_count: int, n_eq: int, integer_rows) -> "LinearSystem":
+        """Store these rows, unchecked, and return the system."""
         if variable_count < 1:
             raise ValueError("variable_count must be positive")
-        vars(self).update(variable_count=variable_count, n_eq=n_eq, row_count=row_count, **rows)
+        vars(self).update(variable_count=variable_count, n_eq=n_eq,
+                          row_count=len(integer_rows), integer_rows=integer_rows)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: LinearSystem is immutable")
@@ -138,34 +173,35 @@ class LinearSystem:
         ineq = tuple((qvec(c), as_ratio(b)) for c, b in inequalities)
         return cls(variable_count, eq, ineq)
 
-    @cached_property
-    def integer_rows(self) -> tuple[tuple[dict[int, int], int, int], ...]:
-        """Every row, equalities then inequalities, as (coeffs, rhs, den):
-        the row stands for coeffs . x (==, >=) rhs over den > 0, with
-        coeffs the nonzero ints by column and den the lcm of the row's
-        denominators, so math.gcd(den, rhs, *coeffs.values()) == 1. The
-        form is canonical: two rational rows are equal exactly when their
-        integer rows are. The tableau, the bound rows and the substitution
-        checks all read this form, never the rationals.
+    def with_rhs(self, target) -> "LinearSystem":
+        """This system with target as its equalities' right-hand side,
+        built in ints; the inequality rows are shared, not checked again.
 
-        Read here from the rational rows of a system built from them. A
-        system built from integer rows stores them instead, and then
-        equalities and inequalities are read back from them. The
-        coefficient dicts may be shared between systems, so nothing that
-        reads them ever changes them."""
+        Equality i is c . x == r over den. When r is 0, den is the lcm of
+        the coefficients' denominators alone; a row with r nonzero is
+        first divided by gcd(den, *c), which makes it so. With target[i]
+        = p / q in lowest terms, the read of the new row is c times L /
+        den and p times L / q over L = lcm(den, q), the lcm of all its
+        denominators, so the row is primitive as the read's: one lcm per
+        equality gives its integer row. When r is 0 and q divides den,
+        the coefficient dict itself is shared.
+        """
         rows = []
-        for coeffs, b in self.equalities + self.inequalities:
-            # ZERO pads most rows, so it is skipped by identity first
-            nonzero = [(j, c) for j, c in enumerate(coeffs) if c is not ZERO and c]
-            den = math.lcm(b.denominator, *[c.denominator for _, c in nonzero])
-            rows.append(({j: c.numerator * (den // c.denominator) for j, c in nonzero},
-                         b.numerator * (den // b.denominator), den))
-        return tuple(rows)
+        for (coeffs, b, den), t in zip(self.integer_rows[:self.n_eq], target, strict=True):
+            if b:
+                g = math.gcd(den, *coeffs.values())
+                coeffs, den = {j: c // g for j, c in coeffs.items()}, den // g
+            full = math.lcm(den, t.denominator)
+            if full != den:
+                scale = full // den
+                coeffs = {j: c * scale for j, c in coeffs.items()}
+            rows.append((coeffs, t.numerator * (full // t.denominator), full))
+        return LinearSystem.__new__(LinearSystem)._hold(
+            self.variable_count, self.n_eq, (*rows, *self.integer_rows[self.n_eq:]))
 
     @cached_property
     def equalities(self) -> tuple[Row, ...]:
-        """The equality rows as rationals; read from the integer rows of a
-        system built from them."""
+        """The equality rows as rationals, read back from the integer rows."""
         return self._rational_rows(self.integer_rows[:self.n_eq])
 
     @cached_property
@@ -181,51 +217,6 @@ class LinearSystem:
                 row[j] = as_ratio(c, den)
             rows.append((tuple(row), as_ratio(b, den)))
         return tuple(rows)
-
-
-@dataclass(frozen=True)
-class LinearShape:
-    """The part of a family of LinearSystems that its target leaves fixed,
-    in integer form: the equalities' coefficient rows and the
-    inequalities. ``system(target)`` is the system of the equalities
-    row_ints[i] . x == target[i] followed by the inequalities.
-
-    row_ints[i] is equality i's coefficient row as (coeffs, den): its
-    nonzero ints by column over den, the lcm of its coefficients'
-    denominators. inequality_ints are the inequalities' integer_rows. With
-    target[i] = b / d in lowest terms, the read of equality i is coeffs
-    times L / den and b times L / d, over L = lcm(den, d): the lcm of all
-    its denominators, so the row is primitive as the read's. One lcm per
-    equality thus gives its integer row, and when d divides den the
-    coefficient dict itself is shared.
-    """
-
-    variable_count: int
-    row_ints: tuple[tuple[dict[int, int], int], ...]
-    inequality_ints: tuple[tuple[dict[int, int], int, int], ...]
-
-    @classmethod
-    def read(cls, variable_count: int, rows, inequality_ints) -> "LinearShape":
-        """The shape of these rational coefficient rows, read by
-        integer_rows as rows with a zero right-hand side, which adds no
-        denominator, and of the inequalities' integer rows."""
-        read = LinearSystem(variable_count, tuple([(row, ZERO) for row in rows])).integer_rows
-        return cls(variable_count, tuple([(coeffs, den) for coeffs, _, den in read]),
-                   inequality_ints)
-
-    def system(self, target) -> LinearSystem:
-        """The system with target as the equalities' right-hand side, built
-        from its integer rows."""
-        int_rows = []
-        for (coeffs, den), b in zip(self.row_ints, target, strict=True):
-            d = b.denominator
-            full = math.lcm(den, d)
-            if full != den:
-                scale = full // den
-                coeffs = {j: c * scale for j, c in coeffs.items()}
-            int_rows.append((coeffs, b.numerator * (full // d), full))
-        return LinearSystem.from_integer_rows(self.variable_count, len(int_rows),
-                                              (*int_rows, *self.inequality_ints))
 
 
 @dataclass(frozen=True)
@@ -911,23 +902,24 @@ def membership_system(target, gens, convex: bool) -> LinearSystem:
     certificate's multipliers follow: one equality per coordinate of
     target, then sum_i w_i == 1 when convex, then w_i >= 0 for each i in
     generator order. The cone, convex and local-hidden-state LPs are
-    built here, as ``membership_shape(gens, convex)`` given its target.
-    The separability LP (``composites.separability_system``) is this
-    convex system over the vertex-pair products, row for row, but
+    built here, as ``membership_shape(gens, convex).with_rhs`` of the
+    target. The separability LP (``composites.separability_system``) is
+    this convex system over the vertex-pair products, row for row, but
     builds its shape's integer rows from the vertices' ints instead.
     """
     target = tuple(target)
-    return membership_shape(gens, convex).system(target + (ONE,) if convex else target)
+    return membership_shape(gens, convex).with_rhs(target + (ONE,) if convex else target)
 
 
-def membership_shape(gens, convex: bool) -> LinearShape:
-    """The shape part of membership_system: the coordinate rows of the
-    generators, the weight-sum row when convex, and the rows w_i >= 0."""
+def membership_shape(gens, convex: bool) -> LinearSystem:
+    """membership_system at target 0: the coordinate rows of the
+    generators, the weight-sum row when convex, each with rhs 0, and the
+    rows w_i >= 0."""
     k = len(gens)
-    rows = list(zip(*gens))
+    rows = [(row, ZERO) for row in zip(*gens)]
     if convex:
-        rows.append((ONE,) * k)
-    return LinearShape.read(k, rows, weight_bounds(k))
+        rows.append(((ONE,) * k, ZERO))
+    return LinearSystem.from_integer_rows(k, len(rows), _read_rows(rows) + weight_bounds(k))
 
 
 def weight_bounds(k: int) -> tuple[tuple[dict[int, int], int, int], ...]:

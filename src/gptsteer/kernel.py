@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import UnboundedRegionError
-from .exactlp import LinearShape, LinearSystem, vertex_enumerate
+from .exactlp import LinearSystem, vertex_enumerate
 from .ratio import ONE, ZERO, Rational, as_ratio, format_ratio
 from .vecs import _primitive_ray, combine, dot, primitive_row, qvec, vzero
 
@@ -82,12 +82,12 @@ class StateSpace:
     (ints, den), ``vecs.primitive_row``'s form. Like ``facets`` they stay
     out of ``repr``, ``==`` and ``hash``.
 
-    ``lp_shapes`` memoizes, in the same way, the shape part of the JM and
-    LHS LPs (``exactlp.LinearShape``): their coefficient rows depend only
-    on the space and the outcome counts, so each (family, outcome-count
-    tuple) key, ("jm", counts) or ("lhs", counts), is built once and
-    every later LP of that shape builds only its target
-    (``_lp_shape``).
+    ``lp_shapes`` memoizes, in the same way, the shapes of the JM and LHS
+    LPs: each is the ``LinearSystem`` at target 0, equalities with
+    right-hand side 0, since the rows depend only on the space and the
+    outcome counts. Each (family, outcome-count tuple) key, ("jm",
+    counts) or ("lhs", counts), is built once, and every later LP of that
+    shape is its ``with_rhs`` of the target (``_lp_shape``).
     """
 
     label: str
@@ -97,7 +97,7 @@ class StateSpace:
     facet_normals: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     vertex_rows: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, repr=False,
                                                                  compare=False)
-    lp_shapes: dict[tuple[str, tuple[int, ...]], LinearShape] = field(
+    lp_shapes: dict[tuple[str, tuple[int, ...]], LinearSystem] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -471,7 +471,7 @@ def _check_lp_size(outcomes, space: StateSpace) -> None:
                          f"more than the cap of {LP_SIZE_CAP}")
 
 
-def _lp_shape(space: StateSpace, family: str, outcomes, build) -> LinearShape:
+def _lp_shape(space: StateSpace, family: str, outcomes, build) -> LinearSystem:
     """space.lp_shapes[(family, outcome counts)], made by build(space,
     outcomes) the first time; build may read only the counts."""
     key = (family, tuple([len(row) for row in outcomes]))

@@ -32,7 +32,7 @@ from .compatibility import (JmResult, MotherObservable, _check_family, _critical
 from .composites import (BipartiteState, canonical_max_entangled, in_max_tensor,
                          marginal, subnormalized_conditional)
 from .errors import ConstructionError, NotRemotelyPreparableError, VerificationError
-from .exactlp import LinearShape, LinearSystem, lp_feasible, membership_shape
+from .exactlp import LinearSystem, lp_feasible, membership_shape
 from .kernel import (Effect, Observable, State, StateSpace, _check_lp_size, _effect_rows,
                      _index_tuples, _lp_shape, _slot_stack, depolarize_observable,
                      in_state_cone, is_valid_state, mother_outcome_tuples)
@@ -258,10 +258,10 @@ def lhs_linear_system(assemblage: Assemblage) -> LinearSystem:
     """
     _check_lp_size(assemblage.outcomes, assemblage.space)
     target = tuple([c for row in assemblage.elements for e in row for c in e])
-    return _lp_shape(assemblage.space, "lhs", assemblage.outcomes, _lhs_shape).system(target)
+    return _lp_shape(assemblage.space, "lhs", assemblage.outcomes, _lhs_shape).with_rhs(target)
 
 
-def _lhs_shape(space: StateSpace, outcomes) -> LinearShape:
+def _lhs_shape(space: StateSpace, outcomes) -> LinearSystem:
     """The cone-membership shape of the (strategy, vertex) generators of
     the local assemblages."""
     return membership_shape([_slot_stack(strategy, vertex, outcomes)

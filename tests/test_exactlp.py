@@ -983,6 +983,47 @@ def test_integer_rows_give_the_rational_rows_back(data):
                                               system.integer_rows) != system
 
 
+STORED_FIELDS = {"variable_count", "n_eq", "row_count", "integer_rows"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_systems(), systems_with_bound_rows()), st.sampled_from((1, 2, 3, 6)),
+       st.data())
+def test_with_rhs_is_the_read_of_the_rows_at_that_rhs(data, q, draw):
+    # an rhs b / q gives a row a denominator that its coefficients lack,
+    # which with_rhs divides out before it adds the target's
+    n, eqs, ineqs = data
+    eqs = tuple((coeffs, Fraction(b, q)) for coeffs, b in eqs)
+    target = tuple(draw.draw(st.fractions(min_value=-4, max_value=4, max_denominator=12))
+                   for _ in eqs)
+    system = LinearSystem.build(n, eqs, ineqs)
+    moved = system.with_rhs(target)
+    assert set(vars(system)) == set(vars(moved)) == STORED_FIELDS
+    assert moved == LinearSystem.build(n, [(coeffs, t) for (coeffs, _), t in zip(eqs, target)],
+                                       ineqs)
+    for (coeffs, b, den), (new, _, _), t in zip(system.integer_rows, moved.integer_rows, target):
+        assert (new is coeffs) == (b == 0 and den % t.denominator == 0)
+    assert all(new is old for new, old in zip(moved.integer_rows[len(eqs):],
+                                              system.integer_rows[len(eqs):], strict=True))
+    with pytest.raises(ValueError):
+        system.with_rhs(target + (Fraction(1),))
+
+
+def test_integer_rows_the_solver_would_misread_are_refused():
+    # column 2 of two variables once merged into the rhs key of the
+    # certificate check (INFEASIBLE, certificate (1,), accepted by
+    # refutes); n_eq -1 came out FEASIBLE; n_eq 3 over one row raised
+    # IndexError in the tableau
+    for n_eq, rows in ((1, (({2: 1}, 1, 1),)), (1, (({-1: 1}, 1, 1),)),
+                       (-1, (({0: 1}, 1, 1),)), (3, (({0: 1}, 1, 1),)),
+                       (1, (({0: 1}, 1, 0),)), (1, (({0: 1}, 1, -2),))):
+        with pytest.raises(ValueError):
+            LinearSystem.from_integer_rows(2, n_eq, rows)
+    system = LinearSystem.from_integer_rows(2, 1, (({1: 1}, 1, 1),))
+    assert set(vars(system)) == STORED_FIELDS
+    assert lp_feasible(system).witness == (0, 1)
+
+
 @st.composite
 def bounded_systems(draw):
     """A box -k <= x_i <= k, more inequalities and 0-2 equalities."""

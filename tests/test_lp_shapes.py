@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gptsteer.compatibility as compatibility
+import gptsteer.exactlp as exactlp
 import gptsteer.steering as steering
 from gptsteer.compatibility import (check_joint_measurability, jm_critical_visibility,
                                     jm_linear_system)
@@ -198,18 +199,30 @@ def test_a_seen_shape_builds_no_row_and_runs_no_read(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a coefficient row was built")
 
-    class NoRead:  # a non-data descriptor: stored integer rows still shadow it
-        def __get__(self, system, owner=None):
-            raise AssertionError("integer_rows was read")
+    def no_read(*args):
+        raise AssertionError("rational rows were read")
 
     monkeypatch.setattr(compatibility, "_slot_stack", forbidden)
     monkeypatch.setattr(steering, "_slot_stack", forbidden)
-    monkeypatch.setattr(LinearSystem, "integer_rows", NoRead())
+    monkeypatch.setattr(exactlp, "_read_rows", no_read)
     built = [jm_linear_system(noisy, space), lhs_linear_system(assemblage)]
     monkeypatch.undo()
     _assert_rows_are(built[0], jm_rows(space.vertices, _effects(noisy)))
     _assert_rows_are(built[1], lhs_rows(space.vertices, assemblage.elements))
     assert len(space.lp_shapes) == 2
+
+
+@pytest.mark.parametrize("name", ["gbit", "polygon-5"])
+def test_memoized_shapes_are_systems_at_rhs_zero(name):
+    space = zoo_by_name(name)
+    rng = random.Random(7)
+    family = (_observable(space, rng, "a", 2), _observable(space, rng, "b", 3))
+    check_joint_measurability(family, space)
+    check_lhs(assemblage_from(random_separable_state(space, space, rng), family))
+    assert set(space.lp_shapes) == {("jm", (2, 3)), ("lhs", (2, 3))}
+    for shape in space.lp_shapes.values():
+        assert type(shape) is LinearSystem and set(vars(shape)) == INTEGER_FIELDS
+        assert shape.n_eq and all(b == 0 for _, b, _ in shape.integer_rows[:shape.n_eq])
 
 
 @pytest.mark.parametrize("name", ["gbit", "polygon-5"])
@@ -230,20 +243,20 @@ def test_solving_shares_the_memo_rows_and_never_changes_them(gbit, phi, fiducial
         check_joint_measurability(family, gbit)
         check_lhs(assemblage_from(phi, family))
     shapes = [gbit.lp_shapes[("jm", (2, 2))], gbit.lp_shapes[("lhs", (2, 2))]]
-    before = copy.deepcopy([(s.row_ints, s.inequality_ints) for s in shapes])
+    before = copy.deepcopy([s.integer_rows for s in shapes])
     systems = [jm_linear_system(half, gbit), lhs_linear_system(assemblage_from(phi, half))]
     # the JM unit rows have integer targets, so they share their dicts
-    assert all(systems[0].integer_rows[c][0] is shapes[0].row_ints[c][0] for c in range(3))
+    assert all(systems[0].integer_rows[c][0] is shapes[0].integer_rows[c][0] for c in range(3))
     for shape, system in zip(shapes, systems):
-        n_eq = len(shape.row_ints)
+        n_eq = shape.n_eq
         assert all(row is ints for row, ints
-                   in zip(system.integer_rows[n_eq:], shape.inequality_ints, strict=True))
+                   in zip(system.integer_rows[n_eq:], shape.integer_rows[n_eq:], strict=True))
     for family in (fiducials, half, (x, y, half[0])):
         check_joint_measurability(family, gbit)
         check_lhs(assemblage_from(phi, family))
         jm_critical_visibility(family, gbit)
         lhs_critical_visibility(family, phi)
-    assert [(s.row_ints, s.inequality_ints) for s in shapes] == before
+    assert [s.integer_rows for s in shapes] == before
 
 
 def test_a_target_denominator_rescales_a_copy_of_the_row():
