@@ -989,12 +989,12 @@ STORED_FIELDS = {"variable_count", "n_eq", "row_count", "integer_rows"}
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(small_systems(), systems_with_bound_rows()), st.sampled_from((1, 2, 3, 6)),
        st.data())
-def test_with_rhs_is_the_read_of_the_rows_at_that_rhs(data, q, draw):
+def test_with_rhs_is_the_read_of_the_rows_at_that_rhs(rows, q, data):
     # an rhs b / q gives a row a denominator that its coefficients lack,
     # which with_rhs divides out before it adds the target's
-    n, eqs, ineqs = data
+    n, eqs, ineqs = rows
     eqs = tuple((coeffs, Fraction(b, q)) for coeffs, b in eqs)
-    target = tuple(draw.draw(st.fractions(min_value=-4, max_value=4, max_denominator=12))
+    target = tuple(data.draw(st.fractions(min_value=-4, max_value=4, max_denominator=12))
                    for _ in eqs)
     system = LinearSystem.build(n, eqs, ineqs)
     moved = system.with_rhs(target)
@@ -1010,9 +1010,9 @@ def test_with_rhs_is_the_read_of_the_rows_at_that_rhs(data, q, draw):
 
 
 def test_integer_rows_the_solver_would_misread_are_refused():
-    # column 2 of two variables once merged into the rhs key of the
+    # unchecked, column 2 of two variables lands on the rhs key of the
     # certificate check (INFEASIBLE, certificate (1,), accepted by
-    # refutes); n_eq -1 came out FEASIBLE; n_eq 3 over one row raised
+    # refutes), n_eq -1 comes out FEASIBLE and n_eq 3 over one row raises
     # IndexError in the tableau
     for n_eq, rows in ((1, (({2: 1}, 1, 1),)), (1, (({-1: 1}, 1, 1),)),
                        (-1, (({0: 1}, 1, 1),)), (3, (({0: 1}, 1, 1),)),
