@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import VerificationError
-from .exactlp import (INFEASIBLE, OPTIMAL, LinearSystem, _read_rows, lp_feasible, lp_optimize,
-                      refutes)
+from .exactlp import (INFEASIBLE, OPTIMAL, LinearSystem, coordinate_rows, lp_feasible,
+                      lp_optimize, refutes)
 from .kernel import (Effect, Observable, StateSpace, _check_lp_size, _index_tuples, _lp_shape,
                      _slot_stack, depolarize_observable, is_valid_effect, is_valid_observable,
                      mother_outcome_tuples)
@@ -132,15 +132,14 @@ def _jm_shape(space: StateSpace, outcomes) -> LinearSystem:
     jm_linear_system's order."""
     dim = space.ambient_dim
     tuples = _index_tuples(outcomes)
-    units = [(ZERO,) * c + (ONE,) + (ZERO,) * (dim - 1 - c) for c in range(dim)]
-    columns = [e_c + _slot_stack(t, e_c, outcomes) for t in tuples for e_c in units]
+    units = [(0,) * c + (1,) + (0,) * (dim - 1 - c) for c in range(dim)]
+    rows = coordinate_rows([(e_c + _slot_stack(t, e_c, outcomes), 1)
+                            for t in tuples for e_c in units])
     # G_t . v >= 0 per tuple t and vertex v, written from the vertices'
     # integer rows: G_t's coefficients are columns t dim to t dim + dim - 1
-    inequalities = tuple([({t * dim + c: x for c, x in enumerate(ints) if x}, 0, den)
-                          for t in range(len(tuples)) for ints, den in space.vertex_rows])
-    rows = [(row, ZERO) for row in zip(*columns)]
-    return LinearSystem.from_integer_rows(len(columns), len(rows),
-                                          _read_rows(rows) + inequalities)
+    inequalities = [({t * dim + c: x for c, x in enumerate(ints) if x}, 0, den)
+                    for t in range(len(tuples)) for ints, den in space.vertex_rows]
+    return LinearSystem.from_integer_rows(len(tuples) * dim, len(rows), (*rows, *inequalities))
 
 
 def _jm_target(observables: Sequence[Observable], space: StateSpace) -> tuple[Rational, ...]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NullConditioningError, UnsupportedModelError, VerificationError
-from .exactlp import INFEASIBLE, LinearSystem, lp_feasible, refutes, weight_bounds
+from .exactlp import INFEASIBLE, LinearSystem, lp_feasible, membership_shape, refutes
 from .kernel import (Effect, State, StateSpace, _coeffs, _mixture_weights, barycenter,
                      is_square_model, is_valid_state)
 from .ratio import ONE, ZERO, Rational, as_ratio
@@ -138,8 +138,8 @@ class SeparabilityResult:
 # (vertex_A, vertex_B) pairs than this. The LP has a weight and an integer
 # row w >= 0 of one entry per pair, so memory does not set the cap: on the
 # barycenter product of polygon-64 with itself (4096 pairs) the build
-# peaked at 7.5 MiB (tracemalloc) and is_separable took 0.89 s and 30 MB
-# of max RSS, the spaces built beforehand (Python 3.11.7, 2 cores).
+# peaked at 10.9 MiB (tracemalloc) and is_separable took 0.9 to 1.2 s and
+# 29 MB of max RSS, the spaces built beforehand (Python 3.11.7, 2 cores).
 VERTEX_PAIR_CAP = 4096
 
 
@@ -153,43 +153,22 @@ def separability_system(state: BipartiteState) -> LinearSystem:
     then the weight sum. All weight nonnegativity rows follow as
     inequalities. More than VERTEX_PAIR_CAP pairs raise ValueError.
 
-    The rows are built in ints from the spaces' integer vertices
-    (``StateSpace.vertex_rows``), and no rational row is built. With side
-    A's coordinates as ints over their lcm LA, and B's over LB, the
-    entry of pair (a, b) in the row of matrix entry (p, q) is
-    Ia[p] Ib[q] / (LA LB); divided by one gcd, that row is the
-    primitive integer row the read of the rational products would give
-    with rhs 0. These rows and the rows w >= 0 make the system at target
-    0, and the system is its ``with_rhs`` of the matrix entries and 1.
-    The row of entry (0, 0) has every coefficient 1, since every vertex
-    has first coordinate 1, so the weight-sum row is that row again.
+    The system is ``exactlp.membership_shape`` of the products as
+    integer rows, written from the spaces' integer vertices
+    (``StateSpace.vertex_rows``): vertex a as Ia / da and b as Ib / db
+    give the product (Ia (x) Ib, da db). No rational row is built. The
+    shape's ``with_rhs`` of the matrix entries and 1 is the system. The
+    row of entry (0, 0) has every coefficient 1, since every vertex has
+    first coordinate 1, so the weight-sum row is that row again.
     """
     count = len(state.space_a.vertices) * len(state.space_b.vertices)
     if count > VERTEX_PAIR_CAP:
         raise ValueError(f"the separability LP has {count} vertex pairs, "
                          f"more than the cap of {VERTEX_PAIR_CAP}")
-    cols_a, den_a = _vertex_columns(state.space_a)
-    cols_b, den_b = _vertex_columns(state.space_b)
-    top = den_a * den_b
-    rows = []
-    for col_a in cols_a:
-        for col_b in cols_b:
-            ints = [x * y for x in col_a for y in col_b]
-            g = math.gcd(top, *ints)
-            rows.append(({j: x // g for j, x in enumerate(ints) if x}, 0, top // g))
-    rows.append(rows[0])
-    shape = LinearSystem.from_integer_rows(count, len(rows), (*rows, *weight_bounds(count)))
+    gens = [([x * y for x in ia for y in ib], da * db)
+            for ia, da in state.space_a.vertex_rows for ib, db in state.space_b.vertex_rows]
     target = tuple(c for row in state.matrix for c in row)
-    return shape.with_rhs(target + (ONE,))
-
-
-def _vertex_columns(space: StateSpace) -> tuple[list[list[int]], int]:
-    """The vertices' coordinates as ints over one denominator, the lcm of
-    their ``vertex_rows`` denominators: column p lists coordinate p of
-    every vertex, in vertex order."""
-    den = math.lcm(*[d for _, d in space.vertex_rows])
-    scaled = [[x * (den // d) for x in ints] for ints, d in space.vertex_rows]
-    return [list(col) for col in zip(*scaled)], den
+    return membership_shape(gens, convex=True).with_rhs(target + (ONE,))
 
 
 def is_separable(state: BipartiteState) -> SeparabilityResult:

@@ -5,19 +5,19 @@ with Bland's smallest-index pivot rule, so every run terminates and
 identical inputs give identical answers. A ``LinearSystem`` stores only
 sparse primitive integer rows (``LinearSystem.integer_rows``), and that
 one form builds the tableau, finds the bound rows and runs the
-substitution checks. Rational rows handed to the constructor are read
-into it once, when the system is built, by ``_read_rows``, the read that
-defines the form; the rational rows a caller asks for are read back from
-the ints by c / den. A system whose equalities have right-hand side 0 is
-the shape of a family of LPs that differ only in that right-hand side,
-the target, and ``with_rhs`` builds each member in ints with one lcm per
-equality: the membership, JM, LHS and separability LPs, the JM
-inequalities and the separability rows written from the vertices'
-integer rows. The critical-level LP derives its rows from the sharp
-system's in ints. Three builders still hand rational rows to the
-constructor: ``steering.conditioning_system``,
-``kernel.extremal_effects`` (through ``kernel._effect_rows``) and the
-polar system of a ``StateSpace`` build. The tests compare every
+substitution checks. Rational rows handed to the public constructor are
+read into it once, when the system is built, by ``_read_rows``, the read
+that defines the form; the rational rows a caller asks for are read back
+from the ints by c / den. Every package builder writes its integer rows
+from integer rows, the vertices' and generators' (ints, den), and none
+calls the read. ``coordinate_rows`` is the one step that writes the
+coordinate rows of a weighted sum of generators: the equalities of the
+membership, LHS and separability LPs (all ``membership_shape``), of the
+JM LP and of the conditioning LP. A system whose equalities have
+right-hand side 0 is the shape of a family of LPs that differ only in
+that right-hand side, the target, and ``with_rhs`` builds each member
+in ints with one lcm per equality. The critical-level LP derives its
+rows from the sharp system's in ints. The tests compare every
 integer-built system with the read of rational rows written
 independently. No reader ever changes the integer rows, which systems of
 one shape share. The tableau is fraction-free and sparse: each row
@@ -137,12 +137,15 @@ class LinearSystem:
         equalities. Each row must be in the read's form: primitive, its
         den the lcm of its entries' denominators. ValueError unless
         0 <= n_eq <= len(integer_rows), every column is in
-        range(variable_count) and every den is positive."""
+        range(variable_count), every den is positive and every row is
+        primitive, math.gcd(den, rhs, *coeffs.values()) == 1."""
         if not 0 <= n_eq <= len(integer_rows):
             raise ValueError(f"n_eq {n_eq} is not between 0 and the {len(integer_rows)} rows")
-        for coeffs, _, den in integer_rows:
-            if den < 1 or not all(0 <= j < variable_count for j in coeffs):
-                raise ValueError(f"{coeffs} / {den} is no row over {variable_count} columns")
+        for coeffs, b, den in integer_rows:
+            if den < 1 or math.gcd(den, b, *coeffs.values()) > 1 or not all(
+                    0 <= j < variable_count for j in coeffs):
+                raise ValueError(f"{coeffs}, {b} / {den} is no primitive row over "
+                                 f"{variable_count} columns")
         return cls.__new__(cls)._hold(variable_count, n_eq, integer_rows)
 
     def _hold(self, variable_count: int, n_eq: int, integer_rows) -> "LinearSystem":
@@ -901,29 +904,39 @@ def membership_system(target, gens, convex: bool) -> LinearSystem:
     Variables are the weights, in generator order. Rows, in the order a
     certificate's multipliers follow: one equality per coordinate of
     target, then sum_i w_i == 1 when convex, then w_i >= 0 for each i in
-    generator order. The cone, convex and local-hidden-state LPs are
-    built here, as ``membership_shape(gens, convex).with_rhs`` of the
-    target. The separability LP (``composites.separability_system``) is
-    this convex system over the vertex-pair products, row for row, but
-    builds its shape's integer rows from the vertices' ints instead.
+    generator order. The system is ``membership_shape`` of the
+    generators' integer rows, ``with_rhs`` of the target. The cone,
+    convex, LHS and separability LPs are all that shape: the LHS LP over
+    the (strategy, vertex) generators, the separability LP
+    (``composites.separability_system``) over the vertex-pair products.
     """
     target = tuple(target)
-    return membership_shape(gens, convex).with_rhs(target + (ONE,) if convex else target)
+    return membership_shape([primitive_row(g) for g in gens], convex).with_rhs(
+        target + (ONE,) if convex else target)
 
 
 def membership_shape(gens, convex: bool) -> LinearSystem:
-    """membership_system at target 0: the coordinate rows of the
-    generators, the weight-sum row when convex, each with rhs 0, and the
-    rows w_i >= 0."""
+    """membership_system at target 0, from the generators as integer rows
+    (ints, den): the coordinate rows (``coordinate_rows``), the
+    weight-sum row when convex, each with rhs 0, and the rows w_i >= 0,
+    written down as ({i: 1}, 0, 1)."""
     k = len(gens)
-    rows = [(row, ZERO) for row in zip(*gens)]
+    rows = coordinate_rows(gens)
     if convex:
-        rows.append(((ONE,) * k, ZERO))
-    return LinearSystem.from_integer_rows(k, len(rows), _read_rows(rows) + weight_bounds(k))
+        rows.append(({i: 1 for i in range(k)}, 0, 1))
+    bounds = [({i: 1}, 0, 1) for i in range(k)]
+    return LinearSystem.from_integer_rows(k, len(rows), (*rows, *bounds))
 
 
-def weight_bounds(k: int) -> tuple[tuple[dict[int, int], int, int], ...]:
-    """The integer rows ({i: 1}, 0, 1) of w_i >= 0 over k weights, in
-    order, written down, not read: the inequalities of every
-    nonnegative-weight LP."""
-    return tuple([({i: 1}, 0, 1) for i in range(k)])
+def coordinate_rows(gens) -> list[tuple[dict[int, int], int, int]]:
+    """The integer rows, rhs 0, of sum_k w_k gens[k] == 0 coordinate by
+    coordinate, the generators given as integer rows (ints, den): the
+    row of coordinate j is ints_k[j] L / den_k in column k, over L the
+    lcm of the dens, divided by its gcd with L. That is the read of the
+    rational row, primitive with its den the lcm of its denominators."""
+    top = math.lcm(*[d for _, d in gens])
+    rows = []
+    for col in zip(*[[x * (top // d) for x in ints] for ints, d in gens]):
+        g = math.gcd(top, *col)
+        rows.append(({k: x // g for k, x in enumerate(col) if x}, 0, top // g))
+    return rows

@@ -21,7 +21,7 @@ from typing import Sequence
 from .errors import UnboundedRegionError
 from .exactlp import LinearSystem, vertex_enumerate
 from .ratio import ONE, ZERO, Rational, as_ratio, format_ratio
-from .vecs import _primitive_ray, combine, dot, primitive_row, qvec, vzero
+from .vecs import _primitive_ray, combine, dot, primitive_row, qvec, sparse_row, vzero
 
 
 @dataclass(frozen=True)
@@ -113,17 +113,19 @@ class StateSpace:
                 raise ValueError(f"vertex {v} must have first coordinate 1")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertices")
-        # Facets: the vertices of the polar slice {f : f.v >= 0, f.barycenter = 1}, which
-        # holds the unit effect and is bounded iff the vertices span. As primitive integer
-        # directions dotted with each vertex's ints, the N^2 pass below is all in short ints.
+        # Facets: the vertices of the polar slice {f : f.v >= 0, f.(sum_k V_k) = 1}, V_k the
+        # ints of vertex k: a positive combination of every vertex, so the slice cuts each
+        # polar ray once and is bounded iff the vertices span. As primitive integer directions
+        # dotted with each vertex's ints, the N^2 pass below is all in short ints.
         # A point is a convex combination of the others iff another lies on all its facets.
-        polar = LinearSystem(self.ambient_dim, ((barycenter(self).coords, ONE),),
-                             tuple((v, ZERO) for v in self.vertices))
+        points = [primitive_row(v) for v in self.vertices]
+        total = sparse_row(map(sum, zip(*[ints for ints, _ in points])))
+        polar = LinearSystem.from_integer_rows(
+            self.ambient_dim, 1, ((total, 1, 1), *[(sparse_row(v), 0, d) for v, d in points]))
         try:
             normals = [_primitive_ray(f) for f in vertex_enumerate(polar)]
         except UnboundedRegionError as err:
             raise ValueError("vertices do not affinely span the normalization slice") from err
-        points = [primitive_row(v) for v in self.vertices]
         values = [[sum(map(operator.mul, f, ints)) for ints, _ in points] for f in normals]
         masks = [sum(1 << k for k, row in enumerate(values) if row[i] == 0)
                  for i in range(len(self.vertices))]
@@ -209,15 +211,17 @@ def extremal_effects(space: StateSpace) -> tuple[Effect, ...]:
     bound on the rays passes its cap), anew on each call. Only
     ``gptsteer zoo show`` needs them.
     """
-    system = LinearSystem(space.ambient_dim, (), _effect_rows(space))
+    system = LinearSystem.from_integer_rows(space.ambient_dim, 0, _effect_rows(space))
     return tuple(Effect(point) for point in vertex_enumerate(system))
 
 
 def _effect_rows(space: StateSpace) -> tuple:
-    """Effect validity as inequality rows over the coefficients: every
-    0 <= e.v row in vertex order, then every e.v <= 1 row (as -e.v >= -1)."""
-    return (tuple((v, ZERO) for v in space.vertices)
-            + tuple((combine((-ONE,), (v,)), -ONE) for v in space.vertices))
+    """Effect validity as integer inequality rows over the coefficients,
+    written from ``space.vertex_rows``: with vertex v as V / d, every
+    0 <= e.v row (V, 0, d) in vertex order, then every e.v <= 1 row, as
+    -e.v >= -1, (-V, -d, d)."""
+    return (tuple([(sparse_row(ints), 0, d) for ints, d in space.vertex_rows])
+            + tuple([(sparse_row([-x for x in ints]), -d, d) for ints, d in space.vertex_rows]))
 
 
 def state_cone_facets(space: StateSpace) -> tuple[tuple[Rational, ...], ...]:
@@ -493,7 +497,7 @@ def _slot_stack(strategy, vector, outcomes) -> tuple:
     Slots run setting-major, then outcome, len(vector) entries each: the
     (setting, outcome, coordinate) order of JM marginal rows and LHS elements.
     """
-    blank = vzero(len(vector))
+    blank = (0,) * len(vector)
     stack = []
     for k, row in zip(strategy, outcomes, strict=True):
         stack += blank * k

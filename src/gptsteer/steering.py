@@ -32,13 +32,13 @@ from .compatibility import (JmResult, MotherObservable, _check_family, _critical
 from .composites import (BipartiteState, canonical_max_entangled, in_max_tensor,
                          marginal, subnormalized_conditional)
 from .errors import ConstructionError, NotRemotelyPreparableError, VerificationError
-from .exactlp import LinearSystem, lp_feasible, membership_shape
+from .exactlp import LinearSystem, coordinate_rows, lp_feasible, membership_shape
 from .kernel import (Effect, Observable, State, StateSpace, _check_lp_size, _effect_rows,
                      _index_tuples, _lp_shape, _slot_stack, depolarize_observable,
                      in_state_cone, is_valid_state, mother_outcome_tuples)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .sampler import SamplerConfig, make_rng, random_max_tensor_state, random_observable_set
-from .vecs import combine, dot, qvec
+from .vecs import combine, dot, primitive_row, qvec
 
 UNSTEERABLE = "unsteerable"
 STEERABLE = "steerable"
@@ -264,9 +264,9 @@ def lhs_linear_system(assemblage: Assemblage) -> LinearSystem:
 def _lhs_shape(space: StateSpace, outcomes) -> LinearSystem:
     """The cone-membership shape of the (strategy, vertex) generators of
     the local assemblages."""
-    return membership_shape([_slot_stack(strategy, vertex, outcomes)
+    return membership_shape([(_slot_stack(strategy, ints, outcomes), den)
                              for strategy in _index_tuples(outcomes)
-                             for vertex in space.vertices], convex=False)
+                             for ints, den in space.vertex_rows], convex=False)
 
 
 def _functional_from_certificate(assemblage: Assemblage,
@@ -383,13 +383,17 @@ def conditioning_system(state: BipartiteState,
     Variables are the effect's coefficients (free). Equality rows ask,
     coordinate by B coordinate, that conditioning reproduce the target;
     inequality rows are effect validity on A's vertices, all the
-    0 <= e(v) rows first, then the e(v) <= 1 rows.
+    0 <= e(v) rows first, then the e(v) <= 1 rows. Every row is written
+    in ints: the equalities by ``exactlp.coordinate_rows`` over the
+    matrix rows, with rhs 0, then ``with_rhs`` of the target, and the
+    inequalities from A's integer vertices (``kernel._effect_rows``).
     """
     target = qvec(target)
     if len(target) != state.space_b.ambient_dim:
         raise ValueError("target dimension mismatch")
-    equalities = tuple(zip(zip(*state.matrix), target, strict=True))
-    return LinearSystem(state.space_a.ambient_dim, equalities, _effect_rows(state.space_a))
+    rows = coordinate_rows([primitive_row(row) for row in state.matrix])
+    return LinearSystem.from_integer_rows(state.space_a.ambient_dim, len(rows),
+                                          (*rows, *_effect_rows(state.space_a))).with_rhs(target)
 
 
 def find_conditioning_effect(state: BipartiteState,

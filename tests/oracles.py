@@ -357,6 +357,20 @@ def separability_rows(vertices_a, vertices_b, matrix):
     return equalities, _nonnegativity_rows(len(pairs))
 
 
+def conditioning_rows(matrix, vertices_a, target):
+    """(equalities, inequalities) of the conditioning LP, as documented.
+
+    One variable per A coordinate, the effect's coefficients. One
+    equality per B coordinate j: sum_i e_i matrix[i][j] == target[j].
+    Then 0 <= e . v per A vertex, then -e . v >= -1 per A vertex.
+    """
+    equalities = [(tuple(F(row[j]) for row in matrix), F(value))
+                  for j, value in enumerate(target)]
+    inequalities = [(fvec(v), F(0)) for v in vertices_a]
+    inequalities += [(tuple(-F(c) for c in v), F(-1)) for v in vertices_a]
+    return equalities, inequalities
+
+
 def facet_cone_member(facets, vec):
     """The state-cone test as the rational formula: f . vec >= 0 on every facet."""
     return all(fdot(f, vec) >= 0 for f in facets)

@@ -464,8 +464,7 @@ def test_oversized_separability_lp_is_refused_before_any_row(tmp_path, capsys, m
         raise AssertionError("a row was built")
 
     with monkeypatch.context() as patched:
-        patched.setattr(composites, "_vertex_columns", forbidden)
-        patched.setattr(composites, "weight_bounds", forbidden)
+        patched.setattr(composites, "membership_shape", forbidden)
         with pytest.raises(ValueError) as excinfo:
             separability_system(state)
     assert str(excinfo.value) == message

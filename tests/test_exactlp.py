@@ -1013,15 +1013,19 @@ def test_integer_rows_the_solver_would_misread_are_refused():
     # unchecked, column 2 of two variables lands on the rhs key of the
     # certificate check (INFEASIBLE, certificate (1,), accepted by
     # refutes), n_eq -1 comes out FEASIBLE and n_eq 3 over one row raises
-    # IndexError in the tableau
+    # IndexError in the tableau; a row that is not primitive is not the
+    # read's form: 2 x_0 == 2 over 2 would be unequal to the system of
+    # x_0 == 1, and x_0 >= 0 over 2 would be missed as a bound row
     for n_eq, rows in ((1, (({2: 1}, 1, 1),)), (1, (({-1: 1}, 1, 1),)),
                        (-1, (({0: 1}, 1, 1),)), (3, (({0: 1}, 1, 1),)),
-                       (1, (({0: 1}, 1, 0),)), (1, (({0: 1}, 1, -2),))):
+                       (1, (({0: 1}, 1, 0),)), (1, (({0: 1}, 1, -2),)),
+                       (1, (({0: 2}, 2, 2),)), (0, (({0: 2}, 0, 2),))):
         with pytest.raises(ValueError):
             LinearSystem.from_integer_rows(2, n_eq, rows)
-    system = LinearSystem.from_integer_rows(2, 1, (({1: 1}, 1, 1),))
+    # 2 x_0 == 1 over 2 is primitive through its rhs alone
+    system = LinearSystem.from_integer_rows(2, 2, (({1: 1}, 1, 1), ({0: 2}, 1, 2)))
     assert set(vars(system)) == STORED_FIELDS
-    assert lp_feasible(system).witness == (0, 1)
+    assert lp_feasible(system).witness == (Fraction(1, 2), 1)
 
 
 @st.composite

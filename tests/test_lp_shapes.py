@@ -1,8 +1,10 @@
 """The shape part of the JM, LHS and membership LPs, memoized per space
-and outcome counts, the separability LP built from integer vertices, and
-the critical-level LP built from the sharp system's integer rows.
+and outcome counts, the separability and conditioning LPs built from
+integer vertices, and the critical-level LP built from the sharp
+system's integer rows.
 
-Each of these systems is built from integer rows alone. Every one is
+Each of these systems is built from integer rows alone, and no package
+LP reads rational rows. Every one is
 compared with the read of rational rows written independently of its
 builder, by ``tests/oracles.py``: the read (``integer_rows`` of a
 system built from rationals) is the definition of the integer form.
@@ -26,16 +28,18 @@ import gptsteer.steering as steering
 from gptsteer.compatibility import (check_joint_measurability, jm_critical_visibility,
                                     jm_linear_system)
 from gptsteer.composites import (VERTEX_PAIR_CAP, canonical_max_entangled, is_separable,
-                                 product_state, separability_system)
-from gptsteer.exactlp import LinearSystem, membership_system
-from gptsteer.kernel import (Observable, barycenter, depolarize_observable, square_fiducials,
-                             zoo_by_name, zoo_gbit, zoo_polygon)
+                                 product_state, separability_system, subnormalized_conditional)
+from gptsteer.exactlp import LinearSystem, cone_member, convex_member, membership_system
+from gptsteer.kernel import (Observable, barycenter, depolarize_observable, extremal_effects,
+                             square_fiducials, zoo_by_name, zoo_gbit, zoo_polygon)
 from gptsteer.ratio import ZERO, as_ratio
 from gptsteer.sampler import random_effect, random_separable_state, random_state
-from gptsteer.steering import (assemblage_from, check_lhs, lhs_critical_visibility,
+from gptsteer.steering import (assemblage_from, check_lhs, conditioning_system,
+                               find_conditioning_effect, lhs_critical_visibility,
                                lhs_linear_system)
 
-from oracles import jm_rows, lhs_rows, membership_rows, separability_rows
+from oracles import (conditioning_rows, jm_rows, lhs_rows, membership_rows,
+                     separability_rows)
 from test_exactlp import _sphere_space
 
 r = as_ratio
@@ -120,6 +124,7 @@ def test_integer_built_systems_are_the_oracle_rows(name, counts, seed):
     assemblage = assemblage_from(state, family)
     gens = space.vertices[:rng.randint(1, len(space.vertices))]
     point = random_state(space, rng).coords
+    target = tuple(F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(space.ambient_dim))
     jm = jm_rows(space.vertices, _effects(family))
     lhs = lhs_rows(space.vertices, assemblage.elements)
     for system, rows in (
@@ -129,6 +134,8 @@ def test_integer_built_systems_are_the_oracle_rows(name, counts, seed):
              separability_rows(space.vertices, space.vertices, state.matrix)),
             (membership_system(point, gens, convex=False), membership_rows(point, gens, False)),
             (membership_system(point, gens, convex=True), membership_rows(point, gens, True)),
+            (conditioning_system(state, target),
+             conditioning_rows(state.matrix, space.vertices, target)),
             (_eta_system(lambda: jm_critical_visibility(family, space)),
              _eta_rows(jm, jm_rows(space.vertices, _effects(noise)))),
             (_eta_system(lambda: lhs_critical_visibility(family, state)),
@@ -210,6 +217,33 @@ def test_a_seen_shape_builds_no_row_and_runs_no_read(monkeypatch):
     _assert_rows_are(built[0], jm_rows(space.vertices, _effects(noisy)))
     _assert_rows_are(built[1], lhs_rows(space.vertices, assemblage.elements))
     assert len(space.lp_shapes) == 2
+
+
+def test_no_package_lp_reads_rational_rows(monkeypatch):
+    # with the read of rational rows made to raise, a new space is built
+    # and every family of package LPs is built and solved on it
+    def no_read(*args):
+        raise AssertionError("rational rows were read")
+
+    monkeypatch.setattr(exactlp, "_read_rows", no_read)
+    space = zoo_polygon(5)
+    assert len(extremal_effects(space)) == 12
+    rng = random.Random(11)
+    family = (_observable(space, rng, "a", 2), _observable(space, rng, "b", 3))
+    state = random_separable_state(space, space, rng)
+    check_joint_measurability(family, space)
+    check_lhs(assemblage_from(state, family))
+    assert is_separable(state).separable
+    effect = random_effect(space, rng)
+    target = subnormalized_conditional(state, effect, "A")
+    assert subnormalized_conditional(state, find_conditioning_effect(state, target),
+                                     "A") == target
+    point = barycenter(space).coords
+    assert cone_member(point, space.vertices).feasible
+    assert convex_member(point, space.vertices).feasible
+    jm_critical_visibility(family, space)
+    lhs_critical_visibility(family, state)
+    assert set(space.lp_shapes) == {("jm", (2, 3)), ("lhs", (2, 3))}
 
 
 @pytest.mark.parametrize("name", ["gbit", "polygon-5"])
