@@ -138,7 +138,7 @@ class SeparabilityResult:
 # (vertex_A, vertex_B) pairs than this. The LP has a weight and an integer
 # row w >= 0 of one entry per pair, so memory does not set the cap: on the
 # barycenter product of polygon-64 with itself (4096 pairs) the build
-# peaked at 10.9 MiB (tracemalloc) and is_separable took 0.9 to 1.2 s and
+# peaked at 9.5 MiB (tracemalloc) and is_separable took 0.9 to 1.2 s and
 # 29 MB of max RSS, the spaces built beforehand (Python 3.11.7, 2 cores).
 VERTEX_PAIR_CAP = 4096
 

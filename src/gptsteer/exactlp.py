@@ -935,8 +935,10 @@ def coordinate_rows(gens) -> list[tuple[dict[int, int], int, int]]:
     lcm of the dens, divided by its gcd with L. That is the read of the
     rational row, primitive with its den the lcm of its denominators."""
     top = math.lcm(*[d for _, d in gens])
+    scales = [top // d for _, d in gens]
     rows = []
-    for col in zip(*[[x * (top // d) for x in ints] for ints, d in gens]):
+    for col in zip(*[ints for ints, _ in gens]):
+        col = list(map(operator.mul, col, scales))
         g = math.gcd(top, *col)
         rows.append(({k: x // g for k, x in enumerate(col) if x}, 0, top // g))
     return rows
