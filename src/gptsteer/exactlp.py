@@ -937,8 +937,8 @@ def coordinate_rows(gens) -> list[tuple[dict[int, int], int, int]]:
     top = math.lcm(*[d for _, d in gens])
     scales = [top // d for _, d in gens]
     rows = []
-    for col in zip(*[ints for ints, _ in gens]):
-        col = list(map(operator.mul, col, scales))
+    for entries in zip(*[ints for ints, _ in gens]):
+        col = list(map(operator.mul, entries, scales))
         g = math.gcd(top, *col)
         rows.append(({k: x // g for k, x in enumerate(col) if x}, 0, top // g))
     return rows
