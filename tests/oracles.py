@@ -250,6 +250,13 @@ def sharp_fiducials_jm_region_vertices():
     return brute_force_vertices(rows, 3)
 
 
+def conditional(matrix, effect):
+    """e^T M: the subnormalized B-side vector that an A-side effect e
+    leaves of a bipartite matrix M, by direct summation."""
+    return tuple(sum((F(e) * F(row[j]) for e, row in zip(effect, matrix, strict=True)), F(0))
+                 for j in range(len(matrix[0])))
+
+
 def assemblage_of_model(weights, states, responses, settings, outcomes):
     """Elements produced by a hidden-state model, by direct summation."""
     dim = len(states[0])

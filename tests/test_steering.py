@@ -1,5 +1,7 @@
 """Assemblages, local models, steering certificates, and the two constructions."""
 
+import functools
+import hashlib
 import itertools
 import random
 import re
@@ -14,10 +16,13 @@ from gptsteer.composites import (BipartiteState, canonical_max_entangled,
                                  product_state, subnormalized_conditional)
 from gptsteer.errors import NotRemotelyPreparableError
 from gptsteer.exactlp import refutes
+from gptsteer.errors import UnsupportedModelError
 from gptsteer.kernel import (Effect, Observable, State, barycenter,
-                             depolarize_observable, zoo_by_name, zoo_classical)
+                             depolarize_observable, zoo_by_name, zoo_classical,
+                             square_fiducials, zoo_gbit, zoo_polygon)
 from gptsteer.ratio import ONE, ZERO, as_ratio, format_ratio
-from gptsteer.sampler import SamplerConfig, random_decomposition
+from gptsteer.sampler import (SamplerConfig, random_decomposition, random_max_tensor_state,
+                              random_observable_set)
 from gptsteer.steering import (STEERABLE, UNSTEERABLE, Assemblage, LhsLambda,
                                LhsModel, assemblage_from, check_lhs,
                                conditioning_system, find_conditioning_effect,
@@ -27,7 +32,8 @@ from gptsteer.steering import (STEERABLE, UNSTEERABLE, Assemblage, LhsLambda,
                                lhs_noise_threshold, lhs_to_mother,
                                reconstruct_assemblage, theorem_verify)
 
-from oracles import assemblage_of_model, check_farkas, fdot
+from oracles import assemblage_of_model, check_farkas, conditional, fdot
+from test_exactlp import _sphere_space
 
 r = as_ratio
 
@@ -65,22 +71,26 @@ def test_assemblage_validate_catches_defects(gbit):
     half = (r(1, 2), 0, 0)
     # weight above one
     bad = Assemblage(gbit, ("X",), (("+", "-"),), (((2, 0, 0), (-1, 0, 0)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("element (0,0) has weight outside [0,1]")):
+        bad.validate()
+    # weight below zero, on the second element
+    bad = Assemblage(gbit, ("X",), (("+", "-"),), (((1, 0, 0), (r(-1, 3), 0, 0)),))
+    with pytest.raises(ValueError, match=re.escape("element (0,1) has weight outside [0,1]")):
         bad.validate()
     # element outside the state cone
     bad = Assemblage(gbit, ("X",), (("+", "-"),),
                      (((r(1, 4), r(1, 2), 0), (r(3, 4), r(-1, 2), 0)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("element (0,0) leaves the state cone")):
         bad.validate()
     # signaling: totals differ across settings
     bad = Assemblage(gbit, ("X", "Y"), (("+", "-"),) * 2,
                      ((half, half),
                       (((r(1, 2), r(1, 4), 0)), (r(1, 2), r(1, 4), 0))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("setting totals disagree (signaling")):
         bad.validate()
     # unnormalized total
     bad = Assemblage(gbit, ("X",), (("+", "-"),), ((half, (r(1, 4), 0, 0)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="assemblage total is not normalized"):
         bad.validate()
     good = Assemblage(gbit, ("X",), (("+", "-"),), ((half, half),))
     good.validate()
@@ -484,6 +494,75 @@ def test_lhs_threshold_trivial_family():
     assert lhs_noise_threshold((obs, obs), state, r(1, 4)) == (ONE, ONE)
     with pytest.raises(ValueError):
         lhs_noise_threshold((obs,), state, ZERO)
+
+
+# --------------------------------------------------- pinned steering outputs
+
+@functools.cache
+def _pinned_cases():
+    """(state, family, jm) triples: on gbit, polygon-5, classical-3 and
+    sphere-5 with themselves, and on gbit with polygon-5 and sphere-5 with
+    classical-3, the canonical state where the space has one and two
+    seeded max-tensor states, each steered by two seeded families of two
+    or three dichotomic observables, and on gbit also the square's
+    fiducials, each family sharp and at levels 3/4 and 1/2."""
+    gbit, polygon, classical, sphere = zoo_gbit(), zoo_polygon(5), zoo_classical(3), \
+        _sphere_space()
+    rng = random.Random(2029)
+    config = SamplerConfig(seed=2029)
+    cases = []
+    for space_a, space_b in ((gbit, gbit), (polygon, polygon), (classical, classical),
+                             (sphere, sphere), (gbit, polygon), (sphere, classical)):
+        states = [random_max_tensor_state(space_a, space_b, rng) for _ in range(2)]
+        if space_a is space_b:
+            try:
+                states.insert(0, canonical_max_entangled(space_a))
+            except UnsupportedModelError:
+                pass
+        families = [random_observable_set(space_a, rng, config) for _ in range(2)]
+        if space_a is gbit:
+            families.append(square_fiducials(gbit))
+        for sharp, level in itertools.product(families, (ONE, r(3, 4), r(1, 2))):
+            family = tuple(depolarize_observable(o, level) for o in sharp)
+            jm = check_joint_measurability(family, space_a)
+            cases += [(state, family, jm) for state in states]
+    return tuple(cases)
+
+
+def test_steering_outputs_are_pinned():
+    # one digest over the assemblages, the check_lhs models and
+    # certificates and the jm_to_lhs models of the pinned cases
+    def text(values):
+        return " ".join(map(format_ratio, values))
+
+    def model_lines(model):
+        return [f"lambda {text((lam.weight,))} | {text(lam.state.coords)} | "
+                + " / ".join(map(text, lam.responses)) for lam in model.lambdas]
+
+    lines = []
+    for state, family, jm in _pinned_cases():
+        asm = assemblage_from(state, family)
+        lines += ["assemblage " + " / ".join(map(text, row)) for row in asm.elements]
+        result = check_lhs(asm)
+        if result.unsteerable:
+            lines += model_lines(result.model)
+        else:
+            lines.append("certificate " + text(result.certificate))
+        if jm.jointly_measurable:
+            lines += ["mother"] + model_lines(jm_to_lhs(jm.mother, state))
+    kinds = {line.split()[0] for line in lines}
+    assert kinds == {"assemblage", "lambda", "certificate", "mother"}
+    assert len(lines) == 1018
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "9247cdb1c1bba9afe6c7ea0939cde9d45754c771c69464d045d5a261ff619d45"
+
+
+def test_assemblage_from_is_the_oracle_conditional():
+    for state, family, _ in _pinned_cases():
+        matrix = [[_fr(c) for c in row] for row in state.matrix]
+        expected = tuple(tuple(conditional(matrix, [_fr(c) for c in e.coeffs])
+                               for e in obs.effects) for obs in family)
+        assert assemblage_from(state, family).elements == expected
 
 
 # ----------------------------------------------------------- theorem driver
