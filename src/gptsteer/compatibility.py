@@ -28,10 +28,10 @@ from .errors import VerificationError
 from .exactlp import (INFEASIBLE, OPTIMAL, LinearSystem, coordinate_rows, lp_feasible,
                       lp_optimize, refutes)
 from .kernel import (Effect, Observable, StateSpace, _check_lp_size, _index_tuples, _lp_shape,
-                     _slot_stack, depolarize_observable, is_valid_effect, is_valid_observable,
+                     _slot_stack, barycenter, is_valid_effect, is_valid_observable,
                      mother_outcome_tuples)
 from .ratio import ONE, ZERO, Rational, as_ratio
-from .vecs import combine
+from .vecs import combine, dot
 
 log = logging.getLogger(__name__)
 
@@ -196,10 +196,20 @@ def jm_critical_visibility(observables: Sequence[Observable], space: StateSpace)
 
     Exact, from one LP (``_critical_level``); 1 for a family that is
     jointly measurable even sharp. One JM build validates the family.
+    At level 0 effect e is (e.b) u (``_noise_values``), so the level-0
+    right-hand side is the unit, then (e.b, 0, ..., 0) per effect.
     """
     system = jm_linear_system(observables, space)
-    noise = [depolarize_observable(o, ZERO) for o in observables]
-    return _critical_level(system, _jm_target(noise, space))
+    zeros = (ZERO,) * (space.ambient_dim - 1)
+    return _critical_level(system, space.unit.coeffs + tuple(
+        [c for p in _noise_values(observables, space) for c in (p, *zeros)]))
+
+
+def _noise_values(observables: Sequence[Observable], space: StateSpace) -> list[Rational]:
+    """Each effect's value e.b on the barycenter b, in family order: the
+    depolarized effect at level 0 is (e.b) u, u the unit."""
+    center = barycenter(space).coords
+    return [dot(e.coeffs, center) for obs in observables for e in obs.effects]
 
 
 def jm_noise_threshold(observables: Sequence[Observable], space: StateSpace,

@@ -578,14 +578,19 @@ class _Tableau:
             mults[self.system.n_eq + i] = self._objective_entry(j)
         return tuple(mults)
 
+    def _first_struct_entry(self, row: dict[int, int]) -> int | None:
+        """The smallest structural column where the row is nonzero, not an
+        xm column (one is nonzero only where its xp, a smaller one, is):
+        the smallest stored key below struct_cols, since this store keeps
+        only nonzero entries and none in an xm column."""
+        return min([j for j in row if j < self.struct_cols], default=None)
+
     def _drive_out_artificials(self):
         drop: list[int] = []
         for r, row in enumerate(self.rows):
             if self.basis[r] < self.struct_cols:
                 continue
-            # an xm column is nonzero only where its xp, a smaller one, is
-            col = next((j for j in range(self.struct_cols)
-                        if j not in self.plus_col and self._entry(row, j)), None)
+            col = self._first_struct_entry(row)
             if col is None:
                 drop.append(r)  # redundant row
             else:
@@ -687,6 +692,11 @@ class _BasisInverseTableau(_Tableau):
 
     def _cost_row(self, cost: dict[int, int]) -> dict[int, int]:
         return {_COST: 1}
+
+    def _first_struct_entry(self, row: dict[int, int]) -> int | None:
+        """As for the full tableau, by computing each entry in column order."""
+        return next((j for j in range(self.struct_cols)
+                     if j not in self.plus_col and self._entry(row, j)), None)
 
     def _pivot(self, r: int, c: int):
         """One vecs.pivot over the rows and the objective row, on column c

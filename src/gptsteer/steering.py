@@ -19,23 +19,34 @@ live here too: a mother observable on Alice's side turns into a local
 model for the assemblage it steers, and a local model for the canonical
 maximally entangled state's assemblage turns back into a mother
 observable by remotely preparing each hidden state.
+
+The layer computes in integers and builds a rational only where a value
+leaves it: an assemblage element, a hidden state's weight or state. The
+matrix is read once as integer rows and each effect, element, hidden
+state and LP witness as ints over one denominator
+(``vecs.primitive_row``); every sum of them is one integer accumulation,
+``_int_sum``. So the conditionals of ``assemblage_from`` and
+``jm_to_lhs``, the checks of ``Assemblage.validate``, the hidden states
+``check_lhs`` reads off its witness and the audit
+``reconstruct_assemblage`` divide no rational.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .compatibility import (JmResult, MotherObservable, _check_family, _critical_level,
-                            _level_bracket, _marginal_effects, _positive_precision,
-                            check_joint_measurability)
+                            _level_bracket, _marginal_effects, _noise_values,
+                            _positive_precision, check_joint_measurability)
 from .composites import (BipartiteState, canonical_max_entangled, in_max_tensor,
                          marginal, subnormalized_conditional)
 from .errors import ConstructionError, NotRemotelyPreparableError, VerificationError
 from .exactlp import LinearSystem, coordinate_rows, lp_feasible, membership_shape
 from .kernel import (Effect, Observable, State, StateSpace, _check_lp_size, _effect_rows,
-                     _index_tuples, _lp_shape, _slot_stack, depolarize_observable,
-                     in_state_cone, is_valid_state, mother_outcome_tuples)
+                     _index_tuples, _lp_shape, _slot_stack, in_state_cone, is_valid_state,
+                     mother_outcome_tuples)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .sampler import SamplerConfig, make_rng, random_max_tensor_state, random_observable_set
 from .vecs import combine, dot, primitive_row, qvec
@@ -104,18 +115,31 @@ class Assemblage:
         return self.elements[x][k]
 
     def validate(self) -> None:
-        """Raise ValueError unless this is a physical, no-signaling assemblage."""
+        """Raise ValueError unless this is a physical, no-signaling assemblage.
+
+        Decided in ints, each element read as ints E over den D
+        (``vecs.primitive_row``): its weight lies in [0, 1] iff 0 <= E_0
+        <= D, it lies in the state cone iff every facet normal n of
+        ``space.facet_normals`` has n.E >= 0, and the per-setting totals
+        (``_int_sum``), T over L, are compared by cross-multiplication,
+        the first against T_0 == L for normalization.
+        """
+        normals, dim = self.space.facet_normals, self.space.ambient_dim
         totals = []
         for x, row in enumerate(self.elements):
+            parts = []
             for k, e in enumerate(row):
-                if not ZERO <= e[0] <= ONE:
+                ints, den = primitive_row(e)
+                if not 0 <= ints[0] <= den:
                     raise ValueError(f"element ({x},{k}) has weight outside [0,1]")
-                if not in_state_cone(e, self.space):
+                if any(sum(map(operator.mul, n, ints)) < 0 for n in normals):
                     raise ValueError(f"element ({x},{k}) leaves the state cone")
-            totals.append(combine([ONE] * len(row), row))
-        if any(t != totals[0] for t in totals[1:]):
+                parts.append((1, ints, den))
+            totals.append(_int_sum(parts, dim))
+        first, top = totals[0]
+        if any([t * top for t in total] != [t * den for t in first] for total, den in totals[1:]):
             raise ValueError("setting totals disagree (signaling assemblage)")
-        if totals[0][0] != ONE:
+        if first[0] != top:
             raise ValueError("assemblage total is not normalized")
 
     def reduced_state(self) -> State:
@@ -125,9 +149,50 @@ class Assemblage:
         return State(combine([ONE] * len(first), first))
 
 
+def _int_sum(terms, dim: int) -> tuple[list[int], int]:
+    """The sum of w * ints / d over the (w, ints, d) terms, ints int rows
+    of length dim, w and d ints, d > 0: (total, den), the total's ints
+    over den, the least common multiple of the d (zeros over 1 with no
+    term). The steering layer's one integer accumulation: conditionals,
+    per-setting totals, hidden states and reconstructed elements."""
+    den = math.lcm(*[d for _, _, d in terms])
+    total = [0] * dim
+    for w, ints, d in terms:
+        if w:
+            f = w * (den // d)
+            total = [t + f * x for t, x in zip(total, ints)]
+    return total, den
+
+
+def _ratios(ints, den) -> tuple[Rational, ...]:
+    """ints over den as rationals, one per value."""
+    return tuple([as_ratio(x, den) for x in ints])
+
+
+def _matrix_rows(state: BipartiteState) -> tuple[list[list[int]], int]:
+    """The state's matrix read once as integer rows over one denominator."""
+    flat, den = primitive_row([x for row in state.matrix for x in row])
+    width = state.space_b.ambient_dim
+    return [flat[i:i + width] for i in range(0, len(flat), width)], den
+
+
+def _conditional(matrix_rows, effect: Effect) -> tuple[list[int], int]:
+    """The subnormalized B-side conditional of an A-side effect, as (ints,
+    den): with the matrix as rows M_i over m (``_matrix_rows``) and the
+    effect as E / D (``vecs.primitive_row``), e^T M is sum_i E_i M_i over
+    D m. Its first entry over den is the outcome probability."""
+    rows, m = matrix_rows
+    ints, d = primitive_row(effect.coeffs)
+    return _int_sum([(e, row, d * m) for e, row in zip(ints, rows, strict=True)], len(rows[0]))
+
+
 def assemblage_from(state: BipartiteState,
                     observables: tuple[Observable, ...]) -> Assemblage:
-    """The assemblage Alice's observables steer out of a bipartite state."""
+    """The assemblage Alice's observables steer out of a bipartite state.
+
+    Each element is the effect's conditional (``_conditional``) from the
+    matrix read once as integer rows, built as one rational per value.
+    """
     if not observables:
         raise ValueError("need at least one observable")
     if not state.is_normalized:
@@ -137,10 +202,9 @@ def assemblage_from(state: BipartiteState,
     for obs in observables:
         if obs.space is not state.space_a and obs.space != state.space_a:
             raise ValueError("observables must act on the A side of the state")
-    elements = tuple(
-        tuple(subnormalized_conditional(state, eff, "A")
-              for eff in obs.effects)
-        for obs in observables)
+    rows = _matrix_rows(state)
+    elements = tuple([tuple([_ratios(*_conditional(rows, eff)) for eff in obs.effects])
+                      for obs in observables])
     return Assemblage(space=state.space_b,
                       settings=_unique_labels(o.label for o in observables),
                       outcomes=tuple(o.outcomes for o in observables),
@@ -160,24 +224,21 @@ class LhsLambda:
     responses: tuple[tuple[Rational, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", as_ratio(self.weight))
-        object.__setattr__(self, "responses",
-                           tuple(tuple(as_ratio(p) for p in row)
-                                 for row in self.responses))
-        if self.weight.numerator < 0:
+        """Each response row is read once as ints over den
+        (``vecs.primitive_row``, den the lcm of the denominators): its
+        signs are the ints', and it sums to one iff the ints sum to den."""
+        weight = as_ratio(self.weight)
+        responses = tuple([qvec(row) for row in self.responses])
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "responses", responses)
+        if weight.numerator < 0:
             raise ValueError("hidden-state weight must be nonnegative")
-        for row in self.responses:
-            if any(p.numerator < 0 for p in row):
+        for row in responses:
+            ints, den = primitive_row(row)
+            if min(ints, default=0) < 0:
                 raise ValueError("response probabilities must be nonnegative")
-            if not _sums_to_one(row):
+            if sum(ints) != den:
                 raise ValueError("response rows must sum to one")
-
-
-def _sums_to_one(values) -> bool:
-    """sum(values) == 1, as one int sum: each value n / d (lowest terms,
-    d > 0) read as n times L / d over L, the lcm of the d."""
-    den = math.lcm(*[v.denominator for v in values])
-    return sum([v.numerator * (den // v.denominator) for v in values]) == den
 
 
 @dataclass(frozen=True)
@@ -196,7 +257,8 @@ class LhsModel:
     def validate(self) -> None:
         if not self.lambdas:
             raise ValueError("a model needs at least one hidden state")
-        if not _sums_to_one([lam.weight for lam in self.lambdas]):
+        ints, den = primitive_row([lam.weight for lam in self.lambdas])
+        if sum(ints) != den:
             raise ValueError("hidden-state weights must sum to one")
         for lam in self.lambdas:
             if not is_valid_state(lam.state.coords, self.space):
@@ -209,13 +271,23 @@ class LhsModel:
 
 
 def reconstruct_assemblage(model: LhsModel) -> Assemblage:
-    """The assemblage a local model produces."""
-    states = [lam.state.coords for lam in model.lambdas]
-    elements = tuple(
-        tuple(combine([lam.weight * p if (p := lam.responses[x][k]) else ZERO
-                       for lam in model.lambdas], states)
-              for k in range(len(outs)))
-        for x, outs in enumerate(model.outcomes))
+    """The assemblage a local model produces.
+
+    Element (x, k) is the sum over hidden states of weight times p(k|x)
+    times the state, accumulated in ints (``_int_sum``) from each state
+    as ints over den (``vecs.primitive_row``), and built as one rational
+    per value. check_lhs and jm_to_lhs audit their models with it.
+    """
+    dim = model.space.ambient_dim
+    parts = [(lam.weight, lam.responses, *primitive_row(lam.state.coords))
+             for lam in model.lambdas]
+    elements = tuple([
+        tuple([_ratios(*_int_sum([(w.numerator * p.numerator, ints,
+                                   w.denominator * p.denominator * d)
+                                  for w, responses, ints, d in parts
+                                  if (p := responses[x][k])], dim))
+               for k in range(len(outs))])
+        for x, outs in enumerate(model.outcomes)])
     return Assemblage(space=model.space, settings=model.settings,
                       outcomes=model.outcomes, elements=elements)
 
@@ -303,15 +375,26 @@ def functional_strategy_bound(functional, space: StateSpace,
 
 
 def check_lhs(assemblage: Assemblage) -> LhsResult:
-    """Decide unsteerability of an assemblage, with model or certificate."""
+    """Decide unsteerability of an assemblage, with model or certificate.
+
+    A feasible witness is read once as ints P over den Q
+    (``vecs.primitive_row``); the slice of strategy s, with the vertices'
+    integer rows (``space.vertex_rows``), sums in ints to the hidden
+    state's subnormalized part (``_int_sum``), whose first entry over its
+    den is the weight, the part over that entry the state. The model is
+    audited by ``LhsModel.validate`` and by ``reconstruct_assemblage``
+    against the assemblage.
+    """
     assemblage.validate()
     outcome = lp_feasible(lhs_linear_system(assemblage))
     space = assemblage.space
     if outcome.feasible:
-        count = len(space.vertices)
+        count, dim = len(space.vertices), space.ambient_dim
+        weights, den = primitive_row(outcome.witness)
         try:
             model = _deterministic_model(assemblage, (
-                (strategy, combine(outcome.witness[s * count:(s + 1) * count], space.vertices))
+                (strategy, *_int_sum([(w, ints, d * den) for w, (ints, d) in zip(
+                    weights[s * count:(s + 1) * count], space.vertex_rows)], dim))
                 for s, strategy in enumerate(_index_tuples(assemblage.outcomes))))
         except ValueError as err:
             raise VerificationError(f"LHS witness fails its audit: {err}") from err
@@ -329,21 +412,23 @@ def check_lhs(assemblage: Assemblage) -> LhsResult:
 
 
 def _deterministic_model(shape: Assemblage, parts) -> LhsModel:
-    """The validated local model of (strategy, subnormalized state) parts.
+    """The validated local model of (strategy, ints, den) parts, each
+    part's subnormalized state as ints over den.
 
-    Each part with nonzero weight (first coordinate) becomes one hidden
-    state: that weight, the part normalized, and the 0/1 responses that
+    Each part with nonzero weight, ints[0] / den, becomes one hidden
+    state: that weight, the state ints / ints[0], each value built as
+    one rational with no rational division, and the 0/1 responses that
     answer strategy[x] to setting x. Space, settings and outcomes are
     the shape assemblage's.
     """
     lambdas = []
-    for strategy, coords in parts:
-        weight = coords[0]
-        if weight == ZERO:
+    for strategy, ints, den in parts:
+        top = ints[0]
+        if not top:
             continue
         responses = tuple(tuple(ONE if k == answer else ZERO for k in range(len(row)))
                           for answer, row in zip(strategy, shape.outcomes, strict=True))
-        lambdas.append(LhsLambda(weight, State(tuple(c / weight for c in coords)), responses))
+        lambdas.append(LhsLambda(as_ratio(top, den), State(_ratios(ints, top)), responses))
     model = LhsModel(space=shape.space, settings=shape.settings,
                      outcomes=shape.outcomes, lambdas=tuple(lambdas))
     model.validate()
@@ -366,10 +451,13 @@ def jm_to_lhs(mother: MotherObservable, state: BipartiteState) -> LhsModel:
 
 def _model_from_mother(mother: MotherObservable, state: BipartiteState,
                        target: Assemblage) -> LhsModel:
-    """The body of jm_to_lhs, given the assemblage the mother's axes steer."""
+    """The body of jm_to_lhs, given the assemblage the mother's axes steer:
+    each mother effect's conditional (``_conditional``), from the matrix
+    read once as integer rows, is one part of ``_deterministic_model``."""
+    rows = _matrix_rows(state)
     model = _deterministic_model(target, (
         (tuple(axis.outcomes.index(label) for axis, label in zip(mother.axes, combo)),
-         subnormalized_conditional(state, effect, "A"))
+         *_conditional(rows, effect))
         for combo, effect in mother.items()))
     if reconstruct_assemblage(model).elements != target.elements:
         raise ConstructionError("mother-derived model misses the assemblage")
@@ -540,13 +628,15 @@ def lhs_critical_visibility(observables: tuple[Observable, ...],
     (``compatibility._critical_level``); 1 for a family that steers
     nothing even sharp. On the canonical maximally entangled state it
     equals the family's critical visibility for joint measurability.
-    The LHS system is built once, from the checked sharp assemblage.
+    The LHS system is built once, from the checked sharp assemblage. At
+    level 0 effect e is (e.b) u (``compatibility._noise_values``), and
+    u = e_0 steers row 0 of the matrix, so the level-0 right-hand side
+    is (e.b) times that row per effect.
     """
     _check_family(observables, state.space_a)
     system = lhs_linear_system(assemblage_from(state, observables))
-    noise = [depolarize_observable(o, ZERO) for o in observables]
-    return _critical_level(system, [c for o in noise for e in o.effects
-                                    for c in subnormalized_conditional(state, e, "A")])
+    return _critical_level(system, [p * c for p in _noise_values(observables, state.space_a)
+                                    for c in state.matrix[0]])
 
 
 def lhs_noise_threshold(observables: tuple[Observable, ...],
