@@ -17,6 +17,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import NullConditioningError, UnsupportedModelError, VerificationError
@@ -24,7 +25,8 @@ from .exactlp import INFEASIBLE, LinearSystem, lp_feasible, membership_shape, re
 from .kernel import (Effect, State, StateSpace, _coeffs, _mixture_weights, barycenter,
                      is_square_model, is_valid_state)
 from .ratio import ONE, ZERO, Rational, as_ratio
-from .vecs import combine, dot, matrix_times_col, outer, primitive_row, qmat, transpose
+from .vecs import (combine, dot, int_combine, matrix_times_col, outer, primitive_row, qmat,
+                   ratio_row, transpose)
 
 log = logging.getLogger(__name__)
 
@@ -38,7 +40,8 @@ class BipartiteState:
 
     Normalization (matrix[0][0] == 1) and maximal-tensor membership are
     checked properties, not construction invariants, so that the
-    checking functions have something to reject.
+    checking functions have something to reject. ``matrix_rows`` is the
+    matrix read as integer rows, once, when first asked for.
     """
 
     space_a: StateSpace
@@ -56,6 +59,14 @@ class BipartiteState:
     @property
     def is_normalized(self) -> bool:
         return self.matrix[0][0] == 1
+
+    @cached_property
+    def matrix_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, den): the entries row-major as ints over one positive
+        denominator (``vecs.primitive_row``), cut into the matrix's rows."""
+        flat, den = primitive_row([x for row in self.matrix for x in row])
+        width = self.space_b.ambient_dim
+        return tuple([tuple(flat[i:i + width]) for i in range(0, len(flat), width)]), den
 
 
 def joint_probability(state: BipartiteState, effect_a: Effect, effect_b: Effect) -> Rational:
@@ -98,15 +109,13 @@ def max_tensor_violation(state: BipartiteState) -> tuple[Effect, Effect] | None:
     Pairs are scanned A-major in sorted facet order. The sign of
     fa^T M fb is read in ints, from the primitive normals of the two
     facets (``StateSpace.facet_normals``, positive multiples of them)
-    and the matrix as ints over one positive denominator, so no
-    rational is built unless a pair is returned.
+    and the matrix's integer rows (``BipartiteState.matrix_rows``), so
+    no rational is built unless a pair is returned.
     """
     if not state.is_normalized:
         return None
     space_a, space_b = state.space_a, state.space_b
-    flat = primitive_row([x for row in state.matrix for x in row])[0]
-    width = space_b.ambient_dim
-    columns = [flat[j::width] for j in range(width)]
+    columns = list(zip(*state.matrix_rows[0]))
     for i, na in enumerate(space_a.facet_normals):
         partial = [sum(map(operator.mul, na, col)) for col in columns]
         for k, nb in enumerate(space_b.facet_normals):
@@ -222,8 +231,8 @@ def _check_decomposition(state: BipartiteState, decomposition: SeparableDecompos
         f = w.numerator * (top // (w.denominator * da * db))
         products = [f * x * y for x in ints_a for y in ints_b]
         total = list(map(operator.add, total, products))
-    ints, den = primitive_row([x for row in state.matrix for x in row])
-    if [x * den for x in total] != [x * top for x in ints]:
+    rows, den = state.matrix_rows
+    if [x * den for x in total] != [x * top for row in rows for x in row]:
         raise VerificationError("decomposition does not reproduce the state")
 
 
@@ -247,18 +256,29 @@ def subnormalized_conditional(state: BipartiteState, effect: Effect,
     """Apply an effect on one side; the unnormalized update of the other.
 
     The first coordinate of the result is the outcome probability, so no
-    division happens here and zero-probability effects are fine.
+    division happens here and zero-probability effects are fine. The A
+    side is computed in ints (``_conditional_ints``).
     """
     coeffs = _coeffs(effect)
     if side == "A":
         if len(coeffs) != state.space_a.ambient_dim:
             raise ValueError("effect dimension does not match side A")
-        return combine(coeffs, state.matrix)
+        return ratio_row(*_conditional_ints(state, coeffs))
     if side == "B":
         if len(coeffs) != state.space_b.ambient_dim:
             raise ValueError("effect dimension does not match side B")
         return matrix_times_col(state.matrix, coeffs)
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+
+
+def _conditional_ints(state: BipartiteState, coeffs) -> tuple[list[int], int]:
+    """The A-side conditional e^T M of effect coefficients e, as (ints,
+    den): with the matrix as integer rows M_i over m (``matrix_rows``)
+    and e as E / D (``vecs.primitive_row``), it is sum_i E_i M_i over D m
+    (``vecs.int_combine``). Its first entry over den is the probability."""
+    rows, m = state.matrix_rows
+    ints, d = primitive_row(coeffs)
+    return int_combine([(e, row, d * m) for e, row in zip(ints, rows, strict=True)], len(rows[0]))
 
 
 def conditional_state(state: BipartiteState, effect: Effect,

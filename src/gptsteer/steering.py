@@ -21,11 +21,12 @@ maximally entangled state's assemblage turns back into a mother
 observable by remotely preparing each hidden state.
 
 The layer computes in integers and builds a rational only where a value
-leaves it: an assemblage element, a hidden state's weight or state. The
-matrix is read once as integer rows and each effect, element, hidden
-state and LP witness as ints over one denominator
-(``vecs.primitive_row``); every sum of them is one integer accumulation,
-``_int_sum``. So the conditionals of ``assemblage_from`` and
+leaves it: an assemblage element, a hidden state's weight or state. A
+state's matrix is read once as integer rows (``BipartiteState.matrix_rows``)
+and each effect, element, hidden state and LP witness as ints over one
+denominator (``vecs.primitive_row``); every sum of them is one integer
+accumulation, ``vecs.int_combine``. So the conditionals of
+``assemblage_from`` and
 ``jm_to_lhs``, the checks of ``Assemblage.validate``, the hidden states
 ``check_lhs`` reads off its witness and the audit
 ``reconstruct_assemblage`` divide no rational.
@@ -40,8 +41,8 @@ from dataclasses import dataclass, field
 from .compatibility import (JmResult, MotherObservable, _check_family, _critical_level,
                             _level_bracket, _marginal_effects, _noise_values,
                             _positive_precision, check_joint_measurability)
-from .composites import (BipartiteState, canonical_max_entangled, in_max_tensor,
-                         marginal, subnormalized_conditional)
+from .composites import (BipartiteState, _conditional_ints, canonical_max_entangled,
+                         in_max_tensor, marginal, subnormalized_conditional)
 from .errors import ConstructionError, NotRemotelyPreparableError, VerificationError
 from .exactlp import LinearSystem, coordinate_rows, lp_feasible, membership_shape
 from .kernel import (Effect, Observable, State, StateSpace, _check_lp_size, _effect_rows,
@@ -49,7 +50,7 @@ from .kernel import (Effect, Observable, State, StateSpace, _check_lp_size, _eff
                      mother_outcome_tuples)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .sampler import SamplerConfig, make_rng, random_max_tensor_state, random_observable_set
-from .vecs import combine, dot, primitive_row, qvec
+from .vecs import combine, dot, int_combine, primitive_row, qvec, ratio_row
 
 UNSTEERABLE = "unsteerable"
 STEERABLE = "steerable"
@@ -121,8 +122,9 @@ class Assemblage:
         (``vecs.primitive_row``): its weight lies in [0, 1] iff 0 <= E_0
         <= D, it lies in the state cone iff every facet normal n of
         ``space.facet_normals`` has n.E >= 0, and the per-setting totals
-        (``_int_sum``), T over L, are compared by cross-multiplication,
-        the first against T_0 == L for normalization.
+        (``vecs.int_combine``), T over L, are compared by
+        cross-multiplication, the first against T_0 == L for
+        normalization.
         """
         normals, dim = self.space.facet_normals, self.space.ambient_dim
         totals = []
@@ -135,7 +137,7 @@ class Assemblage:
                 if any(sum(map(operator.mul, n, ints)) < 0 for n in normals):
                     raise ValueError(f"element ({x},{k}) leaves the state cone")
                 parts.append((1, ints, den))
-            totals.append(_int_sum(parts, dim))
+            totals.append(int_combine(parts, dim))
         first, top = totals[0]
         if any([t * top for t in total] != [t * den for t in first] for total, den in totals[1:]):
             raise ValueError("setting totals disagree (signaling assemblage)")
@@ -149,49 +151,13 @@ class Assemblage:
         return State(combine([ONE] * len(first), first))
 
 
-def _int_sum(terms, dim: int) -> tuple[list[int], int]:
-    """The sum of w * ints / d over the (w, ints, d) terms, ints int rows
-    of length dim, w and d ints, d > 0: (total, den), the total's ints
-    over den, the least common multiple of the d (zeros over 1 with no
-    term). The steering layer's one integer accumulation: conditionals,
-    per-setting totals, hidden states and reconstructed elements."""
-    den = math.lcm(*[d for _, _, d in terms])
-    total = [0] * dim
-    for w, ints, d in terms:
-        if w:
-            f = w * (den // d)
-            total = [t + f * x for t, x in zip(total, ints)]
-    return total, den
-
-
-def _ratios(ints, den) -> tuple[Rational, ...]:
-    """ints over den as rationals, one per value."""
-    return tuple([as_ratio(x, den) for x in ints])
-
-
-def _matrix_rows(state: BipartiteState) -> tuple[list[list[int]], int]:
-    """The state's matrix read once as integer rows over one denominator."""
-    flat, den = primitive_row([x for row in state.matrix for x in row])
-    width = state.space_b.ambient_dim
-    return [flat[i:i + width] for i in range(0, len(flat), width)], den
-
-
-def _conditional(matrix_rows, effect: Effect) -> tuple[list[int], int]:
-    """The subnormalized B-side conditional of an A-side effect, as (ints,
-    den): with the matrix as rows M_i over m (``_matrix_rows``) and the
-    effect as E / D (``vecs.primitive_row``), e^T M is sum_i E_i M_i over
-    D m. Its first entry over den is the outcome probability."""
-    rows, m = matrix_rows
-    ints, d = primitive_row(effect.coeffs)
-    return _int_sum([(e, row, d * m) for e, row in zip(ints, rows, strict=True)], len(rows[0]))
-
-
 def assemblage_from(state: BipartiteState,
                     observables: tuple[Observable, ...]) -> Assemblage:
     """The assemblage Alice's observables steer out of a bipartite state.
 
-    Each element is the effect's conditional (``_conditional``) from the
-    matrix read once as integer rows, built as one rational per value.
+    Each element is the effect's conditional, computed in ints from the
+    matrix's integer rows (``composites._conditional_ints``), built as
+    one rational per value.
     """
     if not observables:
         raise ValueError("need at least one observable")
@@ -202,9 +168,8 @@ def assemblage_from(state: BipartiteState,
     for obs in observables:
         if obs.space is not state.space_a and obs.space != state.space_a:
             raise ValueError("observables must act on the A side of the state")
-    rows = _matrix_rows(state)
-    elements = tuple([tuple([_ratios(*_conditional(rows, eff)) for eff in obs.effects])
-                      for obs in observables])
+    elements = tuple([tuple([ratio_row(*_conditional_ints(state, eff.coeffs))
+                             for eff in obs.effects]) for obs in observables])
     return Assemblage(space=state.space_b,
                       settings=_unique_labels(o.label for o in observables),
                       outcomes=tuple(o.outcomes for o in observables),
@@ -274,15 +239,15 @@ def reconstruct_assemblage(model: LhsModel) -> Assemblage:
     """The assemblage a local model produces.
 
     Element (x, k) is the sum over hidden states of weight times p(k|x)
-    times the state, accumulated in ints (``_int_sum``) from each state
-    as ints over den (``vecs.primitive_row``), and built as one rational
-    per value. check_lhs and jm_to_lhs audit their models with it.
+    times the state, accumulated in ints (``vecs.int_combine``) from each
+    state as ints over den (``vecs.primitive_row``), and built as one
+    rational per value. check_lhs and jm_to_lhs audit their models with it.
     """
     dim = model.space.ambient_dim
     parts = [(lam.weight, lam.responses, *primitive_row(lam.state.coords))
              for lam in model.lambdas]
     elements = tuple([
-        tuple([_ratios(*_int_sum([(w.numerator * p.numerator, ints,
+        tuple([ratio_row(*int_combine([(w.numerator * p.numerator, ints,
                                    w.denominator * p.denominator * d)
                                   for w, responses, ints, d in parts
                                   if (p := responses[x][k])], dim))
@@ -380,8 +345,8 @@ def check_lhs(assemblage: Assemblage) -> LhsResult:
     A feasible witness is read once as ints P over den Q
     (``vecs.primitive_row``); the slice of strategy s, with the vertices'
     integer rows (``space.vertex_rows``), sums in ints to the hidden
-    state's subnormalized part (``_int_sum``), whose first entry over its
-    den is the weight, the part over that entry the state. The model is
+    state's subnormalized part (``vecs.int_combine``), whose first entry
+    over its den is the weight, the part over that entry the state. The model is
     audited by ``LhsModel.validate`` and by ``reconstruct_assemblage``
     against the assemblage.
     """
@@ -393,7 +358,7 @@ def check_lhs(assemblage: Assemblage) -> LhsResult:
         weights, den = primitive_row(outcome.witness)
         try:
             model = _deterministic_model(assemblage, (
-                (strategy, *_int_sum([(w, ints, d * den) for w, (ints, d) in zip(
+                (strategy, *int_combine([(w, ints, d * den) for w, (ints, d) in zip(
                     weights[s * count:(s + 1) * count], space.vertex_rows)], dim))
                 for s, strategy in enumerate(_index_tuples(assemblage.outcomes))))
         except ValueError as err:
@@ -428,7 +393,7 @@ def _deterministic_model(shape: Assemblage, parts) -> LhsModel:
             continue
         responses = tuple(tuple(ONE if k == answer else ZERO for k in range(len(row)))
                           for answer, row in zip(strategy, shape.outcomes, strict=True))
-        lambdas.append(LhsLambda(as_ratio(top, den), State(_ratios(ints, top)), responses))
+        lambdas.append(LhsLambda(as_ratio(top, den), State(ratio_row(ints, top)), responses))
     model = LhsModel(space=shape.space, settings=shape.settings,
                      outcomes=shape.outcomes, lambdas=tuple(lambdas))
     model.validate()
@@ -452,12 +417,12 @@ def jm_to_lhs(mother: MotherObservable, state: BipartiteState) -> LhsModel:
 def _model_from_mother(mother: MotherObservable, state: BipartiteState,
                        target: Assemblage) -> LhsModel:
     """The body of jm_to_lhs, given the assemblage the mother's axes steer:
-    each mother effect's conditional (``_conditional``), from the matrix
-    read once as integer rows, is one part of ``_deterministic_model``."""
-    rows = _matrix_rows(state)
+    each mother effect's conditional, in ints from the matrix's integer
+    rows (``composites._conditional_ints``), is one part of
+    ``_deterministic_model``."""
     model = _deterministic_model(target, (
         (tuple(axis.outcomes.index(label) for axis, label in zip(mother.axes, combo)),
-         *_conditional(rows, effect))
+         *_conditional_ints(state, effect.coeffs))
         for combo, effect in mother.items()))
     if reconstruct_assemblage(model).elements != target.elements:
         raise ConstructionError("mother-derived model misses the assemblage")
@@ -473,13 +438,15 @@ def conditioning_system(state: BipartiteState,
     inequality rows are effect validity on A's vertices, all the
     0 <= e(v) rows first, then the e(v) <= 1 rows. Every row is written
     in ints: the equalities by ``exactlp.coordinate_rows`` over the
-    matrix rows, with rhs 0, then ``with_rhs`` of the target, and the
-    inequalities from A's integer vertices (``kernel._effect_rows``).
+    matrix's integer rows (``BipartiteState.matrix_rows``), with rhs 0,
+    then ``with_rhs`` of the target, and the inequalities from A's
+    integer vertices (``kernel._effect_rows``).
     """
     target = qvec(target)
     if len(target) != state.space_b.ambient_dim:
         raise ValueError("target dimension mismatch")
-    rows = coordinate_rows([primitive_row(row) for row in state.matrix])
+    matrix, den = state.matrix_rows
+    rows = coordinate_rows([(row, den) for row in matrix])
     return LinearSystem.from_integer_rows(state.space_a.ambient_dim, len(rows),
                                           (*rows, *_effect_rows(state.space_a))).with_rhs(target)
 

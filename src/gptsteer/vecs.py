@@ -7,10 +7,12 @@ on sparse rows: each row is a dict of its nonzero Python ints by column,
 over one positive denominator, and is kept primitive, so no rational is
 built while a matrix is reduced and no zero is stored or touched; values
 become rationals again only where they leave it. ``primitive_row`` gives
-a row's dense ints and ``sparse_row`` its nonzeros. The two sums, ``dot``
-and the weighted sum ``combine``, read each value's .numerator and
-.denominator, accumulate an int numerator over one running positive
-denominator per result, and build one normalized rational per result.
+a row's dense ints, ``ratio_row`` reads them back and ``sparse_row``
+gives their nonzeros. The two sums, ``dot`` and the weighted sum
+``combine``, read each value's .numerator and .denominator, accumulate an
+int numerator over one running positive denominator per result, and
+build one normalized rational per result; ``int_combine`` is the
+weighted sum of rows already read as ints, over one common denominator.
 Gaussian elimination pivots on the first nonzero, once per call of
 ``independent_rows`` or ``solve_unique``, the start of ``exactlp.vertex_enumerate``.
 
@@ -111,6 +113,28 @@ def primitive_row(values: Iterable) -> tuple[list[int], int]:
     values = list(values)
     den = math.lcm(*[x.denominator for x in values])
     return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def int_combine(terms, dim: int) -> tuple[list[int], int]:
+    """The sum of w * ints / d over the (w, ints, d) terms, ints int rows
+    of length dim (``primitive_row``'s), w and d ints, d > 0: (total,
+    den), the total's ints over den, the least common multiple of the d
+    (zeros over 1 with no term). combine's integer counterpart, for rows
+    already read as ints: the one accumulation of the A-side conditionals
+    and of the steering layer."""
+    den = math.lcm(*[d for _, _, d in terms])
+    total = [0] * dim
+    for w, ints, d in terms:
+        if w:
+            f = w * (den // d)
+            for j, x in enumerate(ints):
+                total[j] += f * x
+    return total, den
+
+
+def ratio_row(ints: Iterable[int], den: int) -> tuple[Rational, ...]:
+    """ints over den as rationals, one built per value: a row read back."""
+    return tuple([as_ratio(x, den) for x in ints])
 
 
 def _primitive_ray(values) -> list[int]:
