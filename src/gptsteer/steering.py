@@ -26,10 +26,9 @@ state's matrix is read once as integer rows (``BipartiteState.matrix_rows``)
 and each effect, element, hidden state and LP witness as ints over one
 denominator (``vecs.primitive_row``); every sum of them is one integer
 accumulation, ``vecs.int_combine``. So the conditionals of
-``assemblage_from`` and
-``jm_to_lhs``, the checks of ``Assemblage.validate``, the hidden states
-``check_lhs`` reads off its witness and the audit
-``reconstruct_assemblage`` divide no rational.
+``assemblage_from`` and ``jm_to_lhs``, the checks of
+``Assemblage.validate``, the hidden states ``check_lhs`` reads off its
+witness and the audit ``reconstruct_assemblage`` divide no rational.
 """
 
 from __future__ import annotations
@@ -346,9 +345,9 @@ def check_lhs(assemblage: Assemblage) -> LhsResult:
     (``vecs.primitive_row``); the slice of strategy s, with the vertices'
     integer rows (``space.vertex_rows``), sums in ints to the hidden
     state's subnormalized part (``vecs.int_combine``), whose first entry
-    over its den is the weight, the part over that entry the state. The model is
-    audited by ``LhsModel.validate`` and by ``reconstruct_assemblage``
-    against the assemblage.
+    over its den is the weight, the part over that entry the state. The
+    model is audited by ``LhsModel.validate`` and by
+    ``reconstruct_assemblage`` against the assemblage.
     """
     assemblage.validate()
     outcome = lp_feasible(lhs_linear_system(assemblage))

@@ -364,7 +364,7 @@ def test_text_output_mode(docs):
 @pytest.mark.parametrize("extra, digest", [
     ((), "372a92f84290b1b879b56823a5648801515591fc15566095d35b6e38b0a81bad"),
     (("--extra-states", "2"), "4b9e4d82b28ac88c345171436736b9458ddc6a188ca41962a1da19542483c499"),
-])
+], ids=["default", "extra-states"])
 def test_fixed_seed_report_is_pinned(extra, digest, capsys, monkeypatch):
     # the extra states run check_lhs and jm_to_lhs on random states too
     monkeypatch.delenv("GPTSTEER_LOG", raising=False)

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from gptsteer.compatibility import check_joint_measurability
 from gptsteer.composites import (BipartiteState, canonical_max_entangled,
                                  product_state, subnormalized_conditional)
-from gptsteer.errors import NotRemotelyPreparableError
+from gptsteer.errors import NotRemotelyPreparableError, UnsupportedModelError
 from gptsteer.exactlp import refutes
-from gptsteer.errors import UnsupportedModelError
 from gptsteer.kernel import (Effect, Observable, State, barycenter,
                              depolarize_observable, zoo_by_name, zoo_classical,
                              square_fiducials, zoo_gbit, zoo_polygon)
