@@ -147,6 +147,34 @@ for decomposition in (clean, replace(clean, weights=(clean.weights[0] / 2, clean
         print("accepted")
 """
 
+# Two more for lp_optimize, after the solve: the optimal point off by one
+# unit, and the optimal value off by one unit with point and certificate clean.
+MUTATE_OPTIMAL_POINT = """
+clean = exactlp._Tableau.extract_point
+
+
+def off_by_one(self):
+    point = clean(self)
+    return (point[0] + 1,) + point[1:]
+
+
+exactlp._Tableau.extract_point = off_by_one
+solve = lambda system: exactlp.lp_optimize((1, 2), system, "max")
+"""
+
+MUTATE_OPTIMAL_VALUE = """
+clean = exactlp._Tableau.phase_two
+
+
+def off_by_one(self, objective):
+    status, value, certificate = clean(self, objective)
+    return status, value + 1, certificate
+
+
+exactlp._Tableau.phase_two = off_by_one
+solve = lambda system: exactlp.lp_optimize((1, 2), system, "max")
+"""
+
 ON_BOTH_STORES = """
 from gptsteer import exactlp
 
@@ -165,6 +193,94 @@ for system in (wide, narrow):
     else:
         print(store, "returned", result.status)
 """
+
+# The steering audits, each run on the gbit's canonical state after one
+# mutation; prints what the audited call does, an exception by type and
+# message, since several audits of one call raise the same type.
+ON_THE_CANONICAL_STATE = """
+from gptsteer import steering
+from gptsteer.compatibility import check_joint_measurability
+from gptsteer.composites import canonical_max_entangled
+from gptsteer.exactlp import FeasibilityResult
+from gptsteer.kernel import square_fiducials, zoo_gbit
+from gptsteer.ratio import as_ratio
+
+assert False, "this interpreter is not running under -O"
+
+gbit = zoo_gbit()
+phi = canonical_max_entangled(gbit)
+X, Y = square_fiducials(gbit)
+clean_lp = steering.lp_feasible
+clean_model = steering._deterministic_model
+{mutation}
+try:
+    result = run()
+except Exception as err:
+    print(f"{{type(err).__name__}}: {{err}}")
+else:
+    print("returned", result)
+"""
+
+# Each hidden state answers the next outcome to every setting: a valid
+# local model that misses the assemblage, audited by check_lhs...
+SHIFTED_RESPONSES = """
+def shifted(shape, parts):
+    return clean_model(shape, ((tuple([(k + 1) % len(row) for k, row in
+                                       zip(strategy, shape.outcomes)]), ints, den)
+                               for strategy, ints, den in parts))
+
+
+steering._deterministic_model = shifted
+"""
+
+MODEL_MISSES = SHIFTED_RESPONSES + """
+run = lambda: steering.check_lhs(steering.assemblage_from(phi, (X,)))
+"""
+
+# ... and by jm_to_lhs on a mother observable.
+MOTHER_MODEL_MISSES = SHIFTED_RESPONSES + """
+run = lambda: steering.jm_to_lhs(check_joint_measurability((X,), gbit).mother, phi)
+"""
+
+# The steering functional negated: negative on the assemblage.
+FUNCTIONAL_NEGATED = """
+def negated(system):
+    result = clean_lp(system)
+    return FeasibilityResult(result.status,
+                             certificate=tuple([-c for c in result.certificate]))
+
+
+steering.lp_feasible = negated
+run = lambda: steering.check_lhs(steering.assemblage_from(phi, (X, Y)))
+"""
+
+# The steering functional replaced by the unit effect on every element:
+# positive on the assemblage and on every local strategy.
+FUNCTIONAL_OF_WEIGHTS = """
+def weights(system):
+    result = clean_lp(system)
+    unit = (1, 0, 0) * 4
+    return FeasibilityResult(result.status, certificate=tuple(
+        [as_ratio(c) for c in unit] + [as_ratio(0)] * (len(result.certificate) - len(unit))))
+
+
+steering.lp_feasible = weights
+run = lambda: steering.check_lhs(steering.assemblage_from(phi, (X, Y)))
+"""
+
+# The conditioning effect off by one unit in its first coefficient.
+CONDITIONING_OFF_BY_ONE = """
+def off_by_one(system):
+    result = clean_lp(system)
+    witness = result.witness
+    return FeasibilityResult(result.status, witness=(witness[0] + 1,) + witness[1:])
+
+
+steering.lp_feasible = off_by_one
+half = as_ratio(1, 2)
+run = lambda: steering.find_conditioning_effect(phi, (half, half, half))
+"""
+
 
 def test_no_bare_asserts_in_package():
     offenders = []
@@ -336,3 +452,23 @@ def test_audits_survive_optimize_flag_on_both_stores(mutation):
 def test_decomposition_audit_survives_optimize_flag():
     output = _run_optimized(BAD_DECOMPOSITION_SCRIPT)
     assert output.splitlines() == ["accepted", "VerificationError", "VerificationError"]
+
+
+@pytest.mark.parametrize("mutation", [MUTATE_OPTIMAL_POINT, MUTATE_OPTIMAL_VALUE])
+def test_optimum_audits_survive_optimize_flag_on_both_stores(mutation):
+    output = _run_optimized(ON_BOTH_STORES.format(mutation=mutation))
+    assert output.splitlines() == ["basis-inverse VerificationError", "full VerificationError"]
+
+
+@pytest.mark.parametrize("mutation, raised", [
+    (MODEL_MISSES, "VerificationError: local model fails to reproduce the assemblage"),
+    (MOTHER_MODEL_MISSES, "ConstructionError: mother-derived model misses the assemblage"),
+    (FUNCTIONAL_NEGATED,
+     "VerificationError: steering functional is not positive on the assemblage"),
+    (FUNCTIONAL_OF_WEIGHTS,
+     "VerificationError: steering functional is positive on a local strategy"),
+    (CONDITIONING_OFF_BY_ONE, "VerificationError: conditioning witness fails to reproduce target"),
+], ids=["lhs-model", "mother-model", "functional-negated", "functional-of-weights",
+        "conditioning"])
+def test_steering_audits_survive_optimize_flag(mutation, raised):
+    assert _run_optimized(ON_THE_CANONICAL_STATE.format(mutation=mutation)) == raised

@@ -22,10 +22,10 @@ from gptsteer.kernel import (Effect, State, barycenter, extremal_effects,
                              probability, zoo_by_name, zoo_classical,
                              zoo_polygon)
 from gptsteer.ratio import as_ratio, format_ratio
-from gptsteer.sampler import random_separable_state, random_state
+from gptsteer.sampler import random_max_tensor_state, random_separable_state, random_state
 from gptsteer.vecs import outer
 
-from oracles import check_farkas
+from oracles import check_farkas, conditional, fdot
 from test_exactlp import _sphere_space
 
 r = as_ratio
@@ -232,6 +232,30 @@ def test_no_signaling_and_conditional_chain(gbit, phi, fiducials):
         vec = subnormalized_conditional(phi, effect, "B")
         total = tuple(t + v for t, v in zip(total, vec))
     assert total == mu_a
+
+
+@pytest.mark.parametrize("names, seed", [(("classical-3", "gbit"), 31),
+                                         (("gbit", "polygon-5"), 32),
+                                         (("polygon-5", "classical-2"), 33)])
+def test_side_b_conditional_and_joint_probability_are_the_oracles(names, seed):
+    # Side B conditions on M^T, so its conditional is the oracle's e^T M^T;
+    # value(e_A, e_B) is that conditional dotted with e_A. Unequal pairs keep
+    # a transposed read from passing by symmetry.
+    space_a, space_b = (zoo_by_name(name) for name in names)
+    effects_a, effects_b = extremal_effects(space_a), extremal_effects(space_b)
+    rng = random.Random(seed)
+    cases = 0
+    for _ in range(20):
+        state = random_max_tensor_state(space_a, space_b, rng)
+        transposed = [[Fraction(format_ratio(c)) for c in col] for col in zip(*state.matrix)]
+        for eb in effects_b:
+            expected = conditional(transposed, [Fraction(format_ratio(c)) for c in eb.coeffs])
+            assert subnormalized_conditional(state, eb, "B") == expected
+            for ea in effects_a:
+                assert joint_probability(state, ea, eb) == \
+                    fdot([Fraction(format_ratio(c)) for c in ea.coeffs], expected)
+            cases += 1
+    assert cases == 20 * len(effects_b)
 
 
 def test_isomorphism_matrices_frozen(gbit, classical2):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from gptsteer.compatibility import check_joint_measurability
 from gptsteer.composites import (BipartiteState, canonical_max_entangled,
                                  product_state, subnormalized_conditional)
-from gptsteer.errors import NotRemotelyPreparableError, UnsupportedModelError
+from gptsteer.cli import EXIT_REFUTED, main
+from gptsteer.errors import ConstructionError, NotRemotelyPreparableError, UnsupportedModelError
 from gptsteer.exactlp import refutes
 from gptsteer.kernel import (Effect, Observable, State, barycenter,
                              depolarize_observable, zoo_by_name, zoo_classical,
@@ -23,7 +24,7 @@ from gptsteer.ratio import ONE, ZERO, as_ratio, format_ratio
 from gptsteer.sampler import (SamplerConfig, random_decomposition, random_max_tensor_state,
                               random_observable_set)
 from gptsteer.steering import (STEERABLE, UNSTEERABLE, Assemblage, LhsLambda,
-                               LhsModel, assemblage_from, check_lhs,
+                               LhsModel, LhsResult, assemblage_from, check_lhs,
                                conditioning_system, find_conditioning_effect,
                                functional_strategy_bound, functional_value,
                                is_steerable_state, is_strongly_steerable_for,
@@ -648,6 +649,53 @@ def test_theorem_verify_builds_each_assemblage_once(monkeypatch, gbit, fiducials
     assert report.trials[0].extra_all_reconstructed is True
     # one for the family on the canonical state, one per extra state
     assert len(calls) == 3
+
+
+def _record_failures(monkeypatch):
+    """Flip the verdict of check_lhs's second and third calls and make every
+    mother-derived model miss its assemblage."""
+    import gptsteer.steering
+    calls = []
+    clean = gptsteer.steering.check_lhs
+
+    def flipped(assemblage):
+        result = clean(assemblage)
+        calls.append(result.status)
+        if len(calls) in (2, 3):
+            return LhsResult(STEERABLE if result.unsteerable else UNSTEERABLE)
+        return result
+
+    def misses(*args):
+        raise ConstructionError("mother-derived model misses the assemblage")
+
+    monkeypatch.setattr(gptsteer.steering, "check_lhs", flipped)
+    monkeypatch.setattr(gptsteer.steering, "_model_from_mother", misses)
+    return calls
+
+
+def test_theorem_verify_records_failures(monkeypatch, gbit, fiducials, capsys):
+    # calls: the noisy family, its extra state, then the sharp family
+    calls = _record_failures(monkeypatch)
+    noisy = _depolarized_pair(fiducials, r(1, 2))
+    report = theorem_verify(gbit, 0, SamplerConfig(seed=7), extra_states_per_jm_trial=1,
+                            fixed_sets=(noisy, fiducials))
+    assert calls == [UNSTEERABLE, UNSTEERABLE, STEERABLE]
+    jm_trial, steer_trial = report.trials
+    assert jm_trial.agree and not steer_trial.agree
+    assert jm_trial.extra_all_unsteerable is False
+    assert jm_trial.extra_all_reconstructed is False
+    assert (report.disagreements, report.extra_failures) == (1, 1)
+    assert not report.all_agree
+    # the command on three random families, each jointly measurable: the
+    # second's verdict flips and every extra state fails its reconstruction
+    monkeypatch.delenv("GPTSTEER_LOG", raising=False)
+    calls.clear()
+    status = main(["theorem-verify", "--model", "gbit", "--trials", "3", "--seed", "7",
+                   "--extra-states", "1", "--out", "text"])
+    assert calls == [UNSTEERABLE] * 6
+    assert status == EXIT_REFUTED
+    assert capsys.readouterr().out.splitlines() == [
+        "trials: 3", "disagreements: 1", "extra_failures: 3"]
 
 
 def test_rejection_sampling_gives_up_with_a_value_error(gbit, monkeypatch):
