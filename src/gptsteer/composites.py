@@ -7,14 +7,14 @@ of state-cone facets, which generate the effect cones; separability
 (the minimal tensor product) asks for a convex combination of vertex
 pairs and is a rational LP whose infeasibility certificate doubles as
 an entanglement witness. Marginals contract with the partner's unit
-effect and conditionals with an arbitrary effect, exactly.
+effect and conditionals with an arbitrary effect, exactly; either side's
+is one integer sum over the matrix's integer rows (``_conditional_ints``).
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,8 +25,7 @@ from .exactlp import INFEASIBLE, LinearSystem, lp_feasible, membership_shape, re
 from .kernel import (Effect, State, StateSpace, _coeffs, _mixture_weights, barycenter,
                      is_square_model, is_valid_state)
 from .ratio import ONE, ZERO, Rational, as_ratio
-from .vecs import (combine, dot, int_combine, matrix_times_col, outer, primitive_row, qmat,
-                   ratio_row, transpose)
+from .vecs import combine, dot, int_combine, outer, primitive_row, qmat, ratio_row, transpose
 
 log = logging.getLogger(__name__)
 
@@ -70,8 +69,9 @@ class BipartiteState:
 
 
 def joint_probability(state: BipartiteState, effect_a: Effect, effect_b: Effect) -> Rational:
-    """value(e_A, e_B) = e_A^T M e_B, exactly."""
-    return dot(combine(_coeffs(effect_a), state.matrix), _coeffs(effect_b))
+    """value(e_A, e_B) = e_A^T M e_B, exactly: e_A's conditional on side A
+    (``subnormalized_conditional``) dotted with e_B."""
+    return dot(subnormalized_conditional(state, effect_a, "A"), _coeffs(effect_b))
 
 
 def product_state(space_a: StateSpace, state_a: State,
@@ -184,14 +184,11 @@ def is_separable(state: BipartiteState) -> SeparabilityResult:
     """Decide membership in the minimal tensor product.
 
     Requires the state to be normalized and to sit in the maximal tensor
-    product first (a ValueError naming which fails otherwise). Separable
-    verdicts carry an exact decomposition into vertex pairs; entangled
-    verdicts a Farkas certificate that acts as an entanglement witness.
+    product first (``_require_max_tensor``). Separable verdicts carry an
+    exact decomposition into vertex pairs; entangled verdicts a Farkas
+    certificate that acts as an entanglement witness.
     """
-    if not state.is_normalized:
-        raise ValueError("state is not normalized")
-    if not in_max_tensor(state):
-        raise ValueError("state is not in the maximal tensor product")
+    _require_max_tensor(state)
     system = separability_system(state)
     outcome = lp_feasible(system)
     if outcome.status == INFEASIBLE:
@@ -207,6 +204,15 @@ def is_separable(state: BipartiteState) -> SeparabilityResult:
     return SeparabilityResult(SEPARABLE, decomposition=decomposition)
 
 
+def _require_max_tensor(state: BipartiteState) -> None:
+    """Raise a ValueError naming the first that fails: the state is
+    normalized, then it lies in the maximal tensor product."""
+    if not state.is_normalized:
+        raise ValueError("state is not normalized")
+    if not in_max_tensor(state):
+        raise ValueError("state is not in the maximal tensor product")
+
+
 def _vertex_pairs(state: BipartiteState) -> list:
     """(vertex_A, vertex_B) pairs, A-major: the separability LP's variable order."""
     return list(itertools.product(state.space_a.vertices, state.space_b.vertices))
@@ -217,20 +223,19 @@ def _check_decomposition(state: BipartiteState, decomposition: SeparableDecompos
     weighted products of the pairs sum to the matrix, checked in ints.
 
     With weight n / d and the pair's states as ints Ia / da and Ib / db
-    (``vecs.primitive_row``), the pair adds n Ia Ib^T L / (d da db) over
-    L, the lcm of every d da db; the total T over L equals the matrix,
-    ints M over den, iff T den == M L entry by entry.
+    (``vecs.primitive_row``), the pair is the term (n, Ia (x) Ib, d da db),
+    its product row-major as the separability generators write it; their
+    sum (``vecs.int_combine``), T over L, equals the matrix, ints M over
+    den, iff T den == M L entry by entry.
     """
     if any(w <= 0 for w in decomposition.weights):
         raise VerificationError("decomposition has a weight that is not positive")
-    terms = [(w, primitive_row(sa.coords), primitive_row(sb.coords))
-             for w, (sa, sb) in zip(decomposition.weights, decomposition.pairs, strict=True)]
-    top = math.lcm(*[w.denominator * da * db for w, (_, da), (_, db) in terms])
-    total = [0] * (state.space_a.ambient_dim * state.space_b.ambient_dim)
-    for w, (ints_a, da), (ints_b, db) in terms:
-        f = w.numerator * (top // (w.denominator * da * db))
-        products = [f * x * y for x in ints_a for y in ints_b]
-        total = list(map(operator.add, total, products))
+    terms = []
+    for w, (sa, sb) in zip(decomposition.weights, decomposition.pairs, strict=True):
+        (ints_a, da), (ints_b, db) = primitive_row(sa.coords), primitive_row(sb.coords)
+        terms.append((w.numerator, [x * y for x in ints_a for y in ints_b],
+                      w.denominator * da * db))
+    total, top = int_combine(terms, state.space_a.ambient_dim * state.space_b.ambient_dim)
     rows, den = state.matrix_rows
     if [x * den for x in total] != [x * top for row in rows for x in row]:
         raise VerificationError("decomposition does not reproduce the state")
@@ -256,27 +261,29 @@ def subnormalized_conditional(state: BipartiteState, effect: Effect,
     """Apply an effect on one side; the unnormalized update of the other.
 
     The first coordinate of the result is the outcome probability, so no
-    division happens here and zero-probability effects are fine. The A
-    side is computed in ints (``_conditional_ints``).
+    division happens here and zero-probability effects are fine. Either
+    side is computed in ints (``_conditional_ints``), one rational built
+    per value.
     """
     coeffs = _coeffs(effect)
-    if side == "A":
-        if len(coeffs) != state.space_a.ambient_dim:
-            raise ValueError("effect dimension does not match side A")
-        return ratio_row(*_conditional_ints(state, coeffs))
-    if side == "B":
-        if len(coeffs) != state.space_b.ambient_dim:
-            raise ValueError("effect dimension does not match side B")
-        return matrix_times_col(state.matrix, coeffs)
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    space = state.space_a if side == "A" else state.space_b
+    if len(coeffs) != space.ambient_dim:
+        raise ValueError(f"effect dimension does not match side {side}")
+    return ratio_row(*_conditional_ints(state, coeffs, side))
 
 
-def _conditional_ints(state: BipartiteState, coeffs) -> tuple[list[int], int]:
-    """The A-side conditional e^T M of effect coefficients e, as (ints,
-    den): with the matrix as integer rows M_i over m (``matrix_rows``)
-    and e as E / D (``vecs.primitive_row``), it is sum_i E_i M_i over D m
-    (``vecs.int_combine``). Its first entry over den is the probability."""
+def _conditional_ints(state: BipartiteState, coeffs, side: str) -> tuple[list[int], int]:
+    """The conditional of effect coefficients e applied on the given side,
+    as (ints, den): e^T M on side A, M e = e^T M^T on side B. With the
+    matrix as integer rows over m (``matrix_rows``), their columns for
+    side B, and e as E / D (``vecs.primitive_row``), it is sum_i E_i R_i
+    over D m (``vecs.int_combine``), R_i the i-th row or column. Its
+    first entry over den is the probability."""
     rows, m = state.matrix_rows
+    if side == "B":
+        rows = list(zip(*rows))
     ints, d = primitive_row(coeffs)
     return int_combine([(e, row, d * m) for e, row in zip(ints, rows, strict=True)], len(rows[0]))
 
@@ -286,15 +293,11 @@ def conditional_state(state: BipartiteState, effect: Effect,
     """Outcome probability and the normalized conditional on the other side.
 
     Requires a normalized maximal-tensor-product state so the
-    conditional is again a state (a ValueError naming which fails
-    otherwise); conditioning on a zero-probability effect raises
-    NullConditioningError (use subnormalized_conditional to avoid the
-    division).
+    conditional is again a state (``_require_max_tensor``); conditioning
+    on a zero-probability effect raises NullConditioningError (use
+    subnormalized_conditional to avoid the division).
     """
-    if not state.is_normalized:
-        raise ValueError("state is not normalized")
-    if not in_max_tensor(state):
-        raise ValueError("state is not in the maximal tensor product")
+    _require_max_tensor(state)
     vec = subnormalized_conditional(state, effect, side)
     p = vec[0]
     if p == 0:

@@ -877,13 +877,12 @@ def cone_member(point, generators) -> FeasibilityResult:
 
     Feasible results carry the coefficients as witness; infeasible ones a
     Farkas certificate for the membership system (coordinate equalities
-    first, then the coefficient nonnegativity rows).
+    first, then the coefficient nonnegativity rows). With no generator,
+    only the zero point is a member, and the certificate is a sign on a
+    nonzero coordinate; else ``membership_system`` checks the lengths.
     """
     target = qvec(point)
     gens = [qvec(g) for g in generators]
-    for g in gens:
-        if len(g) != len(target):
-            raise ValueError("generator dimension does not match point")
     if not gens:
         if all(x == 0 for x in target):
             return FeasibilityResult(FEASIBLE, witness=())
@@ -891,21 +890,16 @@ def cone_member(point, generators) -> FeasibilityResult:
         cert = [ZERO] * len(target)
         cert[j] = ONE if target[j] > 0 else -ONE
         return FeasibilityResult(INFEASIBLE, certificate=tuple(cert))
-    system = membership_system(target, gens, convex=False)
-    return lp_feasible(system)
+    return lp_feasible(membership_system(target, gens, convex=False))
 
 
 def convex_member(point, vertices) -> FeasibilityResult:
-    """Convex-combination membership; like cone_member plus weight sum one."""
-    target = qvec(point)
+    """Convex-combination membership; like cone_member plus weight sum one.
+    At least one vertex is required."""
     gens = [qvec(g) for g in vertices]
     if not gens:
         raise ValueError("need at least one vertex")
-    for g in gens:
-        if len(g) != len(target):
-            raise ValueError("vertex dimension does not match point")
-    system = membership_system(target, gens, convex=True)
-    return lp_feasible(system)
+    return lp_feasible(membership_system(qvec(point), gens, convex=True))
 
 
 def membership_system(target, gens, convex: bool) -> LinearSystem:
@@ -919,8 +913,13 @@ def membership_system(target, gens, convex: bool) -> LinearSystem:
     convex, LHS and separability LPs are all that shape: the LHS LP over
     the (strategy, vertex) generators, the separability LP
     (``composites.separability_system``) over the vertex-pair products.
+    A generator whose length is not the target's raises ValueError.
     """
     target = tuple(target)
+    for i, g in enumerate(gens):
+        if len(g) != len(target):
+            raise ValueError(f"generator dimension does not match point: generator {i} "
+                             f"has length {len(g)}, the point {len(target)}")
     return membership_shape([primitive_row(g) for g in gens], convex).with_rhs(
         target + (ONE,) if convex else target)
 

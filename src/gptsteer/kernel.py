@@ -236,16 +236,18 @@ def state_cone_facets(space: StateSpace) -> tuple[tuple[Rational, ...], ...]:
 
 
 def in_state_cone(coords, space: StateSpace) -> bool:
-    """True iff every facet is nonnegative on the vector.
-
-    An integer sign test per facet: with the vector as ints/den, den > 0,
-    and each facet a positive multiple of its ``space.facet_normals``
-    row, f.vec >= 0 iff normal.ints >= 0; no rational is built.
-    """
+    """True iff every facet is nonnegative on the vector, decided on its
+    ints (``vecs.primitive_row``) by ``_in_cone``; no rational is built."""
     vec = _coords(coords)
     if len(vec) != space.ambient_dim:
         raise ValueError("vector dimension does not match space")
-    ints = primitive_row(vec)[0]
+    return _in_cone(primitive_row(vec)[0], space)
+
+
+def _in_cone(ints, space: StateSpace) -> bool:
+    """The state-cone test of a vector read as ints over a positive den,
+    an integer sign test per facet: each facet is a positive multiple of
+    its ``space.facet_normals`` row, so f.vec >= 0 iff normal.ints >= 0."""
     return all(sum(map(operator.mul, n, ints)) >= 0 for n in space.facet_normals)
 
 

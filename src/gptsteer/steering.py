@@ -34,7 +34,6 @@ witness and the audit ``reconstruct_assemblage`` divide no rational.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 from .compatibility import (JmResult, MotherObservable, _check_family, _critical_level,
@@ -45,8 +44,8 @@ from .composites import (BipartiteState, _conditional_ints, canonical_max_entang
 from .errors import ConstructionError, NotRemotelyPreparableError, VerificationError
 from .exactlp import LinearSystem, coordinate_rows, lp_feasible, membership_shape
 from .kernel import (Effect, Observable, State, StateSpace, _check_lp_size, _effect_rows,
-                     _index_tuples, _lp_shape, _slot_stack, in_state_cone, is_valid_state,
-                     mother_outcome_tuples)
+                     _in_cone, _index_tuples, _lp_shape, _slot_stack, in_state_cone,
+                     is_valid_state, mother_outcome_tuples)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .sampler import SamplerConfig, make_rng, random_max_tensor_state, random_observable_set
 from .vecs import combine, dot, int_combine, primitive_row, qvec, ratio_row
@@ -119,13 +118,12 @@ class Assemblage:
 
         Decided in ints, each element read as ints E over den D
         (``vecs.primitive_row``): its weight lies in [0, 1] iff 0 <= E_0
-        <= D, it lies in the state cone iff every facet normal n of
-        ``space.facet_normals`` has n.E >= 0, and the per-setting totals
-        (``vecs.int_combine``), T over L, are compared by
-        cross-multiplication, the first against T_0 == L for
-        normalization.
+        <= D, its membership in the state cone is ``kernel._in_cone`` of
+        E, and the per-setting totals (``vecs.int_combine``), T over L,
+        are compared by cross-multiplication, the first against T_0 == L
+        for normalization.
         """
-        normals, dim = self.space.facet_normals, self.space.ambient_dim
+        dim = self.space.ambient_dim
         totals = []
         for x, row in enumerate(self.elements):
             parts = []
@@ -133,7 +131,7 @@ class Assemblage:
                 ints, den = primitive_row(e)
                 if not 0 <= ints[0] <= den:
                     raise ValueError(f"element ({x},{k}) has weight outside [0,1]")
-                if any(sum(map(operator.mul, n, ints)) < 0 for n in normals):
+                if not _in_cone(ints, self.space):
                     raise ValueError(f"element ({x},{k}) leaves the state cone")
                 parts.append((1, ints, den))
             totals.append(int_combine(parts, dim))
@@ -167,7 +165,7 @@ def assemblage_from(state: BipartiteState,
     for obs in observables:
         if obs.space is not state.space_a and obs.space != state.space_a:
             raise ValueError("observables must act on the A side of the state")
-    elements = tuple([tuple([ratio_row(*_conditional_ints(state, eff.coeffs))
+    elements = tuple([tuple([ratio_row(*_conditional_ints(state, eff.coeffs, "A"))
                              for eff in obs.effects]) for obs in observables])
     return Assemblage(space=state.space_b,
                       settings=_unique_labels(o.label for o in observables),
@@ -421,7 +419,7 @@ def _model_from_mother(mother: MotherObservable, state: BipartiteState,
     ``_deterministic_model``."""
     model = _deterministic_model(target, (
         (tuple(axis.outcomes.index(label) for axis, label in zip(mother.axes, combo)),
-         *_conditional_ints(state, effect.coeffs))
+         *_conditional_ints(state, effect.coeffs, "A"))
         for combo, effect in mother.items()))
     if reconstruct_assemblage(model).elements != target.elements:
         raise ConstructionError("mother-derived model misses the assemblage")

@@ -64,10 +64,11 @@ def dot(a: Sequence, b: Sequence) -> Rational:
 def combine(weights: Sequence, vectors: Sequence[Sequence]) -> tuple[Rational, ...]:
     """sum_i weights[i] * vectors[i], skipping zero weights and zero entries.
 
-    The only weighted sum of vectors here; row times matrix is
-    combine(row, matrix). Needs at least one vector, whose length is the
-    result's. Accumulates each coordinate as ``dot`` does, one int
-    numerator over its own running denominator, and normalizes each once."""
+    The weighted sum of rational vectors; ``int_combine`` is its
+    counterpart for rows already read as ints. Needs at least one vector,
+    whose length is the result's. Accumulates each coordinate as ``dot``
+    does, one int numerator over its own running denominator, and
+    normalizes each once."""
     if not vectors:
         raise ValueError("need at least one vector")
     n = len(vectors[0])
@@ -101,10 +102,6 @@ def transpose(matrix: Sequence[Sequence]) -> tuple[tuple[Rational, ...], ...]:
     return tuple(zip(*matrix, strict=True))
 
 
-def matrix_times_col(matrix: Sequence[Sequence], col: Sequence) -> tuple[Rational, ...]:
-    return tuple(dot(row, col) for row in matrix)
-
-
 def primitive_row(values: Iterable) -> tuple[list[int], int]:
     """Rationals as (ints, den): integers over their least common
     denominator. Each value is read through .numerator and .denominator
@@ -120,8 +117,9 @@ def int_combine(terms, dim: int) -> tuple[list[int], int]:
     of length dim (``primitive_row``'s), w and d ints, d > 0: (total,
     den), the total's ints over den, the least common multiple of the d
     (zeros over 1 with no term). combine's integer counterpart, for rows
-    already read as ints: the one accumulation of the A-side conditionals
-    and of the steering layer."""
+    already read as ints: the one accumulation of the conditionals of
+    either side of a bipartite state, of the separability decomposition's
+    audit and of the steering layer."""
     den = math.lcm(*[d for _, _, d in terms])
     total = [0] * dim
     for w, ints, d in terms:

@@ -891,6 +891,16 @@ def test_membership_system_row_order():
         inequalities=(((1, 0), 0), ((0, 1), 0)))
 
 
+@pytest.mark.parametrize("convex", [False, True])
+@pytest.mark.parametrize("ragged, length", [((1, 0, 5), 3), ((1,), 1)],
+                         ids=["longer", "shorter"])
+def test_membership_system_refuses_ragged_generators(convex, ragged, length):
+    # a longer generator would lose its extra coordinate, a shorter one
+    # would stop the coordinate rows early: both are refused by length
+    with pytest.raises(ValueError, match=f"generator 1 has length {length}, the point 2"):
+        membership_system((r(1), r(0)), [(r(1), r(0)), ragged], convex=convex)
+
+
 # --- property tests ----------------------------------------------------------
 
 small_int = st.integers(min_value=-4, max_value=4)
