@@ -651,9 +651,10 @@ def test_theorem_verify_builds_each_assemblage_once(monkeypatch, gbit, fiducials
     assert len(calls) == 3
 
 
-def _record_failures(monkeypatch):
-    """Flip the verdict of check_lhs's second and third calls and make every
-    mother-derived model miss its assemblage."""
+def test_theorem_verify_records_failures(monkeypatch, gbit, fiducials, capsys):
+    # check_lhs flips its second and third verdicts, and every mother-derived
+    # model misses its assemblage; the calls here are the noisy family, its
+    # extra state, then the sharp family
     import gptsteer.steering
     calls = []
     clean = gptsteer.steering.check_lhs
@@ -670,12 +671,6 @@ def _record_failures(monkeypatch):
 
     monkeypatch.setattr(gptsteer.steering, "check_lhs", flipped)
     monkeypatch.setattr(gptsteer.steering, "_model_from_mother", misses)
-    return calls
-
-
-def test_theorem_verify_records_failures(monkeypatch, gbit, fiducials, capsys):
-    # calls: the noisy family, its extra state, then the sharp family
-    calls = _record_failures(monkeypatch)
     noisy = _depolarized_pair(fiducials, r(1, 2))
     report = theorem_verify(gbit, 0, SamplerConfig(seed=7), extra_states_per_jm_trial=1,
                             fixed_sets=(noisy, fiducials))
