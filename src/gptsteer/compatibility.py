@@ -27,9 +27,8 @@ from typing import Sequence
 from .errors import VerificationError
 from .exactlp import (INFEASIBLE, OPTIMAL, LinearSystem, coordinate_rows, lp_feasible,
                       lp_optimize, refutes)
-from .kernel import (Effect, Observable, StateSpace, _check_lp_size, _index_tuples, _lp_shape,
-                     _slot_stack, barycenter, is_valid_effect, is_valid_observable,
-                     mother_outcome_tuples)
+from .kernel import (Effect, Observable, StateSpace, _index_tuples, _lp_shape, _slot_stack,
+                     barycenter, is_valid_effect, is_valid_observable, mother_outcome_tuples)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .vecs import combine, dot
 
@@ -123,7 +122,6 @@ def jm_linear_system(observables: Sequence[Observable], space: StateSpace) -> Li
     """
     _check_family(observables, space)
     outcomes = [obs.outcomes for obs in observables]
-    _check_lp_size(outcomes, space)
     return _lp_shape(space, "jm", outcomes, _jm_shape).with_rhs(_jm_target(observables, space))
 
 

@@ -23,13 +23,14 @@ independently. No reader ever changes the integer rows, which systems of
 one shape share. The tableau is fraction-free and sparse: each row
 a dict of its nonzero ints over one positive denominator, pivoted by
 ``vecs.pivot``, the Gauss-Jordan step of ``vecs`` elimination too. It
-has two row stores, picked by the system's shape alone. Below
-WIDE_RATIO structural columns per tableau row, the full tableau stores
-every entry of every row. From WIDE_RATIO on, the basis-inverse store
-(a revised simplex) keeps of each row only its multipliers over the
-initial integer rows and its rhs, and computes an entry from the
-column-major initial rows when Bland's rule reads it. Both make the
-same pivots and give the same results.
+has two row stores, picked by the system's shape alone. A system whose
+every variable has a bound row, with at least WIDE_RATIO structural
+columns per tableau row, goes to the basis-inverse store (a revised
+simplex), which keeps of each row only its multipliers over the initial
+integer rows and its rhs, and computes an entry from the column-major
+initial rows when Bland's rule reads it. Every other system, so every
+one with a free variable, goes to the full tableau, which stores every
+entry of every row. Both make the same pivots and give the same results.
 Rationals are built only where values leave the tableau: the witness
 or optimal point, the multipliers and the optimum.
 A row x_j >= 0 is a bound on column j, not a tableau row of its own,
@@ -362,14 +363,18 @@ def certifies_optimum(system: LinearSystem, objective, value, certificate,
 # rows only when Bland's rule reads it. A pivot costs the full tableau
 # about rows x columns and the basis-inverse store rows x rows plus the
 # entering column, so _tableau picks the second for systems with at least
-# WIDE_RATIO structural columns per row. Phases, pivot rules, drive-out,
-# multipliers and the point are one definition for both.
+# WIDE_RATIO structural columns per row, and only when every variable has a
+# bound row: the basis-inverse store holds no xm column. Phases, pivot
+# rules, drive-out, multipliers and the point are one definition for both.
 
 # Structural columns per tableau row from which the basis-inverse store
-# solves a system. Measured per LP on a 2-core machine, Python 3.11: the
-# separability LPs of polygon-5 to 8 (2.5 to 6.4 columns per row) ran x1.3
-# to x2.6 faster on it, the gbit JM, LHS and separability LPs (1.3 to 1.6)
-# x0.56 to x0.76 as fast.
+# solves a system with no free variable. Measured per LP on a 2-core
+# machine, Python 3.11: the separability LPs of polygon-5 to 8 (2.5 to 6.4
+# columns per row) ran x1.3 to x2.6 faster on it, the gbit JM, LHS and
+# separability LPs (1.3 to 1.6) x0.56 to x0.76 as fast. The JM LP of six
+# X/Y copies on the gbit, 192 free variables at 2.2 columns per row with
+# each counted twice, took 5.3 to 6.6 s on it and 3.4 to 3.5 s on the
+# full tableau at visibility 1/2, 1.9 to 2.2 s and 1.3 to 1.5 s at 3/5.
 WIDE_RATIO = 2
 
 
@@ -639,7 +644,8 @@ class _BasisInverseTableau(_Tableau):
     initial integer row k (the k-th unit column's entry over its den_k),
     and its rhs. Its entry in column j is the sum of the multipliers times
     the initial rows' entries in j (columns[j]); the objective row adds its
-    multiplier of the cost row (key _COST) times cost_j."""
+    multiplier of the cost row (key _COST) times cost_j. It takes only
+    systems whose every variable has a bound row, so it has no xm column."""
 
     store = "basis-inverse"
 
@@ -663,29 +669,17 @@ class _BasisInverseTableau(_Tableau):
 
     def _column(self, c: int) -> list[int]:
         """As for the full tableau; the column is kept for the pivot on it."""
-        plus = self.plus_col.get(c)
-        col = self.columns[c if plus is None else plus]
+        col = self.columns[c]
         values = [sum([row.get(k, 0) * a for k, a in col]) for row in self.rows]
-        if plus is not None:
-            values = [-x for x in values]
         self._entering_column = (c, values)
         return values
 
     def _entering(self, allowed_cols: int) -> int | None:
         """The full tableau's choice, scanning columns in index order and
         computing each reduced cost until the first negative one."""
-        get, cost, columns, minus = self.obj.get, self.cost.get, self.columns, self.minus_col
+        get, cost, columns = self.obj.get, self.cost.get, self.columns
         scale = get(_COST, 0)
-        first_minus = None
-        for j in range(self.n):
-            d = scale * cost(j, 0) + sum([get(k, 0) * a for k, a in columns[j]])
-            if d < 0:
-                return j
-            if d > 0 and first_minus is None and j in minus:
-                first_minus = minus[j]
-        if first_minus is not None:
-            return first_minus
-        for j in range(self.n + len(minus), allowed_cols):
+        for j in range(allowed_cols):
             if scale * cost(j, 0) + sum([get(k, 0) * a for k, a in columns[j]]) < 0:
                 return j
         return None
@@ -695,8 +689,7 @@ class _BasisInverseTableau(_Tableau):
 
     def _first_struct_entry(self, row: dict[int, int]) -> int | None:
         """As for the full tableau, by computing each entry in column order."""
-        return next((j for j in range(self.struct_cols)
-                     if j not in self.plus_col and self._entry(row, j)), None)
+        return next((j for j in range(self.struct_cols) if self._entry(row, j)), None)
 
     def _pivot(self, r: int, c: int):
         """One vecs.pivot over the rows and the objective row, on column c
@@ -708,8 +701,7 @@ class _BasisInverseTableau(_Tableau):
         for row, a in zip(self.rows, values):
             if a:
                 row[_ENTERING] = a
-        plus = self.plus_col.get(c)
-        d = self._entry(self.obj, c) if plus is None else -self._entry(self.obj, plus)
+        d = self._entry(self.obj, c)
         if d:
             self.obj[_ENTERING] = d
         dens = self.dens + [self.obj_den]
@@ -720,14 +712,14 @@ class _BasisInverseTableau(_Tableau):
 
 def _tableau(system: LinearSystem) -> _Tableau:
     """The row store for the system's shape, read before any row is built:
-    the basis-inverse store for at least WIDE_RATIO structural columns per
-    tableau row, else the full tableau."""
+    the basis-inverse store when every variable has a bound row and there
+    are at least WIDE_RATIO structural columns per tableau row, else the
+    full tableau."""
     bound_row = _bound_rows(system)
     rows = system.row_count - len(bound_row)
-    kept = rows - system.n_eq
-    struct_cols = 2 * system.variable_count - len(bound_row) + kept
-    store = _BasisInverseTableau if struct_cols >= WIDE_RATIO * rows else _Tableau
-    return store(system, bound_row)
+    struct_cols = system.variable_count + rows - system.n_eq
+    wide = len(bound_row) == system.variable_count and struct_cols >= WIDE_RATIO * rows
+    return (_BasisInverseTableau if wide else _Tableau)(system, bound_row)
 
 
 def lp_feasible(system: LinearSystem) -> FeasibilityResult:

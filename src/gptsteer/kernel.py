@@ -462,8 +462,8 @@ def mother_outcome_tuples(observables: Sequence[Observable]) -> tuple[tuple[str,
     return tuple(itertools.product(*(obs.outcomes for obs in observables)))
 
 
-# jm_linear_system and lhs_linear_system refuse a family whose outcome tuples
-# times the space's vertices pass this, rather than solve for minutes.
+# _lp_shape refuses a JM or LHS family whose outcome tuples times the space's
+# vertices pass this, rather than solve for minutes.
 LP_SIZE_CAP = 256
 
 
@@ -479,10 +479,12 @@ def _check_lp_size(outcomes, space: StateSpace) -> None:
 
 def _lp_shape(space: StateSpace, family: str, outcomes, build) -> LinearSystem:
     """space.lp_shapes[(family, outcome counts)], made by build(space,
-    outcomes) the first time; build may read only the counts."""
+    outcomes) the first time, after _check_lp_size, which reads only the
+    key; build may read only the counts."""
     key = (family, tuple([len(row) for row in outcomes]))
     shape = space.lp_shapes.get(key)
     if shape is None:
+        _check_lp_size(outcomes, space)
         shape = space.lp_shapes[key] = build(space, outcomes)
     return shape
 

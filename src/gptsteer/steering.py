@@ -43,9 +43,9 @@ from .composites import (BipartiteState, _conditional_ints, canonical_max_entang
                          in_max_tensor, marginal, subnormalized_conditional)
 from .errors import ConstructionError, NotRemotelyPreparableError, VerificationError
 from .exactlp import LinearSystem, coordinate_rows, lp_feasible, membership_shape
-from .kernel import (Effect, Observable, State, StateSpace, _check_lp_size, _effect_rows,
-                     _in_cone, _index_tuples, _lp_shape, _slot_stack, in_state_cone,
-                     is_valid_state, mother_outcome_tuples)
+from .kernel import (Effect, Observable, State, StateSpace, _effect_rows, _in_cone,
+                     _index_tuples, _lp_shape, _slot_stack, in_state_cone, is_valid_state,
+                     mother_outcome_tuples)
 from .ratio import ONE, ZERO, Rational, as_ratio
 from .sampler import SamplerConfig, make_rng, random_max_tensor_state, random_observable_set
 from .vecs import combine, dot, int_combine, primitive_row, qvec, ratio_row
@@ -290,7 +290,6 @@ def lhs_linear_system(assemblage: Assemblage) -> LinearSystem:
     system's shape (``exactlp.membership_shape``) is built once per shape
     and kept in ``space.lp_shapes``, and each call builds only the target.
     """
-    _check_lp_size(assemblage.outcomes, assemblage.space)
     target = tuple([c for row in assemblage.elements for e in row for c in e])
     return _lp_shape(assemblage.space, "lhs", assemblage.outcomes, _lhs_shape).with_rhs(target)
 

@@ -70,7 +70,8 @@ else:
 
 # The mutations below, each run on a system for each row store: the wide
 # one of the scripts above and a narrow one; prints the store and the
-# outcome per system.
+# outcome per system, an exception by type and message, since the audits
+# of one call all raise VerificationError.
 MUTATE_WITNESS = """
 clean = exactlp._Tableau.extract_point
 
@@ -189,7 +190,7 @@ for system in (wide, narrow):
     try:
         result = solve(system)
     except Exception as err:
-        print(store, type(err).__name__)
+        print(store, f"{{type(err).__name__}}: {{err}}")
     else:
         print(store, "returned", result.status)
 """
@@ -443,10 +444,15 @@ def test_optimality_audit_survives_optimize_flag():
     assert _run_optimized(BAD_OPTIMUM_SCRIPT) == "VerificationError"
 
 
-@pytest.mark.parametrize("mutation", [MUTATE_WITNESS, MUTATE_OPTIMUM, MUTATE_FARKAS])
-def test_audits_survive_optimize_flag_on_both_stores(mutation):
+@pytest.mark.parametrize("mutation, message", [
+    (MUTATE_WITNESS, "witness fails substitution"),
+    (MUTATE_OPTIMUM, "optimality certificate fails substitution"),
+    (MUTATE_FARKAS, "Farkas certificate fails substitution"),
+], ids=["witness", "optimum", "farkas"])
+def test_audits_survive_optimize_flag_on_both_stores(mutation, message):
     output = _run_optimized(ON_BOTH_STORES.format(mutation=mutation))
-    assert output.splitlines() == ["basis-inverse VerificationError", "full VerificationError"]
+    assert output.splitlines() == [f"{store} VerificationError: {message}"
+                                   for store in ("basis-inverse", "full")]
 
 
 def test_decomposition_audit_survives_optimize_flag():
@@ -454,10 +460,14 @@ def test_decomposition_audit_survives_optimize_flag():
     assert output.splitlines() == ["accepted", "VerificationError", "VerificationError"]
 
 
-@pytest.mark.parametrize("mutation", [MUTATE_OPTIMAL_POINT, MUTATE_OPTIMAL_VALUE])
-def test_optimum_audits_survive_optimize_flag_on_both_stores(mutation):
+@pytest.mark.parametrize("mutation, message", [
+    (MUTATE_OPTIMAL_POINT, "optimizer left the feasible set"),
+    (MUTATE_OPTIMAL_VALUE, "optimal point does not attain the optimal value"),
+], ids=["point", "value"])
+def test_optimum_audits_survive_optimize_flag_on_both_stores(mutation, message):
     output = _run_optimized(ON_BOTH_STORES.format(mutation=mutation))
-    assert output.splitlines() == ["basis-inverse VerificationError", "full VerificationError"]
+    assert output.splitlines() == [f"{store} VerificationError: {message}"
+                                   for store in ("basis-inverse", "full")]
 
 
 @pytest.mark.parametrize("mutation, raised", [

@@ -527,14 +527,23 @@ def _solved_with(store_ratio, monkeypatch, solves):
     return steps, results
 
 
+def _bounded(system) -> bool:
+    """Every variable of the system has a bound row x_j >= 0."""
+    return len(exactlp._bound_rows(system)) == system.variable_count
+
+
 def test_both_stores_take_the_same_steps(monkeypatch):
-    # The 320 seeded systems of the frozen test and the separability LPs
-    # of the geometry-cold shapes, each solved with the full tableau and
-    # with the basis-inverse store: the same pivots, the same results.
+    # The seeded systems of the frozen test whose every variable has a
+    # bound row, and the separability LPs of the geometry-cold shapes,
+    # each solved with the full tableau and with the basis-inverse store:
+    # the same pivots, the same results. The seeded systems with a free
+    # variable stay on the full tableau even at WIDE_RATIO 0.
     rng = random.Random(20261019)
+    systems = [_seeded_system(rng) for _ in range(320)]
+    bounded = [(system, objective) for system, objective in systems if _bounded(system)]
+    assert len(bounded) == 53
     solves = []
-    for _ in range(320):
-        system, objective = _seeded_system(rng)
+    for system, objective in bounded:
         solves += [lambda system=system: lp_feasible(system)]
         solves += [lambda system=system, objective=objective, sense=sense:
                    lp_optimize(objective, system, sense) for sense in ("max", "min")]
@@ -543,24 +552,40 @@ def test_both_stores_take_the_same_steps(monkeypatch):
     for space in spaces:
         system = separability_system(random_separable_state(space, space, rng))
         solves.append(lambda system=system: lp_feasible(system))
+    assert len(solves) == 159 + 5
     full_steps, full_results = _solved_with(math.inf, monkeypatch, solves)
     inverse_steps, inverse_results = _solved_with(0, monkeypatch, solves)
     assert {store for store, _, _ in full_steps} == {"full"}
     assert {store for store, _, _ in inverse_steps} == {"basis-inverse"}
     assert [step[1:] for step in inverse_steps] == [step[1:] for step in full_steps]
     assert inverse_results == full_results
-    assert {res.status for res in full_results} == {FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED}
+    assert {res.status for res in full_results[:159]} == \
+        {FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED}
+    monkeypatch.setattr(exactlp, "WIDE_RATIO", 0)
+    assert {exactlp._tableau(system).store
+            for system, _ in systems if not _bounded(system)} == {"full"}
 
 
-def test_store_follows_the_shape(gbit, phi, fiducials):
+def test_store_follows_the_shape(gbit, phi, fiducials, monkeypatch):
     # polygon-8 separability: 64 columns over 10 rows; gbit X/Y LHS 16
-    # over 12 and JM 40 over 31
+    # over 12 and JM 40 over 31; six alternating X/Y copies: JM with 192
+    # free variables, LHS on the canonical state with 256 bounded weights
     octagon = zoo_polygon(8)
     wide = separability_system(random_separable_state(octagon, octagon, random.Random(8)))
     lhs = lhs_linear_system(assemblage_from(phi, fiducials))
     jm = jm_linear_system(fiducials, gbit)
-    assert [exactlp._tableau(system).store for system in (wide, lhs, jm)] == \
-        ["basis-inverse", "full", "full"]
+    copies = [depolarize_observable(fiducials[i % 2], Fraction(1, 2)) for i in range(6)]
+    jm6 = jm_linear_system(copies, gbit)
+    lhs6 = lhs_linear_system(assemblage_from(phi, copies))
+    assert jm6.variable_count == 192 and not exactlp._bound_rows(jm6)
+    assert lhs6.variable_count == 256 and _bounded(lhs6)
+    systems = (wide, lhs, jm, jm6, lhs6)
+    assert [exactlp._tableau(system).store for system in systems] == \
+        ["basis-inverse", "full", "full", "full", "basis-inverse"]
+    # however wide, a system with a free variable keeps the full tableau
+    monkeypatch.setattr(exactlp, "WIDE_RATIO", 0)
+    assert [exactlp._tableau(system).store for system in systems] == \
+        ["basis-inverse", "basis-inverse", "full", "full", "basis-inverse"]
 
 
 def test_debug_line_names_the_store(caplog, phi, fiducials):

@@ -219,6 +219,22 @@ def test_a_seen_shape_builds_no_row_and_runs_no_read(monkeypatch):
     assert len(space.lp_shapes) == 2
 
 
+def test_a_refused_family_stores_no_shape(gbit, fiducials, monkeypatch):
+    # the cap is checked once per shape, before the build: seven X/Y copies
+    # are refused without a row built or a key kept, so the second call is
+    # refused the same way
+    copies = [depolarize_observable(fiducials[i % 2], r(1, 2)) for i in range(7)]
+
+    def forbidden(*args):
+        raise AssertionError("a refused shape was built")
+
+    monkeypatch.setattr(compatibility, "_jm_shape", forbidden)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="512 \\(outcome tuple, vertex\\) pairs"):
+            jm_linear_system(copies, gbit)
+        assert ("jm", (2,) * 7) not in gbit.lp_shapes
+
+
 def test_no_package_lp_reads_rational_rows(monkeypatch):
     # with the read of rational rows made to raise, a new space is built
     # and every family of package LPs is built and solved on it
